@@ -1,0 +1,130 @@
+"""Golden artifacts: small pinned CLI jobs must write byte-identical files.
+
+Each job runs through `cli.main` and the sha256 of every file it leaves in
+its run directory is compared with a constant. Refactors of the training
+path must keep these digests; only a change that means to change results
+(or the on-disk formats) should update them. The digests depend on the
+floating-point results of the BLAS the tests run against, so a different
+numpy/BLAS build may need them re-recorded.
+"""
+import hashlib
+
+import pytest
+
+from guidance_learn import cli
+from guidance_learn.serialize import write_canonical_json
+
+CONFIG = {
+    "alpha": 0.1,
+    "beta": 0.3,
+    "temperature": 5.0,
+    "batch_size": 16,
+    "hidden_dims": [16, 8],
+    "seed": 5,
+    "teacher_epochs": 6,
+    "student_epochs": 4,
+    "finetune_epochs": 2,
+    "teacher_lr_schedule": [[0, 0.05], [4, 0.005]],
+    "student_lr_schedule": [[0, 0.01], [3, 0.001]],
+    "data_classes": 4,
+    "data_per_class": 120,
+    "data_dim": 8,
+    "data_sigma": 0.6,
+    "data_clean_fraction": 0.1,
+    "data_test_fraction": 0.2,
+    "noise_model": "symmetric",
+    "noise_rate": 0.4,
+}
+
+# job name -> (config overrides, argv after the subcommand's --config/--out)
+JOBS = {
+    "student": ({}, ["train-student"]),
+    "student_alpha0": ({"alpha": 0.0}, ["train-student"]),
+    "student_from_teacher": ({}, ["train-student", "--teacher", "{teacher}"]),
+    "sweep_beta": ({}, ["sweep", "--axis", "beta", "--values", "0.0,0.3,1.0",
+                        "--seeds", "1,2"]),
+    "baseline_guidance_finetuned": ({}, ["baseline", "--variant", "guidance_finetuned"]),
+}
+
+GOLDEN = {
+    "baseline_guidance_finetuned": {
+        "config.json":
+            "852e0d96b107d05884f13e04b4ec6cb2eec84a63c72225309599d3f3326e44f0",
+        "finetuned.ckpt":
+            "112c12cf78b9463f97e1d4e733ad84f74e3a3bd9d3fb99fc6b741b3549ada4ca",
+        "report.json":
+            "79eb0e823bb1ca510e8fdcfc0cc0e0612b5e0dc5f8faa45f46dc70493ff8c662",
+        "student.ckpt":
+            "a377642342bdfe00e2a74fb56a0f88ec7ac6d6da3446ae4ea70604af3d717fad",
+        "teacher.ckpt":
+            "7ef75106b351d9c384e6c3e3877597a13c16dd91397115cd1b4a9547f6e0ee4f",
+    },
+    "student": {
+        "config.json":
+            "852e0d96b107d05884f13e04b4ec6cb2eec84a63c72225309599d3f3326e44f0",
+        "guidance_cache.bin":
+            "7ab75ff6bb530ccc4e23272b6c902ea89d0cb6c6acf5cc29a5e0a74e31db5c7b",
+        "report.json":
+            "d20c0f2a8460e987dcd95697e5f1f639dfe670d601a228428be488b36b262777",
+        "student.ckpt":
+            "a377642342bdfe00e2a74fb56a0f88ec7ac6d6da3446ae4ea70604af3d717fad",
+        "teacher.ckpt":
+            "7ef75106b351d9c384e6c3e3877597a13c16dd91397115cd1b4a9547f6e0ee4f",
+    },
+    "student_alpha0": {
+        "config.json":
+            "dcd08a7b9d63f4941507acbcafe3e773e60ea975059082b5a6062565d13e67f0",
+        "guidance_cache.bin":
+            "7ab75ff6bb530ccc4e23272b6c902ea89d0cb6c6acf5cc29a5e0a74e31db5c7b",
+        "report.json":
+            "56af5f45ef40c66cceada944423e0ff2db2a0d80910b34a8744eeb725e46973e",
+        "student.ckpt":
+            "1f26128b9d266c7542350842d89999ac74d7ad3501206f0bedccd2b807ab611b",
+        "teacher.ckpt":
+            "7ef75106b351d9c384e6c3e3877597a13c16dd91397115cd1b4a9547f6e0ee4f",
+    },
+    "student_from_teacher": {
+        "config.json":
+            "852e0d96b107d05884f13e04b4ec6cb2eec84a63c72225309599d3f3326e44f0",
+        "guidance_cache.bin":
+            "7ab75ff6bb530ccc4e23272b6c902ea89d0cb6c6acf5cc29a5e0a74e31db5c7b",
+        "report.json":
+            "d20c0f2a8460e987dcd95697e5f1f639dfe670d601a228428be488b36b262777",
+        "student.ckpt":
+            "a377642342bdfe00e2a74fb56a0f88ec7ac6d6da3446ae4ea70604af3d717fad",
+        "teacher.ckpt":
+            "7ef75106b351d9c384e6c3e3877597a13c16dd91397115cd1b4a9547f6e0ee4f",
+    },
+    "sweep_beta": {
+        "config.json":
+            "eb56ddbf776d1030305eb8edcf6d9268f2ce2fdf5236f82e15e88678cec755b6",
+        "plotdata.txt":
+            "4e14141f19c9109e41c8b67398064f2c8cd153e33a8f8dc77e4d4ec61b6c3882",
+        "results.csv":
+            "e39e89f372934fffa538aaec24759b694a7171e0cd57a1b2273319c3e4c6a4e6",
+        "results.json":
+            "c3e6fc594575df9c34fc79093150aa7f436dfd36f41cd3e9ab874a731757fe6e",
+    },
+}
+
+
+def run_job(tmp_path, name: str) -> dict[str, str]:
+    """Run one pinned job in a fresh directory; sha256 of every file it wrote."""
+    overrides, argv = JOBS[name]
+    config_path = tmp_path / f"{name}.json"
+    write_canonical_json(config_path, {**CONFIG, **overrides})
+    teacher = tmp_path / f"{name}-teacher"
+    if "{teacher}" in argv:
+        assert cli.main(["train-teacher", "--config", str(config_path),
+                         "--out", str(teacher)]) == 0
+    argv = [a.replace("{teacher}", str(teacher / "teacher.ckpt")) for a in argv]
+    out = tmp_path / name
+    assert cli.main([argv[0], "--config", str(config_path), "--out", str(out),
+                     *argv[1:]]) == 0
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("name", sorted(JOBS))
+def test_pinned_job_artifacts_are_byte_identical(tmp_path, name):
+    assert run_job(tmp_path, name) == GOLDEN[name]
