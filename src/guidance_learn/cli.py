@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -31,8 +30,6 @@ from .pipeline import (
 from .serialize import write_canonical_json
 
 log = logging.getLogger("guidance_learn")
-
-THREADS_ENV = "GUIDANCE_LEARN_THREADS"
 
 _DATA_KEYS = {
     "data_kind", "data_csv", "data_classes", "data_per_class", "data_dim",
@@ -242,15 +239,6 @@ def _sweep_grid(cli: CliConfig, config: TrainConfig, sweep_doc: dict) -> tuple[S
     return SweepGrid(axis=axis, values=values, base_config=config, seeds=seeds), effective
 
 
-def _sweep_workers() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ConfigurationError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    return max(1, workers)
-
-
 def _guard(path: Path, force: bool) -> None:
     if path.exists() and not force:
         raise ConfigurationError(
@@ -378,7 +366,7 @@ def _cmd_sweep(cli: CliConfig) -> int:
     grid, effective = _sweep_grid(cli, config, sweep_doc)
     rundir = _RunDir(cli.out_dir, "results.json", cli.force)
     write_canonical_json(rundir.path / "config.json", _snapshot(config, recipe, effective))
-    result = sweep(grid, recipe, max_workers=_sweep_workers())
+    result = sweep(grid, recipe)
     (rundir.path / "results.csv").write_text(result.to_csv_text(), encoding="utf-8")
     write_canonical_json(rundir.path / "results.json", result.to_json_dict())
     (rundir.path / "plotdata.txt").write_text(result.to_plotdata_text(), encoding="utf-8")

@@ -1,7 +1,6 @@
 """Metrics and single-axis hyperparameter sweeps over the full pipeline."""
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -171,45 +170,30 @@ def _run_cell(dataset: Dataset, teacher, config: TrainConfig) -> tuple[float, fl
     )
 
 
-def sweep(grid: SweepGrid, recipe: DataRecipe, max_workers: int = 1) -> SweepResult:
+def sweep(grid: SweepGrid, recipe: DataRecipe) -> SweepResult:
     """Run the full two-stage pipeline for every (value, seed) cell.
 
     Stage-2-only axes (alpha, beta, T) share one teacher per seed; axes that
-    change the data (clean_fraction, noise_rate) retrain it per cell. Cells
-    are independent, so max_workers > 1 only changes wall time.
+    change the data (clean_fraction, noise_rate) retrain it per cell.
     """
     if grid.axis == "noise_rate" and recipe.noise_model == "none":
         raise ParameterError("noise_rate sweep needs a recipe with a noise model")
 
     results: dict[tuple[int, int], tuple[float, float, float]] = {}
-
-    def stage2_task(seed: int) -> dict[tuple[int, int], tuple[float, float, float]]:
-        dataset, _ = recipe.build(seed)
-        teacher, _ = train_teacher(dataset, replace(grid.base_config, seed=seed))
-        out = {}
-        for vi, value in enumerate(grid.values):
-            out[(vi, seed)] = _run_cell(dataset, teacher, _cell_config(grid, value, seed))
-        return out
-
-    def stage1_task(vi: int, value: float, seed: int):
-        dataset, _ = _cell_recipe(grid, recipe, value).build(seed)
-        config = _cell_config(grid, value, seed)
-        teacher, _ = train_teacher(dataset, config)
-        return {(vi, seed): _run_cell(dataset, teacher, config)}
-
     if grid.axis in _STAGE2_AXES:
-        tasks = [(stage2_task, (seed,)) for seed in grid.seeds]
+        for seed in grid.seeds:
+            dataset, _ = recipe.build(seed)
+            teacher, _ = train_teacher(dataset, replace(grid.base_config, seed=seed))
+            for vi, value in enumerate(grid.values):
+                results[(vi, seed)] = _run_cell(dataset, teacher,
+                                                _cell_config(grid, value, seed))
     else:
-        tasks = [(stage1_task, (vi, value, seed))
-                 for vi, value in enumerate(grid.values) for seed in grid.seeds]
-
-    if max_workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
-            for part in pool.map(lambda t: t[0](*t[1]), tasks):
-                results.update(part)
-    else:
-        for fn, args in tasks:
-            results.update(fn(*args))
+        for vi, value in enumerate(grid.values):
+            for seed in grid.seeds:
+                dataset, _ = _cell_recipe(grid, recipe, value).build(seed)
+                config = _cell_config(grid, value, seed)
+                teacher, _ = train_teacher(dataset, config)
+                results[(vi, seed)] = _run_cell(dataset, teacher, config)
 
     rows = [
         SweepRow(axis=grid.axis, value=value, seed=seed,

@@ -8,7 +8,6 @@ evaluated at the same temperature; clean samples get plain cross-entropy.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,28 +15,26 @@ import numpy as np
 from . import nn
 from .data import Dataset, NOISY_TRAIN
 from .errors import ConsistencyError, FormatError, InputError, ParameterError, ShapeError
+from .serialize import canonical_json, read_json_object
 
 CACHE_FORMAT_VERSION = 1
 
 
 @dataclass
 class GuidanceCache:
-    """Teacher soft targets keyed by dataset sample index, plus provenance."""
+    """Teacher soft targets of the noisy samples, plus provenance.
 
-    targets: dict[int, np.ndarray]
+    Row k of `targets` [N, C] is the soft target of dataset sample
+    `indices[k]`; `indices` [N] ascends.
+    """
+
+    indices: np.ndarray
+    targets: np.ndarray
     temperature: float
     teacher_fingerprint: str
 
     def __len__(self) -> int:
-        return len(self.targets)
-
-    def lookup(self, index: int) -> np.ndarray:
-        try:
-            return self.targets[int(index)]
-        except KeyError:
-            raise ConsistencyError(
-                f"guidance cache has no entry for sample index {int(index)}"
-            ) from None
+        return len(self.indices)
 
 
 def compute_teacher_soft_targets(
@@ -56,7 +53,8 @@ def compute_teacher_soft_targets(
         )
     probs = nn.softmax_t(nn.forward(teacher, dataset.features[noisy_idx]), temperature)
     return GuidanceCache(
-        targets={int(i): probs[row] for row, i in enumerate(noisy_idx)},
+        indices=noisy_idx,
+        targets=probs,
         temperature=float(temperature),
         teacher_fingerprint=nn.fingerprint(teacher),
     )
@@ -100,9 +98,16 @@ def guidance_targets(
     """Fused guidance matrix [B, C] for a noisy batch given by dataset indices."""
     if beta < 0:
         raise ParameterError(f"beta must be >= 0, got {beta}")
-    soft = np.stack([cache.lookup(i) for i in indices])
+    indices = np.asarray(indices)
+    rows = np.searchsorted(cache.indices, indices)
+    found = rows < len(cache)
+    found[found] = cache.indices[rows[found]] == indices[found]
+    if not found.all():
+        raise ConsistencyError(
+            f"guidance cache has no entry for sample index {int(indices[~found][0])}"
+        )
     y = nn.one_hot(np.asarray(noisy_labels), num_classes)
-    return (soft + beta * y) / (1.0 + beta)
+    return (cache.targets[rows] + beta * y) / (1.0 + beta)
 
 
 def student_batch_loss(
@@ -117,11 +122,13 @@ def student_batch_loss(
     alpha: float,
     beta: float,
     temperature: float,
-) -> tuple[float, float, float]:
-    """(L_total, L_g, L_c) for one paired batch.
+) -> tuple[tuple[float, float, float], nn.Gradients]:
+    """((L_total, L_g, L_c), gradients of L_total) for one paired batch.
 
-    The KL branch softens the student's own logits with the cache's
-    temperature; the clean branch uses plain softmax.
+    One forward pass per batch: the KL branch softens the student's own
+    logits with the cache's temperature; the clean branch uses plain
+    softmax. With alpha == 0 the noisy branch stays out of the gradient
+    sum, so training reproduces clean-only cross-entropy bit for bit.
     """
     if cache.temperature != temperature:
         raise ConsistencyError(
@@ -129,11 +136,17 @@ def student_batch_loss(
         )
     C = student.num_classes
     g = guidance_targets(cache, noisy_indices, noisy_labels, beta, C)
-    q = nn.softmax_t(nn.forward(student, noisy_batch), temperature)
+    q, noisy_grads = nn.backward(student, noisy_batch, g, temperature, alpha * temperature)
+    clean_targets = nn.one_hot(np.asarray(clean_labels), C)
+    p, grads = nn.backward(student, clean_batch, clean_targets)
+    if alpha != 0.0:
+        grads = nn.Gradients(
+            weights=[a + b for a, b in zip(noisy_grads.weights, grads.weights)],
+            biases=[a + b for a, b in zip(noisy_grads.biases, grads.biases)],
+        )
     loss_g = nn.kl_div(g, q)
-    p = nn.softmax_t(nn.forward(student, clean_batch), 1.0)
-    loss_c = nn.cross_entropy(p, nn.one_hot(np.asarray(clean_labels), C))
-    return total_loss(loss_g, loss_c, alpha, temperature), loss_g, loss_c
+    loss_c = nn.cross_entropy(p, clean_targets)
+    return (total_loss(loss_g, loss_c, alpha, temperature), loss_g, loss_c), grads
 
 
 def cache_dict(cache: GuidanceCache) -> dict:
@@ -141,13 +154,11 @@ def cache_dict(cache: GuidanceCache) -> dict:
         "format_version": CACHE_FORMAT_VERSION,
         "temperature": cache.temperature,
         "teacher_fingerprint": cache.teacher_fingerprint,
-        "targets": {str(i): v.tolist() for i, v in cache.targets.items()},
+        "targets": dict(zip(map(str, cache.indices.tolist()), cache.targets.tolist())),
     }
 
 
 def save_cache(cache: GuidanceCache, path) -> None:
-    from .serialize import canonical_json
-
     with open(path, "wb") as fh:
         fh.write(canonical_json(cache_dict(cache)).encode("utf-8"))
 
@@ -155,19 +166,28 @@ def save_cache(cache: GuidanceCache, path) -> None:
 def load_cache(path, *, expected_fingerprint: str | None = None,
                expected_temperature: float | None = None) -> GuidanceCache:
     """Load a cache sidecar, failing loudly on provenance mismatch."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: not valid JSON: {exc}") from exc
+    doc = read_json_object(path, "guidance cache")
     if doc.get("format_version") != CACHE_FORMAT_VERSION:
         raise FormatError(
             f"{path}: unsupported cache format version {doc.get('format_version')!r}"
         )
+    try:
+        targets = doc["targets"]
+        temperature = float(doc["temperature"])
+        teacher_fingerprint = str(doc["teacher_fingerprint"])
+    except KeyError as exc:
+        raise FormatError(f"{path}: missing cache field {exc}") from exc
+    try:
+        indices = np.array([int(k) for k in targets], dtype=np.int64)
+    except ValueError as exc:
+        raise FormatError(f"{path}: field 'targets' has a key that is not a sample "
+                          f"index: {exc}") from exc
+    order = np.argsort(indices, kind="stable")
     cache = GuidanceCache(
-        targets={int(k): np.asarray(v, dtype=np.float64) for k, v in doc["targets"].items()},
-        temperature=float(doc["temperature"]),
-        teacher_fingerprint=str(doc["teacher_fingerprint"]),
+        indices=indices[order],
+        targets=np.asarray(list(targets.values()), dtype=np.float64)[order],
+        temperature=temperature,
+        teacher_fingerprint=teacher_fingerprint,
     )
     if expected_fingerprint is not None and cache.teacher_fingerprint != expected_fingerprint:
         raise ConsistencyError(

@@ -1,20 +1,22 @@
-"""Dense ReLU networks with the losses and optimizer the training recipes need.
+"""Dense ReLU networks with the loss gradient and optimizer the training recipes need.
 
 Everything operates on float64 numpy arrays. Networks are lists of
 (weight, bias) pairs; hidden layers use ReLU, the last layer is linear
-and produces logits. Losses come in per-sample (1-D) and batch (2-D,
-mean over rows) variants.
+and produces logits. `backward` is the one training pass: from a single
+forward pass it returns the temperature-softened probabilities (from which
+callers compute their loss with `cross_entropy` or `kl_div`) and the
+gradients of a scaled cross-entropy/KL against fixed targets. Losses come
+in per-sample (1-D) and batch (2-D, mean over rows) variants.
 """
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FormatError, InputError, ParameterError, ShapeError
-from .serialize import canonical_json
+from .serialize import canonical_json, read_json_object
 
 PROB_CLAMP = 1e-12
 CHECKPOINT_FORMAT_VERSION = 1
@@ -86,7 +88,6 @@ class OptState:
     velocity_w: list[np.ndarray]
     velocity_b: list[np.ndarray]
     step: int = 0
-    lr: float = 0.0
 
     @classmethod
     def zeros(cls, params: ModelParams) -> "OptState":
@@ -94,40 +95,6 @@ class OptState:
             velocity_w=[np.zeros_like(W) for W in params.weights],
             velocity_b=[np.zeros_like(b) for b in params.biases],
         )
-
-
-@dataclass(frozen=True)
-class CrossEntropySpec:
-    """Mean cross-entropy against fixed target distributions [B, C]."""
-
-    targets: np.ndarray
-
-
-@dataclass(frozen=True)
-class KLDivergenceSpec:
-    """Mean KL(targets || softmax_t(logits, temperature)) over the batch."""
-
-    targets: np.ndarray
-    temperature: float
-
-
-@dataclass(frozen=True)
-class GuidanceTotalSpec:
-    """Combined loss: alpha * T^2 * KL branch (primary batch) + CE branch.
-
-    The primary batch passed to `backward` is the noisy one; the clean
-    batch and its targets ride along here. `noisy_targets` are the fused
-    guidance distributions, treated as constants.
-    """
-
-    noisy_targets: np.ndarray
-    clean_batch: np.ndarray
-    clean_targets: np.ndarray
-    alpha: float
-    temperature: float
-
-
-LossSpec = CrossEntropySpec | KLDivergenceSpec | GuidanceTotalSpec
 
 
 def init_params(layer_dims: list[int], seed: int) -> ModelParams:
@@ -236,60 +203,27 @@ def _backprop(params: ModelParams, pre, acts, dlogits: np.ndarray) -> Gradients:
     return Gradients(weights=grads_w, biases=grads_b)
 
 
-def _accumulate(into: Gradients, other: Gradients) -> Gradients:
-    return Gradients(
-        weights=[a + b for a, b in zip(into.weights, other.weights)],
-        biases=[a + b for a, b in zip(into.biases, other.biases)],
-    )
+def backward(
+    params: ModelParams,
+    batch: np.ndarray,
+    targets: np.ndarray,
+    temperature: float = 1.0,
+    scale: float = 1.0,
+) -> tuple[np.ndarray, Gradients]:
+    """Softened probabilities q = softmax_t(logits, T) [B, C] and the gradients
+    of `scale * T` times the mean cross-entropy (equally, KL) of q against
+    `targets` [B, C], from one forward pass.
 
-
-def _check_targets(targets: np.ndarray, batch_rows: int, num_classes: int, what: str):
+    The gradient w.r.t. the logits is scale * (q - targets) / B: scale 1 at
+    T = 1 trains plain cross-entropy, scale alpha * T the guidance branch's
+    alpha * T^2 * KL.
+    """
+    pre, acts = _forward_cached(params, batch)
+    q = softmax_t(acts[-1], temperature)
     t = np.asarray(targets, dtype=np.float64)
-    if t.shape != (batch_rows, num_classes):
-        raise ShapeError(
-            f"{what} targets shape {t.shape} != ({batch_rows}, {num_classes})"
-        )
-    return t
-
-
-def backward(params: ModelParams, batch: np.ndarray, loss_spec: LossSpec) -> Gradients:
-    """Analytic gradients of the mean batch loss w.r.t. every weight and bias."""
-    X = _as_batch(batch)
-    C = params.num_classes
-    if isinstance(loss_spec, CrossEntropySpec):
-        t = _check_targets(loss_spec.targets, X.shape[0], C, "cross-entropy")
-        pre, acts = _forward_cached(params, X)
-        probs = softmax_t(acts[-1], 1.0)
-        return _backprop(params, pre, acts, (probs - t) / X.shape[0])
-    if isinstance(loss_spec, KLDivergenceSpec):
-        T = float(loss_spec.temperature)
-        if T <= 0:
-            raise ParameterError(f"temperature must be > 0, got {T}")
-        g = _check_targets(loss_spec.targets, X.shape[0], C, "KL")
-        pre, acts = _forward_cached(params, X)
-        q = softmax_t(acts[-1], T)
-        return _backprop(params, pre, acts, (q - g) / (T * X.shape[0]))
-    if isinstance(loss_spec, GuidanceTotalSpec):
-        alpha = float(loss_spec.alpha)
-        T = float(loss_spec.temperature)
-        if alpha < 0:
-            raise ParameterError(f"alpha must be >= 0, got {alpha}")
-        if T <= 0:
-            raise ParameterError(f"temperature must be > 0, got {T}")
-        clean_grads = backward(
-            params, loss_spec.clean_batch, CrossEntropySpec(loss_spec.clean_targets)
-        )
-        if alpha == 0.0:
-            # Exact branch isolation: alpha = 0 must reproduce pure clean-CE
-            # training bit for bit, so the noisy branch is skipped entirely.
-            return clean_grads
-        g = _check_targets(loss_spec.noisy_targets, X.shape[0], C, "guidance")
-        pre, acts = _forward_cached(params, X)
-        q = softmax_t(acts[-1], T)
-        # d/dz [alpha * T^2 * mean KL] = alpha * T * (q - g) / B
-        noisy_grads = _backprop(params, pre, acts, alpha * T * (q - g) / X.shape[0])
-        return _accumulate(noisy_grads, clean_grads)
-    raise ParameterError(f"unknown loss spec {type(loss_spec).__name__}")
+    if t.shape != q.shape:
+        raise ShapeError(f"targets shape {t.shape} != probabilities shape {q.shape}")
+    return q, _backprop(params, pre, acts, scale * (q - t) / q.shape[0])
 
 
 def sgd_step(
@@ -319,7 +253,7 @@ def sgd_step(
     return (
         ModelParams(weights=new_w, biases=new_b, activation=params.activation,
                     rng_seed=params.rng_seed),
-        OptState(velocity_w=vel_w, velocity_b=vel_b, step=state.step + 1, lr=float(lr)),
+        OptState(velocity_w=vel_w, velocity_b=vel_b, step=state.step + 1),
     )
 
 
@@ -349,11 +283,7 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: not valid JSON: {exc}") from exc
+    doc = read_json_object(path, "checkpoint")
     version = doc.get("format_version")
     if version != CHECKPOINT_FORMAT_VERSION:
         raise FormatError(f"{path}: unsupported checkpoint format version {version!r}")
@@ -364,11 +294,11 @@ def load_checkpoint(path) -> ModelParams:
             weights=weights, biases=biases,
             activation=doc["activation"], rng_seed=int(doc["rng_seed"]),
         )
+        declared = list(doc["layer_dims"])
     except KeyError as exc:
         raise FormatError(f"{path}: missing checkpoint field {exc}") from exc
-    if params.layer_dims != list(doc["layer_dims"]):
+    if params.layer_dims != declared:
         raise FormatError(
-            f"{path}: declared layer_dims {doc['layer_dims']} != actual "
-            f"{params.layer_dims}"
+            f"{path}: declared layer_dims {declared} != actual {params.layer_dims}"
         )
     return params

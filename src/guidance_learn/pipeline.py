@@ -7,6 +7,7 @@ All runs are driven by a TrainConfig and are bit-reproducible from
 from __future__ import annotations
 
 import time
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -203,6 +204,43 @@ def _init_for(dataset: Dataset, config: TrainConfig) -> nn.ModelParams:
     return nn.init_params(dims, config.seed)
 
 
+def _train(
+    params: nn.ModelParams,
+    dataset: Dataset,
+    config: TrainConfig,
+    schedule: Schedule,
+    epochs: int,
+    stage: str,
+    batches: Callable[[int], Iterable],
+    step: Callable,
+) -> tuple[nn.ModelParams, RunReport]:
+    """The epoch/step loop every stage shares.
+
+    `batches(epoch)` yields the epoch's batches; `step(params, batch)` returns
+    ((L_total, L_g, L_c), gradients) of one batch from a single pass. Each
+    epoch records its mean losses and test accuracy; the last epoch's
+    accuracy is the final one.
+    """
+    state = nn.OptState.zeros(params)
+    report = RunReport(stage=stage, config=config.to_dict())
+    for epoch in range(epochs):
+        lr = lr_at(schedule, epoch)
+        losses = []
+        for batch in batches(epoch):
+            loss, grads = step(params, batch)
+            params, state = nn.sgd_step(params, grads, state, lr,
+                                        config.momentum, config.weight_decay)
+            losses.append(loss)
+        total, guide, clean = (float(np.mean(column)) for column in zip(*losses))
+        report.epochs.append(EpochRecord(
+            epoch=epoch, lr=lr, loss_total=total, loss_guidance=guide,
+            loss_clean=clean, test_accuracy=_test_accuracy(params, dataset),
+        ))
+    report.final_test_accuracy = (report.epochs[-1].test_accuracy if report.epochs
+                                  else _test_accuracy(params, dataset))
+    return params, report
+
+
 def _train_cross_entropy(
     dataset: Dataset,
     train_idx: np.ndarray,
@@ -215,26 +253,18 @@ def _train_cross_entropy(
     if train_idx.size == 0:
         raise ConfigurationError(f"{stage}: training subset is empty")
     t0 = time.perf_counter()
-    state = nn.OptState.zeros(params)
-    report = RunReport(stage=stage, config=config.to_dict())
     X, y, C = dataset.features, dataset.labels, dataset.num_classes
-    for epoch in range(epochs):
-        lr = lr_at(schedule, epoch)
-        losses = []
-        for batch in batch_indices(train_idx, config.batch_size, config.seed, epoch):
-            targets = nn.one_hot(y[batch], C)
-            probs = nn.softmax_t(nn.forward(params, X[batch]), 1.0)
-            loss = nn.cross_entropy(probs, targets)
-            grads = nn.backward(params, X[batch], nn.CrossEntropySpec(targets))
-            params, state = nn.sgd_step(params, grads, state, lr,
-                                        config.momentum, config.weight_decay)
-            losses.append(loss)
-        mean_loss = float(np.mean(losses))
-        report.epochs.append(EpochRecord(
-            epoch=epoch, lr=lr, loss_total=mean_loss, loss_guidance=0.0,
-            loss_clean=mean_loss, test_accuracy=_test_accuracy(params, dataset),
-        ))
-    report.final_test_accuracy = _test_accuracy(params, dataset)
+
+    def step(params, batch):
+        targets = nn.one_hot(y[batch], C)
+        probs, grads = nn.backward(params, X[batch], targets)
+        loss = nn.cross_entropy(probs, targets)
+        return (loss, 0.0, loss), grads
+
+    params, report = _train(
+        params, dataset, config, schedule, epochs, stage,
+        lambda epoch: batch_indices(train_idx, config.batch_size, config.seed, epoch), step,
+    )
     report.checkpoint_fingerprints["model"] = nn.fingerprint(params)
     report.wall_time_sec = time.perf_counter() - t0
     return params, report
@@ -274,46 +304,24 @@ def train_student(
         raise ConfigurationError("student training needs a noisy subset")
 
     t0 = time.perf_counter()
-    teacher_fp = nn.fingerprint(teacher)
     cache = guidance.compute_teacher_soft_targets(teacher, dataset, config.temperature)
-    student = teacher.copy()
-    state = nn.OptState.zeros(student)
-    report = RunReport(stage="student", config=config.to_dict())
-    X, y, C = dataset.features, dataset.labels, dataset.num_classes
-    for epoch in range(config.student_epochs):
-        lr = lr_at(config.student_lr_schedule, epoch)
-        totals, guids, cleans = [], [], []
-        for noisy_idx, clean_idx in mixed_batch_iterator(
-            dataset, config.batch_size, config.seed, epoch
-        ):
-            l_total, l_g, l_c = guidance.student_batch_loss(
-                student, X[noisy_idx], y[noisy_idx], noisy_idx, cache,
-                X[clean_idx], y[clean_idx],
-                alpha=config.alpha, beta=config.beta, temperature=config.temperature,
-            )
-            g = guidance.guidance_targets(cache, noisy_idx, y[noisy_idx], config.beta, C)
-            spec = nn.GuidanceTotalSpec(
-                noisy_targets=g,
-                clean_batch=X[clean_idx],
-                clean_targets=nn.one_hot(y[clean_idx], C),
-                alpha=config.alpha,
-                temperature=config.temperature,
-            )
-            grads = nn.backward(student, X[noisy_idx], spec)
-            student, state = nn.sgd_step(student, grads, state, lr,
-                                         config.momentum, config.weight_decay)
-            totals.append(l_total)
-            guids.append(l_g)
-            cleans.append(l_c)
-        report.epochs.append(EpochRecord(
-            epoch=epoch, lr=lr,
-            loss_total=float(np.mean(totals)),
-            loss_guidance=float(np.mean(guids)),
-            loss_clean=float(np.mean(cleans)),
-            test_accuracy=_test_accuracy(student, dataset),
-        ))
-    report.final_test_accuracy = _test_accuracy(student, dataset)
-    report.checkpoint_fingerprints["teacher"] = teacher_fp
+    X, y = dataset.features, dataset.labels
+
+    def step(student, batch):
+        noisy_idx, clean_idx = batch
+        return guidance.student_batch_loss(
+            student, X[noisy_idx], y[noisy_idx], noisy_idx, cache,
+            X[clean_idx], y[clean_idx],
+            alpha=config.alpha, beta=config.beta, temperature=config.temperature,
+        )
+
+    student, report = _train(
+        teacher.copy(), dataset, config, config.student_lr_schedule,
+        config.student_epochs, "student",
+        lambda epoch: mixed_batch_iterator(dataset, config.batch_size, config.seed, epoch),
+        step,
+    )
+    report.checkpoint_fingerprints["teacher"] = cache.teacher_fingerprint
     report.checkpoint_fingerprints["student"] = nn.fingerprint(student)
     report.wall_time_sec = time.perf_counter() - t0
     return student, report
@@ -326,12 +334,11 @@ def finetune_clean(
     clean_idx = dataset.indices(CLEAN_TRAIN)
     if clean_idx.size == 0:
         raise ConfigurationError("fine-tuning needs a nonempty clean subset")
-    params, report = _train_cross_entropy(
+    return _train_cross_entropy(
         dataset, clean_idx, model.copy(), config,
         config.effective_finetune_schedule(), config.finetune_epochs,
         stage="finetune",
     )
-    return params, report
 
 
 def _baseline_models(
@@ -358,14 +365,14 @@ def _baseline_models(
         models = {"teacher": teacher, "student": student}
         report.wall_time_sec += teacher_report.wall_time_sec
         if variant == "guidance_finetuned":
-            student_fp = report.checkpoint_fingerprints["student"]
-            wall = report.wall_time_sec
+            student_report = report
             finetuned, report = finetune_clean(student, dataset, config)
             models["finetuned"] = finetuned
-            report.checkpoint_fingerprints["teacher"] = nn.fingerprint(teacher)
-            report.checkpoint_fingerprints["student"] = student_fp
-            report.checkpoint_fingerprints["finetuned"] = report.checkpoint_fingerprints.pop("model")
-            report.wall_time_sec += wall
+            report.checkpoint_fingerprints = {
+                **student_report.checkpoint_fingerprints,
+                "finetuned": report.checkpoint_fingerprints["model"],
+            }
+            report.wall_time_sec += student_report.wall_time_sec
     else:
         raise ParameterError(
             f"unknown baseline variant {variant!r}; expected one of {BASELINE_VARIANTS}"

@@ -51,28 +51,31 @@ def test_criterion_1_gradient_correctness():
             batch = rng.normal(size=(B, d))
             targets = random_probs(rng, (B, C))
 
-            specs = [(nn.CrossEntropySpec(targets),
+            # (gradient function, loss function) pairs; scale 1/T makes
+            # backward's gradient that of the mean KL at temperature T
+            cases = [(lambda p: nn.backward(p, batch, targets)[1],
                       lambda p: nn.cross_entropy(
                           nn.softmax_t(nn.forward(p, batch), 1.0), targets))]
             for T in (1.0, 5.0, 20.0):
-                specs.append((nn.KLDivergenceSpec(targets, T),
+                cases.append((lambda p, T=T: nn.backward(p, batch, targets, T, 1.0 / T)[1],
                               lambda p, T=T: nn.kl_div(
                                   targets, nn.softmax_t(nn.forward(p, batch), T))))
+            # the combined alpha > 0 loss, through the student's own step:
+            # the cached soft targets are `targets`, fused with noisy labels
             clean_batch = rng.normal(size=(B, d))
-            clean_targets = random_probs(rng, (B, C))
-            alpha, T_total = 0.1, 5.0
-            specs.append((
-                nn.GuidanceTotalSpec(targets, clean_batch, clean_targets,
-                                     alpha, T_total),
-                lambda p: guidance.total_loss(
-                    nn.kl_div(targets, nn.softmax_t(nn.forward(p, batch), T_total)),
-                    nn.cross_entropy(nn.softmax_t(nn.forward(p, clean_batch), 1.0),
-                                     clean_targets),
-                    alpha, T_total),
-            ))
-            for spec, loss_fn in specs:
-                analytic = nn.backward(params, batch, spec)
-                worst = max(worst, max_rel_error(analytic,
+            noisy_labels, clean_labels = rng.integers(0, C, size=(2, B))
+            alpha, beta, T_total = 0.1, 0.3, 5.0
+            cache = guidance.GuidanceCache(indices=np.arange(B), targets=targets,
+                                           temperature=T_total, teacher_fingerprint="")
+
+            def student_step(p):
+                return guidance.student_batch_loss(
+                    p, batch, noisy_labels, np.arange(B), cache, clean_batch,
+                    clean_labels, alpha=alpha, beta=beta, temperature=T_total)
+
+            cases.append((lambda p: student_step(p)[1], lambda p: student_step(p)[0][0]))
+            for grad_fn, loss_fn in cases:
+                worst = max(worst, max_rel_error(grad_fn(params),
                                                  fd_gradients(params, loss_fn)))
         elapsed = time.perf_counter() - started
         assert worst < 1e-4, f"worst relative error {worst}"
@@ -256,8 +259,8 @@ def test_criterion_7_branch_isolation():
             lr = pipeline.lr_at(config.student_lr_schedule, epoch)
             for _, clean_idx in data.mixed_batch_iterator(
                     dataset, config.batch_size, config.seed, epoch):
-                grads = nn.backward(reference, X[clean_idx],
-                                    nn.CrossEntropySpec(nn.one_hot(y[clean_idx], C)))
+                _, grads = nn.backward(reference, X[clean_idx],
+                                       nn.one_hot(y[clean_idx], C))
                 reference, state = nn.sgd_step(reference, grads, state, lr,
                                                config.momentum, config.weight_decay)
             epoch_bytes.append(params_bytes(reference))

@@ -251,20 +251,3 @@ def test_sweep_writes_result_files(tmp_path, config_file, capsys):
     rows = json.loads((out / "results.json").read_text())["rows"]
     assert len(rows) == 4
     assert "sweep over beta" in capsys.readouterr().out
-
-
-def test_sweep_thread_env_variable(tmp_path, config_file, monkeypatch):
-    monkeypatch.setenv(cli.THREADS_ENV, "3")
-    out1 = tmp_path / "par"
-    assert cli.main(["sweep", "--config", str(config_file), "--out", str(out1),
-                     "--axis", "beta", "--values", "0.0,0.3", "--seeds", "1"]) == 0
-    monkeypatch.setenv(cli.THREADS_ENV, "1")
-    out2 = tmp_path / "seq"
-    assert cli.main(["sweep", "--config", str(config_file), "--out", str(out2),
-                     "--axis", "beta", "--values", "0.0,0.3", "--seeds", "1"]) == 0
-    assert (out1 / "results.json").read_bytes() == (out2 / "results.json").read_bytes()
-
-    monkeypatch.setenv(cli.THREADS_ENV, "soup")
-    assert cli.main(["sweep", "--config", str(config_file), "--out",
-                     str(tmp_path / "bad"), "--axis", "beta", "--values", "0.0",
-                     "--seeds", "1"]) == 1

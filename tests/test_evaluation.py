@@ -146,15 +146,13 @@ def test_sweep_beta_zero_cell_is_pure_distillation():
     assert result.rows[0].acc_student == evaluation.accuracy(student, dataset, "test")
 
 
-def test_sweep_is_deterministic_and_parallel_invariant():
+def test_sweep_is_deterministic():
     recipe, config = _sweep_inputs()
     grid = evaluation.SweepGrid(axis="alpha", values=(0.0, 0.1), base_config=config,
                                 seeds=(4, 5))
     a = evaluation.sweep(grid, recipe)
     b = evaluation.sweep(grid, recipe)
-    c = evaluation.sweep(grid, recipe, max_workers=4)
     assert canonical_json(a.to_json_dict()) == canonical_json(b.to_json_dict())
-    assert canonical_json(a.to_json_dict()) == canonical_json(c.to_json_dict())
 
 
 def test_sweep_stage1_axis_rebuilds_dataset():

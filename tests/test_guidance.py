@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from guidance_learn import data, guidance, nn
-from guidance_learn.errors import ConsistencyError, InputError, ParameterError
+from guidance_learn.errors import ConsistencyError, FormatError, InputError, ParameterError
 from helpers import random_probs
 
 
@@ -22,8 +24,8 @@ def test_zero_teacher_gives_uniform_soft_targets():
     teacher = nn.ModelParams(weights=[np.zeros((3, 3))], biases=[np.zeros(3)])
     dataset = _toy_dataset()
     cache = guidance.compute_teacher_soft_targets(teacher, dataset, temperature=7.0)
-    for vec in cache.targets.values():
-        assert np.abs(vec - 1 / 3).max() < 1e-15
+    assert cache.targets.shape == (6, 3)
+    assert np.abs(cache.targets - 1 / 3).max() < 1e-15
 
 
 def test_soft_targets_match_composition_oracle():
@@ -34,7 +36,8 @@ def test_soft_targets_match_composition_oracle():
                            tags=np.array([data.NOISY_TRAIN]), num_classes=2)
     cache = guidance.compute_teacher_soft_targets(teacher, dataset, temperature=5.0)
     want = nn.softmax_t(nn.forward(teacher, x[0]), 5.0)
-    assert np.abs(cache.lookup(0) - want).max() == 0.0
+    assert cache.indices.tolist() == [0]
+    assert np.abs(cache.targets[0] - want).max() == 0.0
 
 
 def test_cache_covers_every_noisy_sample():
@@ -42,6 +45,7 @@ def test_cache_covers_every_noisy_sample():
     teacher = nn.init_params([3, 4, 3], seed=1)
     cache = guidance.compute_teacher_soft_targets(teacher, dataset, temperature=5.0)
     assert len(cache) == 1000
+    assert cache.indices.tolist() == list(range(1000))
 
 
 def test_soft_targets_reject_bad_inputs():
@@ -61,8 +65,8 @@ def test_cache_rebuild_is_bit_identical():
     a = guidance.compute_teacher_soft_targets(teacher, dataset, temperature=5.0)
     b = guidance.compute_teacher_soft_targets(teacher, dataset, temperature=5.0)
     assert a.teacher_fingerprint == b.teacher_fingerprint
-    for i in a.targets:
-        assert a.targets[i].tobytes() == b.targets[i].tobytes()
+    assert a.indices.tobytes() == b.indices.tobytes()
+    assert a.targets.tobytes() == b.targets.tobytes()
 
 
 def test_fuse_beta_zero_returns_soft_target_exactly():
@@ -188,7 +192,7 @@ def _student_setup(seed=0, n=12, d=4, classes=3):
 def test_student_batch_loss_self_distillation_fixed_point():
     dataset, teacher, cache = _student_setup()
     idx = np.arange(4)
-    _, loss_g, _ = guidance.student_batch_loss(
+    (_, loss_g, _), _ = guidance.student_batch_loss(
         teacher, dataset.features[idx], dataset.labels[idx], idx, cache,
         dataset.features[idx], dataset.labels[idx],
         alpha=0.1, beta=0.0, temperature=5.0,
@@ -199,7 +203,7 @@ def test_student_batch_loss_self_distillation_fixed_point():
 def test_student_batch_loss_alpha_zero_isolates_clean_branch():
     dataset, teacher, cache = _student_setup(seed=1)
     idx = np.arange(5)
-    total, _, clean = guidance.student_batch_loss(
+    (total, _, clean), _ = guidance.student_batch_loss(
         teacher, dataset.features[idx], dataset.labels[idx], idx, cache,
         dataset.features[idx + 5], dataset.labels[idx + 5],
         alpha=0.0, beta=0.3, temperature=5.0,
@@ -213,7 +217,7 @@ def test_student_batch_loss_matches_composition_oracle():
     noisy_idx = np.arange(6)
     clean_idx = np.arange(6, 12)
     alpha, beta, T = 0.1, 0.3, 5.0
-    total, loss_g, loss_c = guidance.student_batch_loss(
+    (total, loss_g, loss_c), _ = guidance.student_batch_loss(
         student, dataset.features[noisy_idx], dataset.labels[noisy_idx], noisy_idx,
         cache, dataset.features[clean_idx], dataset.labels[clean_idx],
         alpha=alpha, beta=beta, temperature=T,
@@ -221,7 +225,7 @@ def test_student_batch_loss_matches_composition_oracle():
     # straight-line recomposition from the primitive operations
     kls, ces = [], []
     for i in noisy_idx:
-        p = cache.lookup(i)
+        p = cache.targets[i]
         y = np.zeros(3)
         y[dataset.labels[i]] = 1.0
         g = guidance.fuse_guidance(p, y, beta)
@@ -239,7 +243,8 @@ def test_student_batch_loss_matches_composition_oracle():
 
 def test_student_batch_loss_cache_miss_names_index():
     dataset, teacher, cache = _student_setup(seed=3)
-    del cache.targets[7]
+    cache = replace(cache, indices=np.delete(cache.indices, 7),
+                    targets=np.delete(cache.targets, 7, axis=0))
     idx = np.arange(4, 10)
     with pytest.raises(ConsistencyError, match="sample index 7"):
         guidance.student_batch_loss(
@@ -267,8 +272,8 @@ def test_cache_roundtrip_and_validation(tmp_path):
     loaded = guidance.load_cache(
         path, expected_fingerprint=cache.teacher_fingerprint, expected_temperature=5.0)
     assert loaded.temperature == cache.temperature
-    for i in cache.targets:
-        assert loaded.targets[i].tobytes() == cache.targets[i].tobytes()
+    assert loaded.indices.tolist() == cache.indices.tolist()
+    assert loaded.targets.tobytes() == cache.targets.tobytes()
 
     with pytest.raises(ConsistencyError, match="teacher"):
         guidance.load_cache(path, expected_fingerprint="deadbeef" * 8)
@@ -279,3 +284,59 @@ def test_cache_roundtrip_and_validation(tmp_path):
     second = tmp_path / "again.bin"
     guidance.save_cache(loaded, second)
     assert path.read_bytes() == second.read_bytes()
+
+
+def test_student_batch_loss_alpha_zero_gradients_are_the_clean_branch():
+    dataset, teacher, cache = _student_setup(seed=6)
+    idx = np.arange(5)
+    _, grads = guidance.student_batch_loss(
+        teacher, dataset.features[idx], dataset.labels[idx], idx, cache,
+        dataset.features[idx + 5], dataset.labels[idx + 5],
+        alpha=0.0, beta=0.3, temperature=5.0,
+    )
+    _, clean = nn.backward(teacher, dataset.features[idx + 5],
+                           nn.one_hot(dataset.labels[idx + 5], 3))
+    for got, want in zip(grads.weights + grads.biases, clean.weights + clean.biases):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_cache_on_disk_order_is_independent_of_index_order(tmp_path):
+    # keys are written as sorted strings ("10" < "2"); loading restores the
+    # ascending index order the dense lookup relies on
+    dataset, teacher, cache = _student_setup(seed=7)
+    path = tmp_path / "guidance_cache.bin"
+    guidance.save_cache(cache, path)
+    loaded = guidance.load_cache(path)
+    idx = np.array([11, 2, 10])
+    want = guidance.guidance_targets(cache, idx, dataset.labels[idx], 0.3, 3)
+    got = guidance.guidance_targets(loaded, idx, dataset.labels[idx], 0.3, 3)
+    assert got.tobytes() == want.tobytes()
+
+
+_CHECKPOINT_OK = {"format_version": 1, "activation": "relu", "layer_dims": [1, 1],
+                  "weights": [[[1.0]]], "biases": [[0.0]], "rng_seed": 0}
+_CACHE_OK = {"format_version": 1, "temperature": 5.0, "teacher_fingerprint": "f",
+             "targets": {"0": [0.5, 0.5]}}
+
+
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+@pytest.mark.parametrize("loader, doc, field", [
+    (nn.load_checkpoint, [_CHECKPOINT_OK], "JSON object"),
+    (nn.load_checkpoint, _without(_CHECKPOINT_OK, "layer_dims"), "layer_dims"),
+    (guidance.load_cache, _without(_CACHE_OK, "targets"), "targets"),
+    (guidance.load_cache, [_CACHE_OK], "JSON object"),
+    (guidance.load_cache, {**_CACHE_OK, "targets": {"zero": [0.5, 0.5]}}, "targets"),
+], ids=["checkpoint-list", "checkpoint-no-layer-dims", "cache-no-targets",
+        "cache-list", "cache-non-integer-key"])
+def test_loaders_raise_format_error_naming_path_and_field(tmp_path, loader, doc, field):
+    import json
+
+    path = tmp_path / "artifact.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(FormatError) as exc:
+        loader(path)
+    assert str(path) in str(exc.value)
+    assert field in str(exc.value)

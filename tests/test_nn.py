@@ -209,7 +209,7 @@ def test_backward_zero_loss_gives_zero_gradient():
     params = nn.ModelParams(weights=[np.zeros((3, 2))], biases=[np.zeros(3)])
     batch = np.random.default_rng(0).normal(size=(4, 2))
     targets = np.full((4, 3), 1 / 3)
-    grads = nn.backward(params, batch, nn.CrossEntropySpec(targets))
+    _, grads = nn.backward(params, batch, targets)
     assert all(np.array_equal(g, np.zeros_like(g)) for g in grads.weights + grads.biases)
 
 
@@ -220,7 +220,7 @@ def test_backward_cross_entropy_matches_finite_differences():
         B = int(rng.integers(1, 5))
         batch = rng.normal(size=(B, params.layer_dims[0]))
         targets = random_probs(rng, (B, params.num_classes))
-        analytic = nn.backward(params, batch, nn.CrossEntropySpec(targets))
+        _, analytic = nn.backward(params, batch, targets)
 
         def loss(p):
             return nn.cross_entropy(nn.softmax_t(nn.forward(p, batch), 1.0), targets)
@@ -235,7 +235,9 @@ def test_backward_kl_matches_finite_differences():
         B = int(rng.integers(1, 5))
         batch = rng.normal(size=(B, params.layer_dims[0]))
         targets = random_probs(rng, (B, params.num_classes))
-        analytic = nn.backward(params, batch, nn.KLDivergenceSpec(targets, temperature))
+        # scale 1/T turns the gradient of T * KL into that of the mean KL
+        probs, analytic = nn.backward(params, batch, targets, temperature, 1.0 / temperature)
+        assert np.array_equal(probs, nn.softmax_t(nn.forward(params, batch), temperature))
 
         def loss(p):
             return nn.kl_div(targets, nn.softmax_t(nn.forward(p, batch), temperature))
@@ -243,10 +245,12 @@ def test_backward_kl_matches_finite_differences():
         assert max_rel_error(analytic, fd_gradients(params, loss)) < 1e-4
 
 
-def test_backward_rejects_unknown_spec():
+def test_backward_rejects_bad_targets_and_temperature():
     params = nn.init_params([2, 3], seed=0)
-    with pytest.raises(ParameterError, match="loss spec"):
-        nn.backward(params, np.zeros((1, 2)), "not-a-spec")
+    with pytest.raises(ShapeError, match="targets shape"):
+        nn.backward(params, np.zeros((2, 2)), np.full((2, 4), 0.25))
+    with pytest.raises(ParameterError, match="temperature"):
+        nn.backward(params, np.zeros((1, 2)), np.full((1, 3), 1 / 3), temperature=0.0)
 
 
 def test_sgd_zero_gradient_is_fixed_point():

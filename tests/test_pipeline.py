@@ -120,8 +120,7 @@ def test_student_alpha_zero_matches_clean_only_training_bitwise():
         lr = pipeline.lr_at(config.student_lr_schedule, epoch)
         for _, clean_idx in data.mixed_batch_iterator(dataset, config.batch_size,
                                                       config.seed, epoch):
-            grads = nn.backward(params, X[clean_idx],
-                                nn.CrossEntropySpec(nn.one_hot(y[clean_idx], C)))
+            _, grads = nn.backward(params, X[clean_idx], nn.one_hot(y[clean_idx], C))
             params, state = nn.sgd_step(params, grads, state, lr,
                                         config.momentum, config.weight_decay)
     assert params_bytes(student) == params_bytes(params)
