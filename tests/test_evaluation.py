@@ -146,6 +146,66 @@ def test_sweep_beta_zero_cell_is_pure_distillation():
     assert result.rows[0].acc_student == evaluation.accuracy(student, dataset, "test")
 
 
+def _model_slices(params):
+    """The single models in `params`: itself, or each slice of a [K, ...] stack."""
+    if params.weights[0].ndim == 2:
+        return [params]
+    return [nn.ModelParams(weights=[W[k] for W in params.weights],
+                           biases=[b[k] for b in params.biases])
+            for k in range(params.weights[0].shape[0])]
+
+
+def _same_bits(a, b):
+    return all(np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+               for x, y in zip(a.weights + a.biases, b.weights + b.biases))
+
+
+_CELL_FIELDS = {"alpha": "alpha", "beta": "beta", "T": "temperature"}
+
+
+@pytest.mark.parametrize("axis, values", [
+    ("alpha", (0.0, 0.1)),
+    ("beta", (0.0, 0.5)),
+    ("T", (1.0, 5.0)),
+    ("clean_fraction", (0.1, 0.2)),
+])
+def test_sweep_cells_match_standalone_runs(monkeypatch, axis, values):
+    """Every cell's student and fine-tuned model (bit for bit, signs of zeros
+    included) and its three accuracies equal a standalone teacher, student
+    and fine-tune run of the same (value, seed)."""
+    from dataclasses import replace
+
+    recipe, config = _sweep_inputs()
+    evaluated = []
+    real_accuracy = evaluation.accuracy
+
+    def recording_accuracy(params, dataset, tag):
+        evaluated.extend(_model_slices(params))
+        return real_accuracy(params, dataset, tag)
+
+    monkeypatch.setattr(evaluation, "accuracy", recording_accuracy)
+    grid = evaluation.SweepGrid(axis=axis, values=values, base_config=config, seeds=(1, 2))
+    rows = evaluation.sweep(grid, recipe).rows
+    monkeypatch.undo()
+
+    assert len(rows) == 4
+    for row in rows:
+        cfg = replace(config, seed=row.seed)
+        cell_recipe = recipe
+        if axis in _CELL_FIELDS:
+            cfg = replace(cfg, **{_CELL_FIELDS[axis]: row.value})
+        else:
+            cell_recipe = replace(recipe, **{axis: row.value})
+        dataset, _ = cell_recipe.build(row.seed)
+        teacher, _ = pipeline.train_teacher(dataset, cfg)
+        student, _ = pipeline.train_student(teacher, dataset, cfg)
+        finetuned, _ = pipeline.finetune_clean(student, dataset, cfg)
+        assert any(_same_bits(student, m) for m in evaluated)
+        assert any(_same_bits(finetuned, m) for m in evaluated)
+        assert (row.acc_teacher, row.acc_student, row.acc_finetuned) == tuple(
+            evaluation.accuracy(m, dataset, "test") for m in (teacher, student, finetuned))
+
+
 def test_sweep_is_deterministic():
     recipe, config = _sweep_inputs()
     grid = evaluation.SweepGrid(axis="alpha", values=(0.0, 0.1), base_config=config,

@@ -43,6 +43,9 @@ JOBS = {
     "student_from_teacher": ({}, ["train-student", "--teacher", "{teacher}"]),
     "sweep_beta": ({}, ["sweep", "--axis", "beta", "--values", "0.0,0.3,1.0",
                         "--seeds", "1,2"]),
+    "sweep_alpha": ({}, ["sweep", "--axis", "alpha", "--values", "0.0,0.1",
+                         "--seeds", "1,2"]),
+    "sweep_T": ({}, ["sweep", "--axis", "T", "--values", "1.0,5.0", "--seeds", "1,2"]),
     "baseline_guidance_finetuned": ({}, ["baseline", "--variant", "guidance_finetuned"]),
 }
 
@@ -94,6 +97,26 @@ GOLDEN = {
             "a377642342bdfe00e2a74fb56a0f88ec7ac6d6da3446ae4ea70604af3d717fad",
         "teacher.ckpt":
             "7ef75106b351d9c384e6c3e3877597a13c16dd91397115cd1b4a9547f6e0ee4f",
+    },
+    "sweep_T": {
+        "config.json":
+            "2404d32edeee6676ad11eedcc5c64f31caffd64df8566862fa9cd54ff654ac09",
+        "plotdata.txt":
+            "4d282f3d7aefc5bba963306c57b124d4acb577ce0a1f39519ab3f19a5ac20d9a",
+        "results.csv":
+            "2e0b8b5ab52ea3d37c5c2de621b0f867d0da9aa1608c774b651fb5b8edf09d76",
+        "results.json":
+            "e24c1ebb87fd9ac7a226970d3eb81fd7f6ad488282104889f8af13cc7a8a8037",
+    },
+    "sweep_alpha": {
+        "config.json":
+            "6fca67abb28a71cb2484f52baf42bbf49b8f1968c5bd825b0f36a2a11eb96dea",
+        "plotdata.txt":
+            "cffd83f62c766156380cf970dec7a09d69fd5bf73f47b735f5183471a6273660",
+        "results.csv":
+            "9ce30efb350e5e2fa6a18a96aa563233a13d9b5c2b251e2094df0da6b55ba588",
+        "results.json":
+            "a6430240226c349f86d16c197a08f5b9210fd818e2acad37318c1b7fda403d98",
     },
     "sweep_beta": {
         "config.json":
