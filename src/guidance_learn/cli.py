@@ -219,20 +219,28 @@ def _snapshot(config: TrainConfig, recipe: DataRecipe, sweep_doc: dict | None = 
     return doc
 
 
+def _parse_list(tokens, kind: type, source: str) -> tuple:
+    """Each token as `kind`; a bad token is a ConfigurationError naming `source`."""
+    try:
+        return tuple(kind(t) for t in tokens)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{source}: not a list of {kind.__name__} values: {exc}") from None
+
+
 def _sweep_grid(cli: CliConfig, config: TrainConfig, sweep_doc: dict) -> tuple[SweepGrid, dict]:
     axis = cli.sweep_axis or sweep_doc.get("sweep_axis")
     if axis is None:
         raise ConfigurationError("sweep needs an axis (--axis or sweep_axis in the config)")
     if cli.sweep_values is not None:
-        values = tuple(float(v) for v in cli.sweep_values.split(","))
+        values = _parse_list(cli.sweep_values.split(","), float, "--values")
     elif "sweep_values" in sweep_doc:
-        values = tuple(float(v) for v in sweep_doc["sweep_values"])
+        values = _parse_list(sweep_doc["sweep_values"], float, "sweep_values")
     else:
         raise ConfigurationError("sweep needs values (--values or sweep_values in the config)")
     if cli.sweep_seeds is not None:
-        seeds = tuple(int(s) for s in cli.sweep_seeds.split(","))
+        seeds = _parse_list(cli.sweep_seeds.split(","), int, "--seeds")
     elif "sweep_seeds" in sweep_doc:
-        seeds = tuple(int(s) for s in sweep_doc["sweep_seeds"])
+        seeds = _parse_list(sweep_doc["sweep_seeds"], int, "sweep_seeds")
     else:
         seeds = (config.seed,)
     effective = {"sweep_axis": axis, "sweep_values": list(values), "sweep_seeds": list(seeds)}
@@ -325,7 +333,7 @@ def _cmd_train_student(cli: CliConfig) -> int:
     nn.save_checkpoint(teacher, rundir.path / "teacher.ckpt")
     cache = guidance.compute_teacher_soft_targets(teacher, dataset, config.temperature)
     guidance.save_cache(cache, rundir.path / "guidance_cache.bin")
-    student, report = train_student(teacher, dataset, config)
+    student, report = train_student(teacher, dataset, config, cache)
     nn.save_checkpoint(student, rundir.path / "student.ckpt")
     _write_report(rundir, report, _snapshot(config, recipe))
     rundir.finish()

@@ -5,7 +5,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import nn
+from . import guidance, nn
 from .data import DataRecipe, Dataset
 from .errors import InputError, ParameterError
 from .pipeline import TrainConfig, finetune_clean, train_student, train_teacher
@@ -18,16 +18,17 @@ def _eval_labels(dataset: Dataset) -> np.ndarray:
     return dataset.true_labels if dataset.true_labels is not None else dataset.labels
 
 
-def accuracy(params: nn.ModelParams, dataset: Dataset, tag: str) -> float:
-    """Fraction of split samples whose argmax logit hits the true label.
+def accuracy(params: nn.ModelParams, dataset: Dataset, tag: str) -> float | list[float]:
+    """Fraction of split samples whose argmax logit hits the true label; a
+    list of K fractions, one per slice, for a stack.
 
     np.argmax breaks ties toward the lowest class index.
     """
     idx = dataset.indices(tag)
     if idx.size == 0:
         raise InputError(f"split {tag!r} is empty")
-    preds = np.argmax(nn.forward(params, dataset.features[idx]), axis=1)
-    return float((preds == _eval_labels(dataset)[idx]).mean())
+    preds = np.argmax(nn.forward(params, dataset.features[idx]), axis=-1)
+    return (preds == _eval_labels(dataset)[idx]).mean(axis=-1).tolist()
 
 
 def confusion_matrix(params: nn.ModelParams, dataset: Dataset, tag: str) -> np.ndarray:
@@ -160,40 +161,37 @@ def _cell_recipe(grid: SweepGrid, recipe: DataRecipe, value: float) -> DataRecip
     return recipe
 
 
-def _run_cell(dataset: Dataset, teacher, config: TrainConfig) -> tuple[float, float, float]:
-    student, _ = train_student(teacher, dataset, config)
-    finetuned, _ = finetune_clean(student, dataset, config)
-    return (
-        accuracy(teacher, dataset, "test"),
-        accuracy(student, dataset, "test"),
-        accuracy(finetuned, dataset, "test"),
-    )
-
-
 def sweep(grid: SweepGrid, recipe: DataRecipe) -> SweepResult:
     """Run the full two-stage pipeline for every (value, seed) cell.
 
-    Stage-2-only axes (alpha, beta, T) share one teacher per seed; axes that
-    change the data (clean_fraction, noise_rate) retrain it per cell.
+    Stage-2-only axes (alpha, beta, T) share one teacher per seed, and the
+    cells of a seed train as one [K, ...] stack of students and then of
+    fine-tuned models (each slice bit-identical to its cell trained alone).
+    Axes that change the data (clean_fraction, noise_rate) retrain the
+    teacher per cell and train each cell as a stack of one.
     """
     if grid.axis == "noise_rate" and recipe.noise_model == "none":
         raise ParameterError("noise_rate sweep needs a recipe with a noise model")
 
-    results: dict[tuple[int, int], tuple[float, float, float]] = {}
+    cells = list(enumerate(grid.values))
     if grid.axis in _STAGE2_AXES:
-        for seed in grid.seeds:
-            dataset, _ = recipe.build(seed)
-            teacher, _ = train_teacher(dataset, replace(grid.base_config, seed=seed))
-            for vi, value in enumerate(grid.values):
-                results[(vi, seed)] = _run_cell(dataset, teacher,
-                                                _cell_config(grid, value, seed))
+        groups = [(seed, cells) for seed in grid.seeds]
     else:
-        for vi, value in enumerate(grid.values):
-            for seed in grid.seeds:
-                dataset, _ = _cell_recipe(grid, recipe, value).build(seed)
-                config = _cell_config(grid, value, seed)
-                teacher, _ = train_teacher(dataset, config)
-                results[(vi, seed)] = _run_cell(dataset, teacher, config)
+        groups = [(seed, [cell]) for cell in cells for seed in grid.seeds]
+    results: dict[tuple[int, int], tuple[float, float, float]] = {}
+    for seed, group in groups:
+        dataset, _ = _cell_recipe(grid, recipe, group[0][1]).build(seed)
+        configs = [_cell_config(grid, value, seed) for _, value in group]
+        teacher, _ = train_teacher(dataset, configs[0])
+        acc_teacher = accuracy(teacher, dataset, "test")
+        cache = guidance.compute_teacher_soft_targets(
+            teacher, dataset, [c.temperature for c in configs])
+        students, student_report = train_student(teacher, dataset, configs, cache)
+        _, finetune_report = finetune_clean(students, dataset, configs[0])
+        for (vi, _), acc_student, acc_finetuned in zip(
+                group, student_report.final_test_accuracy,
+                finetune_report.final_test_accuracy):
+            results[(vi, seed)] = (acc_teacher, acc_student, acc_finetuned)
 
     rows = [
         SweepRow(axis=grid.axis, value=value, seed=seed,

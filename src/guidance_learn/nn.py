@@ -7,6 +7,16 @@ forward pass it returns the temperature-softened probabilities (from which
 callers compute their loss with `cross_entropy` or `kl_div`) and the
 gradients of a scaled cross-entropy/KL against fixed targets. Losses come
 in per-sample (1-D) and batch (2-D, mean over rows) variants.
+
+Every array may carry a leading stack axis: a stack is K networks of one
+shape held as a single model whose weights are [K, out, in] and biases
+[K, out] (`tile(params, K)` stacks K copies of one network). A stack maps
+a shared input batch [B, d] to logits [K, B, C]; temperatures, gradient
+scales and targets may be given per slice ([K], [K, B, C]), and batch
+losses come back as [K] per-slice means. Slice k of every result is
+bit-identical to running the k-th network on its own, because the stacked
+matmuls and reductions perform the same floating-point operations in the
+same order.
 """
 from __future__ import annotations
 
@@ -29,10 +39,11 @@ STREAM_INIT = 1
 
 @dataclass
 class ModelParams:
-    """Weights/biases of a fully connected ReLU network.
+    """Weights/biases of a fully connected ReLU network, or of a stack of them.
 
-    weights[k] has shape [out_k, in_k]; consecutive layers chain and the
-    final out dim is the class count.
+    weights[k] has shape [out_k, in_k] (a stack: [K, out_k, in_k], biases
+    [K, out_k]); consecutive layers chain and the final out dim is the
+    class count.
     """
 
     weights: list[np.ndarray]
@@ -45,24 +56,25 @@ class ModelParams:
             raise ParameterError(f"unsupported activation {self.activation!r}")
         if len(self.weights) != len(self.biases) or not self.weights:
             raise ShapeError("weights and biases must be nonempty parallel lists")
+        stack = self.weights[0].shape[:-2]
         for k, (W, b) in enumerate(zip(self.weights, self.biases)):
-            if W.ndim != 2 or b.ndim != 1 or W.shape[0] != b.shape[0]:
+            if W.ndim not in (2, 3) or W.shape[:-2] != stack or b.shape != W.shape[:-1]:
                 raise ShapeError(f"layer {k}: weight {W.shape} / bias {b.shape} mismatch")
-            if k > 0 and W.shape[1] != self.weights[k - 1].shape[0]:
+            if k > 0 and W.shape[-1] != self.weights[k - 1].shape[-2]:
                 raise ShapeError(
-                    f"layer {k}: input dim {W.shape[1]} != previous output dim "
-                    f"{self.weights[k - 1].shape[0]}"
+                    f"layer {k}: input dim {W.shape[-1]} != previous output dim "
+                    f"{self.weights[k - 1].shape[-2]}"
                 )
             if not (np.isfinite(W).all() and np.isfinite(b).all()):
                 raise InputError(f"layer {k}: non-finite parameter entries")
 
     @property
     def layer_dims(self) -> list[int]:
-        return [self.weights[0].shape[1]] + [W.shape[0] for W in self.weights]
+        return [self.weights[0].shape[-1]] + [W.shape[-2] for W in self.weights]
 
     @property
     def num_classes(self) -> int:
-        return self.weights[-1].shape[0]
+        return self.weights[-1].shape[-2]
 
     def copy(self) -> "ModelParams":
         return ModelParams(
@@ -112,6 +124,41 @@ def init_params(layer_dims: list[int], seed: int) -> ModelParams:
     return ModelParams(weights=weights, biases=biases, rng_seed=seed)
 
 
+def tile(params: ModelParams, k: int) -> ModelParams:
+    """A stack of `k` copies of `params`: slice j of every array is `params`'."""
+    return ModelParams(
+        weights=[np.repeat(W[None], k, axis=0) for W in params.weights],
+        biases=[np.repeat(b[None], k, axis=0) for b in params.biases],
+        activation=params.activation,
+        rng_seed=params.rng_seed,
+    )
+
+
+def _is_number(value) -> bool:
+    """One value rather than [K] per-slice values."""
+    return isinstance(value, (int, float, np.floating))
+
+
+def _per_slice(value):
+    """A number as it is, or per-slice values [K] shaped [K, 1, 1] so they
+    broadcast against a stack's [K, B, C] arrays."""
+    if _is_number(value):
+        return value
+    value = np.asarray(value, dtype=np.float64)
+    return value[:, None, None] if value.ndim else value
+
+
+def _lowest(value) -> float:
+    """A number, or the lowest of [K] per-slice values, for range checks; NaN
+    (which fails every comparison) when `value` is neither."""
+    if _is_number(value):
+        return value
+    value = np.asarray(value)
+    if value.dtype.kind not in "iuf" or value.ndim > 1 or value.size == 0:
+        return np.nan
+    return value.min()
+
+
 def _as_batch(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     return x[None, :] if x.ndim == 1 else x
@@ -122,16 +169,17 @@ def _forward_cached(params: ModelParams, batch: np.ndarray):
     X = _as_batch(batch)
     if X.ndim != 2:
         raise ShapeError(f"batch must be 1-D or 2-D, got ndim={X.ndim}")
-    if X.shape[1] != params.weights[0].shape[1]:
+    if X.shape[1] != params.weights[0].shape[-1]:
         raise ShapeError(
-            f"layer 0 expects input dim {params.weights[0].shape[1]}, "
+            f"layer 0 expects input dim {params.weights[0].shape[-1]}, "
             f"batch has {X.shape[1]} columns"
         )
     pre, acts = [], [X]
     a = X
     last = len(params.weights) - 1
     for k, (W, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ W.T + b
+        z = a @ W.swapaxes(-1, -2)
+        z += b[..., None, :]
         pre.append(z)
         a = np.maximum(z, 0.0) if k < last else z
         acts.append(a)
@@ -139,49 +187,69 @@ def _forward_cached(params: ModelParams, batch: np.ndarray):
 
 
 def forward(params: ModelParams, batch: np.ndarray) -> np.ndarray:
-    """Logits [B, C] for a batch [B, d] (a single 1-D sample gives [C])."""
+    """Logits [B, C] for a batch [B, d] (a single 1-D sample gives [C]); a
+    stack gives [K, B, C] ([K, C])."""
     squeeze = np.asarray(batch).ndim == 1
     _, acts = _forward_cached(params, batch)
     out = acts[-1]
-    return out[0] if squeeze else out
+    return out[..., 0, :] if squeeze else out
 
 
-def softmax_t(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
-    """Temperature softmax exp(z_i/T) / sum_j exp(z_j/T), max-subtracted."""
-    if not (isinstance(temperature, (int, float, np.floating)) and temperature > 0):
+def softmax_t(logits: np.ndarray, temperature=1.0) -> np.ndarray:
+    """Temperature softmax exp(z_i/T) / sum_j exp(z_j/T), max-subtracted.
+
+    Per-slice temperatures [K] give [K, B, C] from stacked logits [K, B, C]
+    or from logits [B, C] shared by every slice.
+    """
+    if not (_lowest(temperature) > 0):
         raise ParameterError(f"temperature must be > 0, got {temperature!r}")
     z = np.asarray(logits, dtype=np.float64)
     if not np.isfinite(z).all():
         raise InputError("logits contain non-finite entries")
-    z = z / float(temperature)
+    z = z / _per_slice(temperature)
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def cross_entropy(pred: np.ndarray, target: np.ndarray) -> float:
-    """-sum_i target_i * log(pred_i); mean over rows for 2-D inputs."""
+def _check_targets(targets: np.ndarray, pred: np.ndarray, message: str) -> None:
+    """Targets match the predictions, or are one batch shared by every slice
+    of stacked predictions [K, B, C]; `message` names the shapes as
+    {targets} and {pred}."""
+    if targets.shape != pred.shape and not (pred.ndim == 3 and targets.shape == pred.shape[1:]):
+        raise ShapeError(message.format(targets=targets.shape, pred=pred.shape))
+
+
+def _row_mean(per_sample: np.ndarray) -> np.ndarray:
+    return per_sample.mean(axis=-1) if per_sample.ndim else per_sample
+
+
+def _per_batch(value: np.ndarray) -> float | np.ndarray:
+    """A float for one batch, or the [K] per-slice values of a stack."""
+    return value if value.ndim else float(value)
+
+
+def cross_entropy(pred: np.ndarray, target: np.ndarray) -> float | np.ndarray:
+    """-sum_i target_i * log(pred_i); mean over rows for 2-D inputs, per
+    slice ([K]) for stacked ones."""
     p = np.asarray(pred, dtype=np.float64)
     t = np.asarray(target, dtype=np.float64)
-    if p.shape != t.shape:
-        raise ShapeError(f"pred shape {p.shape} != target shape {t.shape}")
-    per_sample = -(t * np.log(np.maximum(p, PROB_CLAMP))).sum(axis=-1)
-    return float(per_sample if per_sample.ndim == 0 else per_sample.mean())
+    _check_targets(t, p, "pred shape {pred} != target shape {targets}")
+    return _per_batch(_row_mean(-(t * np.log(np.maximum(p, PROB_CLAMP))).sum(axis=-1)))
 
 
-def kl_div(target: np.ndarray, pred: np.ndarray) -> float:
-    """sum_i target_i * log(target_i / pred_i); mean over rows for 2-D.
+def kl_div(target: np.ndarray, pred: np.ndarray) -> float | np.ndarray:
+    """sum_i target_i * log(target_i / pred_i); mean over rows for 2-D, per
+    slice ([K]) for stacked inputs.
 
     Zero target entries contribute zero; pred is clamped inside the log.
     """
     g = np.asarray(target, dtype=np.float64)
     q = np.asarray(pred, dtype=np.float64)
-    if g.shape != q.shape:
-        raise ShapeError(f"target shape {g.shape} != pred shape {q.shape}")
+    _check_targets(g, q, "target shape {targets} != pred shape {pred}")
     ratio = np.where(g > 0.0, g, 1.0) / np.maximum(q, PROB_CLAMP)
     per_sample = np.where(g > 0.0, g * np.log(ratio), 0.0).sum(axis=-1)
-    value = float(per_sample if per_sample.ndim == 0 else per_sample.mean())
-    return max(value, 0.0)
+    return _per_batch(np.maximum(_row_mean(per_sample), 0.0))
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -196,8 +264,8 @@ def _backprop(params: ModelParams, pre, acts, dlogits: np.ndarray) -> Gradients:
     grads_b = [np.empty(0)] * len(params.weights)
     delta = dlogits
     for k in range(len(params.weights) - 1, -1, -1):
-        grads_w[k] = delta.T @ acts[k]
-        grads_b[k] = delta.sum(axis=0)
+        grads_w[k] = delta.swapaxes(-1, -2) @ acts[k]
+        grads_b[k] = delta.sum(axis=-2)
         if k > 0:
             delta = (delta @ params.weights[k]) * (pre[k - 1] > 0.0)
     return Gradients(weights=grads_w, biases=grads_b)
@@ -207,8 +275,8 @@ def backward(
     params: ModelParams,
     batch: np.ndarray,
     targets: np.ndarray,
-    temperature: float = 1.0,
-    scale: float = 1.0,
+    temperature=1.0,
+    scale=1.0,
 ) -> tuple[np.ndarray, Gradients]:
     """Softened probabilities q = softmax_t(logits, T) [B, C] and the gradients
     of `scale * T` times the mean cross-entropy (equally, KL) of q against
@@ -216,14 +284,14 @@ def backward(
 
     The gradient w.r.t. the logits is scale * (q - targets) / B: scale 1 at
     T = 1 trains plain cross-entropy, scale alpha * T the guidance branch's
-    alpha * T^2 * KL.
+    alpha * T^2 * KL. For a stack, q is [K, B, C], `temperature` and `scale`
+    may be per slice ([K]) and `targets` [K, B, C] or shared [B, C].
     """
     pre, acts = _forward_cached(params, batch)
     q = softmax_t(acts[-1], temperature)
     t = np.asarray(targets, dtype=np.float64)
-    if t.shape != q.shape:
-        raise ShapeError(f"targets shape {t.shape} != probabilities shape {q.shape}")
-    return q, _backprop(params, pre, acts, scale * (q - t) / q.shape[0])
+    _check_targets(t, q, "targets shape {targets} != probabilities shape {pred}")
+    return q, _backprop(params, pre, acts, _per_slice(scale) * (q - t) / q.shape[-2])
 
 
 def sgd_step(
@@ -234,7 +302,8 @@ def sgd_step(
     momentum: float,
     weight_decay: float,
 ) -> tuple[ModelParams, OptState]:
-    """v <- momentum*v + (grad + wd*param); param <- param - lr*v."""
+    """v <- momentum*v + (grad + wd*param); param <- param - lr*v (elementwise,
+    so a stack updates every slice at once)."""
     if len(grads.weights) != len(params.weights):
         raise ShapeError("gradient layer count != parameter layer count")
     new_w, new_b, vel_w, vel_b = [], [], [], []
@@ -297,6 +366,8 @@ def load_checkpoint(path) -> ModelParams:
         declared = list(doc["layer_dims"])
     except KeyError as exc:
         raise FormatError(f"{path}: missing checkpoint field {exc}") from exc
+    if params.weights[0].ndim != 2:
+        raise FormatError(f"{path}: checkpoint field 'weights' must hold 2-D matrices")
     if params.layer_dims != declared:
         raise FormatError(
             f"{path}: declared layer_dims {declared} != actual {params.layer_dims}"

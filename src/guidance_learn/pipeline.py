@@ -3,12 +3,15 @@ and the cross-comparable baseline variants.
 
 All runs are driven by a TrainConfig and are bit-reproducible from
 (dataset, config): every shuffle and init draws from seed-derived streams.
+The training loop is indifferent to whether it carries one model or a
+[K, ...] stack (see `nn`); for a stack, every loss and accuracy in the
+report is a list of K per-slice values.
 """
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Sequence
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -148,10 +151,10 @@ class TrainConfig:
 class EpochRecord:
     epoch: int
     lr: float
-    loss_total: float
-    loss_guidance: float
-    loss_clean: float
-    test_accuracy: float | None
+    loss_total: float | list[float]
+    loss_guidance: float | list[float]
+    loss_clean: float | list[float]
+    test_accuracy: float | list[float] | None
 
 
 @dataclass
@@ -165,7 +168,7 @@ class RunReport:
     stage: str
     config: dict
     epochs: list[EpochRecord] = field(default_factory=list)
-    final_test_accuracy: float | None = None
+    final_test_accuracy: float | list[float] | None = None
     checkpoint_fingerprints: dict[str, str] = field(default_factory=dict)
     variant: str | None = None
     wall_time_sec: float = 0.0
@@ -191,7 +194,7 @@ class RunReport:
         }
 
 
-def _test_accuracy(params: nn.ModelParams, dataset: Dataset) -> float | None:
+def _test_accuracy(params: nn.ModelParams, dataset: Dataset) -> float | list[float] | None:
     from .evaluation import accuracy
 
     if dataset.indices(TEST).size == 0:
@@ -202,6 +205,12 @@ def _test_accuracy(params: nn.ModelParams, dataset: Dataset) -> float | None:
 def _init_for(dataset: Dataset, config: TrainConfig) -> nn.ModelParams:
     dims = [dataset.features.shape[1], *config.hidden_dims, dataset.num_classes]
     return nn.init_params(dims, config.seed)
+
+
+def _epoch_mean(values) -> float | list[float]:
+    """Mean over an epoch's step losses, per slice for a stack; each slice is
+    summed exactly as a single model's losses would be."""
+    return np.ascontiguousarray(np.transpose(values)).mean(axis=-1).tolist()
 
 
 def _train(
@@ -219,8 +228,9 @@ def _train(
     `batches(epoch)` yields the epoch's batches; `step(params, batch)` returns
     ((L_total, L_g, L_c), gradients) of one batch from a single pass. Each
     epoch records its mean losses and test accuracy; the last epoch's
-    accuracy is the final one.
+    accuracy is the final one. The report carries no fingerprints.
     """
+    t0 = time.perf_counter()
     state = nn.OptState.zeros(params)
     report = RunReport(stage=stage, config=config.to_dict())
     for epoch in range(epochs):
@@ -231,13 +241,23 @@ def _train(
             params, state = nn.sgd_step(params, grads, state, lr,
                                         config.momentum, config.weight_decay)
             losses.append(loss)
-        total, guide, clean = (float(np.mean(column)) for column in zip(*losses))
+        total, guide, clean = (_epoch_mean(column) for column in zip(*losses))
         report.epochs.append(EpochRecord(
             epoch=epoch, lr=lr, loss_total=total, loss_guidance=guide,
             loss_clean=clean, test_accuracy=_test_accuracy(params, dataset),
         ))
     report.final_test_accuracy = (report.epochs[-1].test_accuracy if report.epochs
                                   else _test_accuracy(params, dataset))
+    report.wall_time_sec = time.perf_counter() - t0
+    return params, report
+
+
+def _fingerprinted(
+    params: nn.ModelParams, report: RunReport, role: str = "model"
+) -> tuple[nn.ModelParams, RunReport]:
+    """Record the fingerprint of a single model; a stack has no checkpoint."""
+    if params.weights[0].ndim == 2:
+        report.checkpoint_fingerprints[role] = nn.fingerprint(params)
     return params, report
 
 
@@ -252,22 +272,18 @@ def _train_cross_entropy(
 ) -> tuple[nn.ModelParams, RunReport]:
     if train_idx.size == 0:
         raise ConfigurationError(f"{stage}: training subset is empty")
-    t0 = time.perf_counter()
     X, y, C = dataset.features, dataset.labels, dataset.num_classes
 
     def step(params, batch):
         targets = nn.one_hot(y[batch], C)
         probs, grads = nn.backward(params, X[batch], targets)
         loss = nn.cross_entropy(probs, targets)
-        return (loss, 0.0, loss), grads
+        return (loss, 0.0 * loss, loss), grads
 
-    params, report = _train(
+    return _fingerprinted(*_train(
         params, dataset, config, schedule, epochs, stage,
         lambda epoch: batch_indices(train_idx, config.batch_size, config.seed, epoch), step,
-    )
-    report.checkpoint_fingerprints["model"] = nn.fingerprint(params)
-    report.wall_time_sec = time.perf_counter() - t0
-    return params, report
+    ))
 
 
 def train_teacher(dataset: Dataset, config: TrainConfig) -> tuple[nn.ModelParams, RunReport]:
@@ -281,10 +297,34 @@ def train_teacher(dataset: Dataset, config: TrainConfig) -> tuple[nn.ModelParams
                                 stage="teacher")
 
 
+def _shared_config(configs: list[TrainConfig]) -> TrainConfig:
+    """The one config of a student stack's cells, which may differ only in
+    alpha, beta and temperature."""
+    if not configs:
+        raise ConfigurationError("a student stack needs at least one config")
+    shared = [replace(c, alpha=0.0, beta=0.0, temperature=1.0) for c in configs]
+    if any(c != shared[0] for c in shared):
+        raise ConfigurationError(
+            "the configs of a student stack may differ only in alpha, beta and temperature")
+    return configs[0]
+
+
 def train_student(
-    teacher: nn.ModelParams, dataset: Dataset, config: TrainConfig
+    teacher: nn.ModelParams,
+    dataset: Dataset,
+    config: TrainConfig | Sequence[TrainConfig],
+    cache: guidance.GuidanceCache,
 ) -> tuple[nn.ModelParams, RunReport]:
-    """Stage 2: teacher-initialized student under the multi-task objective."""
+    """Stage 2: teacher-initialized student under the multi-task objective.
+
+    `cache` holds the teacher's soft targets at the configured temperature
+    (`guidance.compute_teacher_soft_targets`); its teacher fingerprint goes
+    into the report. Given K configs that differ only in alpha, beta and
+    temperature, and a cache built at their K temperatures, the K students
+    train as one [K, ...] stack: slice k equals the student of config k
+    trained alone, and the report holds per-slice values and no student
+    fingerprint.
+    """
     if teacher.layer_dims[0] != dataset.features.shape[1]:
         raise ShapeError(
             f"teacher input dim {teacher.layer_dims[0]} != dataset feature dim "
@@ -303,34 +343,43 @@ def train_student(
     if dataset.indices(NOISY_TRAIN).size == 0:
         raise ConfigurationError("student training needs a noisy subset")
 
-    t0 = time.perf_counter()
-    cache = guidance.compute_teacher_soft_targets(teacher, dataset, config.temperature)
+    if isinstance(config, TrainConfig):
+        student = teacher.copy()
+        alpha, beta, temperature = config.alpha, config.beta, config.temperature
+    else:
+        configs = list(config)
+        config = _shared_config(configs)
+        student = nn.tile(teacher, len(configs))
+        alpha, beta, temperature = (
+            np.array(column) for column in zip(*((c.alpha, c.beta, c.temperature)
+                                                 for c in configs)))
     X, y = dataset.features, dataset.labels
 
     def step(student, batch):
         noisy_idx, clean_idx = batch
         return guidance.student_batch_loss(
             student, X[noisy_idx], y[noisy_idx], noisy_idx, cache,
-            X[clean_idx], y[clean_idx],
-            alpha=config.alpha, beta=config.beta, temperature=config.temperature,
+            X[clean_idx], y[clean_idx], alpha=alpha, beta=beta, temperature=temperature,
         )
 
     student, report = _train(
-        teacher.copy(), dataset, config, config.student_lr_schedule,
-        config.student_epochs, "student",
+        student, dataset, config, config.student_lr_schedule, config.student_epochs,
+        "student",
         lambda epoch: mixed_batch_iterator(dataset, config.batch_size, config.seed, epoch),
         step,
     )
+    # a stack's report lists the per-slice values (a single run's are unchanged)
+    report.config.update(alpha=np.asarray(alpha).tolist(), beta=np.asarray(beta).tolist(),
+                         temperature=np.asarray(temperature).tolist())
     report.checkpoint_fingerprints["teacher"] = cache.teacher_fingerprint
-    report.checkpoint_fingerprints["student"] = nn.fingerprint(student)
-    report.wall_time_sec = time.perf_counter() - t0
-    return student, report
+    return _fingerprinted(student, report, "student")
 
 
 def finetune_clean(
     model: nn.ModelParams, dataset: Dataset, config: TrainConfig
 ) -> tuple[nn.ModelParams, RunReport]:
-    """Cross-entropy pass over the clean subset only, at a reduced LR."""
+    """Cross-entropy pass over the clean subset only, at a reduced LR; `model`
+    may be a stack."""
     clean_idx = dataset.indices(CLEAN_TRAIN)
     if clean_idx.size == 0:
         raise ConfigurationError("fine-tuning needs a nonempty clean subset")
@@ -361,7 +410,8 @@ def _baseline_models(
         models = {"model": params}
     elif variant in ("guidance", "guidance_finetuned"):
         teacher, teacher_report = train_teacher(dataset, config)
-        student, report = train_student(teacher, dataset, config)
+        cache = guidance.compute_teacher_soft_targets(teacher, dataset, config.temperature)
+        student, report = train_student(teacher, dataset, config, cache)
         models = {"teacher": teacher, "student": student}
         report.wall_time_sec += teacher_report.wall_time_sec
         if variant == "guidance_finetuned":

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from guidance_learn import nn
+from guidance_learn import guidance, nn, pipeline
 
 
 def fd_gradients(params: nn.ModelParams, loss_fn, step: float = 1e-5) -> nn.Gradients:
@@ -47,6 +47,18 @@ def random_net(rng: np.random.Generator, max_dim: int = 8, max_classes: int = 5)
 def random_probs(rng: np.random.Generator, shape) -> np.ndarray:
     raw = rng.random(shape) + 1e-3
     return raw / raw.sum(axis=-1, keepdims=True)
+
+
+def stack(models: list[nn.ModelParams]) -> nn.ModelParams:
+    """One [K, ...] stack whose slice k is models[k]."""
+    return nn.ModelParams(weights=[np.stack(ws) for ws in zip(*(m.weights for m in models))],
+                          biases=[np.stack(bs) for bs in zip(*(m.biases for m in models))])
+
+
+def train_student(teacher: nn.ModelParams, dataset, config):
+    """`pipeline.train_student` with the guidance cache built from `teacher`."""
+    cache = guidance.compute_teacher_soft_targets(teacher, dataset, config.temperature)
+    return pipeline.train_student(teacher, dataset, config, cache)
 
 
 def params_bytes(params: nn.ModelParams) -> bytes:

@@ -17,7 +17,7 @@ import scipy.stats
 
 from guidance_learn import data, evaluation, guidance, nn, pipeline
 from guidance_learn.serialize import canonical_json
-from helpers import fd_gradients, max_rel_error, params_bytes, random_probs
+from helpers import fd_gradients, max_rel_error, params_bytes, random_probs, train_student
 
 DESK_RECIPE = data.DataRecipe(
     classes=10, per_class=500, dim=20, sigma=0.1,
@@ -207,7 +207,7 @@ def desk_runs():
         started = time.perf_counter()
         noisy_report = pipeline.run_baseline("noisy_only", dataset, config)
         teacher, teacher_report = pipeline.train_teacher(dataset, config)
-        student, student_report = pipeline.train_student(teacher, dataset, config)
+        student, student_report = train_student(teacher, dataset, config)
         finetuned, finetuned_report = pipeline.finetune_clean(student, dataset, config)
         elapsed = time.perf_counter() - started
         clean_data, _ = replace(DESK_RECIPE, noise_rate=0.0, noise_model="none").build(seed)
@@ -268,7 +268,7 @@ def test_criterion_7_branch_isolation():
         # the alpha=0 student must match the reference after every epoch
         for upto in range(1, config.student_epochs + 1):
             partial = replace(config, student_epochs=upto)
-            student, _ = pipeline.train_student(teacher, dataset, partial)
+            student, _ = train_student(teacher, dataset, partial)
             assert params_bytes(student) == epoch_bytes[upto - 1], \
                 f"diverged by epoch {upto}"
 

@@ -251,3 +251,20 @@ def test_sweep_writes_result_files(tmp_path, config_file, capsys):
     rows = json.loads((out / "results.json").read_text())["rows"]
     assert len(rows) == 4
     assert "sweep over beta" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags, doc, named", [
+    (["--values", "0.1,abc"], {}, ("--values", "'abc'")),
+    (["--values", "0.1", "--seeds", "1,x"], {}, ("--seeds", "'x'")),
+    ([], {"sweep_values": [0.1, "abc"]}, ("sweep_values", "'abc'")),
+    (["--values", "0.1"], {"sweep_seeds": [1, "x"]}, ("sweep_seeds", "'x'")),
+], ids=["values-flag", "seeds-flag", "values-key", "seeds-key"])
+def test_sweep_bad_value_or_seed_names_its_source(tmp_path, capsys, flags, doc, named):
+    path = tmp_path / "c.json"
+    write_canonical_json(path, small_config_doc(**doc))
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", str(path), "--out", str(out),
+                     "--axis", "beta", *flags]) == 1
+    err = capsys.readouterr().err
+    assert all(name in err for name in named), err
+    assert not out.exists()

@@ -4,6 +4,7 @@ import pytest
 from guidance_learn import data, evaluation, nn, pipeline
 from guidance_learn.errors import InputError, ParameterError
 from guidance_learn.serialize import canonical_json
+from helpers import train_student
 
 
 def _tagged_blobs(classes=2, per_class=30, seed=0, test_fraction=0.5):
@@ -142,7 +143,7 @@ def test_sweep_beta_zero_cell_is_pure_distillation():
     dataset, _ = recipe.build(3)
     cfg = replace(config, seed=3, beta=0.0)
     teacher, _ = pipeline.train_teacher(dataset, cfg)
-    student, _ = pipeline.train_student(teacher, dataset, cfg)
+    student, _ = train_student(teacher, dataset, cfg)
     assert result.rows[0].acc_student == evaluation.accuracy(student, dataset, "test")
 
 
@@ -166,7 +167,7 @@ _CELL_FIELDS = {"alpha": "alpha", "beta": "beta", "T": "temperature"}
 @pytest.mark.parametrize("axis, values", [
     ("alpha", (0.0, 0.1)),
     ("beta", (0.0, 0.5)),
-    ("T", (1.0, 5.0)),
+    ("T", (1.0, 20.0)),
     ("clean_fraction", (0.1, 0.2)),
 ])
 def test_sweep_cells_match_standalone_runs(monkeypatch, axis, values):
@@ -175,7 +176,16 @@ def test_sweep_cells_match_standalone_runs(monkeypatch, axis, values):
     and fine-tune run of the same (value, seed)."""
     from dataclasses import replace
 
-    recipe, config = _sweep_inputs()
+    # noisy enough that the two cells of a seed never report the same three
+    # accuracies, so a row reporting another cell's results would show
+    recipe = data.DataRecipe(classes=3, per_class=40, dim=4, sigma=1.0,
+                             clean_fraction=0.1, test_fraction=0.3,
+                             noise_model="symmetric", noise_rate=0.4)
+    config = pipeline.TrainConfig(
+        alpha=1.0, hidden_dims=(8,), batch_size=16, teacher_epochs=3, student_epochs=3,
+        finetune_epochs=2, teacher_lr_schedule=((0, 5e-2),),
+        student_lr_schedule=((0, 5e-2),),
+    )
     evaluated = []
     real_accuracy = evaluation.accuracy
 
@@ -189,6 +199,9 @@ def test_sweep_cells_match_standalone_runs(monkeypatch, axis, values):
     monkeypatch.undo()
 
     assert len(rows) == 4
+    for seed in (1, 2):
+        assert len({(r.acc_teacher, r.acc_student, r.acc_finetuned)
+                    for r in rows if r.seed == seed}) == 2
     for row in rows:
         cfg = replace(config, seed=row.seed)
         cell_recipe = recipe
@@ -198,7 +211,7 @@ def test_sweep_cells_match_standalone_runs(monkeypatch, axis, values):
             cell_recipe = replace(recipe, **{axis: row.value})
         dataset, _ = cell_recipe.build(row.seed)
         teacher, _ = pipeline.train_teacher(dataset, cfg)
-        student, _ = pipeline.train_student(teacher, dataset, cfg)
+        student, _ = train_student(teacher, dataset, cfg)
         finetuned, _ = pipeline.finetune_clean(student, dataset, cfg)
         assert any(_same_bits(student, m) for m in evaluated)
         assert any(_same_bits(finetuned, m) for m in evaluated)

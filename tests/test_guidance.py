@@ -326,11 +326,15 @@ def _without(doc, key):
 @pytest.mark.parametrize("loader, doc, field", [
     (nn.load_checkpoint, [_CHECKPOINT_OK], "JSON object"),
     (nn.load_checkpoint, _without(_CHECKPOINT_OK, "layer_dims"), "layer_dims"),
+    (nn.load_checkpoint, {**_CHECKPOINT_OK, "weights": [[[[1.0]]]], "biases": [[[0.0]]]},
+     "weights"),
     (guidance.load_cache, _without(_CACHE_OK, "targets"), "targets"),
     (guidance.load_cache, [_CACHE_OK], "JSON object"),
     (guidance.load_cache, {**_CACHE_OK, "targets": {"zero": [0.5, 0.5]}}, "targets"),
-], ids=["checkpoint-list", "checkpoint-no-layer-dims", "cache-no-targets",
-        "cache-list", "cache-non-integer-key"])
+    (guidance.load_cache, {**_CACHE_OK, "targets": {"0": [0.5, 0.5], "1": [1.0]}},
+     "targets"),
+], ids=["checkpoint-list", "checkpoint-no-layer-dims", "checkpoint-stacked-weights",
+        "cache-no-targets", "cache-list", "cache-non-integer-key", "cache-ragged-rows"])
 def test_loaders_raise_format_error_naming_path_and_field(tmp_path, loader, doc, field):
     import json
 
@@ -340,3 +344,32 @@ def test_loaders_raise_format_error_naming_path_and_field(tmp_path, loader, doc,
         loader(path)
     assert str(path) in str(exc.value)
     assert field in str(exc.value)
+
+
+def test_student_batch_loss_stack_slices_equal_single_calls():
+    """[K] alpha, beta and T on a stacked student and a cache built at the K
+    temperatures give each slice the single call's losses and gradient
+    bytes, the alpha = 0 slice included."""
+    from helpers import stack
+
+    dataset, teacher, _ = _student_setup(seed=8)
+    X, y = dataset.features, dataset.labels
+    alpha, beta, T = np.array([0.0, 0.1, 1.0]), np.array([0.3, 0.0, 1.0]), np.array([5.0, 1.0, 5.0])
+    students = [nn.init_params([4, 6, 3], seed=s) for s in (1, 2, 3)]
+    cache = guidance.compute_teacher_soft_targets(teacher, dataset, T)
+    assert cache.targets.shape == (3, 12, 3)
+    noisy, clean = np.arange(5), np.arange(5, 10)
+    losses, grads = guidance.student_batch_loss(
+        stack(students), X[noisy], y[noisy], noisy, cache, X[clean], y[clean],
+        alpha=alpha, beta=beta, temperature=T,
+    )
+    for k, student in enumerate(students):
+        single = guidance.compute_teacher_soft_targets(teacher, dataset, T[k])
+        assert cache.targets[k].tobytes() == single.targets.tobytes()
+        want_losses, want = guidance.student_batch_loss(
+            student, X[noisy], y[noisy], noisy, single, X[clean], y[clean],
+            alpha=alpha[k], beta=beta[k], temperature=T[k],
+        )
+        assert [loss[k] for loss in losses] == list(want_losses)
+        for got, w in zip(grads.weights + grads.biases, want.weights + want.biases):
+            assert got[k].tobytes() == w.tobytes()

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from guidance_learn import nn
 from guidance_learn.errors import InputError, ParameterError, ShapeError
-from helpers import fd_gradients, max_rel_error, random_net, random_probs
+from helpers import fd_gradients, max_rel_error, random_net, random_probs, stack
 
 
 def test_forward_zero_params_gives_zero_logits():
@@ -58,6 +58,14 @@ def test_model_params_chain_validation():
     with pytest.raises(ShapeError, match="layer 1"):
         nn.ModelParams(weights=[np.zeros((3, 4)), np.zeros((2, 5))],
                        biases=[np.zeros(3), np.zeros(2)])
+    with pytest.raises(ShapeError, match="layer 1"):
+        nn.ModelParams(weights=[np.zeros((2, 3, 4)), np.zeros((3, 2, 3))],
+                       biases=[np.zeros((2, 3)), np.zeros((3, 2))])
+    with pytest.raises(ShapeError, match="layer 0"):
+        nn.ModelParams(weights=[np.zeros((2, 3, 4))], biases=[np.zeros(3)])
+    tiled = nn.tile(nn.init_params([4, 3, 2], seed=0), 5)
+    assert tiled.layer_dims == [4, 3, 2] and tiled.num_classes == 2
+    assert tiled.weights[0].shape == (5, 3, 4) and tiled.biases[1].shape == (5, 2)
 
 
 def test_softmax_symmetric():
@@ -347,3 +355,31 @@ def test_fingerprint_tracks_parameter_changes():
     other = params.copy()
     other.weights[0][0, 0] += 1e-9
     assert nn.fingerprint(params) != nn.fingerprint(other)
+
+
+def test_stacked_passes_equal_each_single_model_bitwise():
+    """Forward, backward, losses and sgd_step on a [K, ...] stack with
+    per-slice temperatures and scales give, slice by slice, the bytes of
+    the single-model calls, for per-slice and for shared targets."""
+    rng = np.random.default_rng(31)
+    models = [nn.init_params([5, 7, 6, 4], seed=s) for s in range(3)]
+    stacked = stack(models)
+    batch = rng.normal(size=(9, 5))
+    T = np.array([1.0, 2.5, 20.0])
+    scale = np.array([0.0, 0.3, 7.0])
+    logits = nn.forward(stacked, batch[0])
+    for k, model in enumerate(models):
+        assert logits[k].tobytes() == nn.forward(model, batch[0]).tobytes()
+    for targets in (random_probs(rng, (3, 9, 4)), random_probs(rng, (9, 4))):
+        q, grads = nn.backward(stacked, batch, targets, T, scale)
+        stepped, _ = nn.sgd_step(stacked, grads, nn.OptState.zeros(stacked), 0.1, 0.9, 1e-3)
+        kl, ce = nn.kl_div(targets, q), nn.cross_entropy(q, targets)
+        for k, model in enumerate(models):
+            t_k = targets[k] if targets.ndim == 3 else targets
+            q_k, g_k = nn.backward(model, batch, t_k, T[k], scale[k])
+            s_k, _ = nn.sgd_step(model, g_k, nn.OptState.zeros(model), 0.1, 0.9, 1e-3)
+            assert q[k].tobytes() == q_k.tobytes()
+            for got, want in zip(grads.weights + grads.biases + stepped.weights + stepped.biases,
+                                 g_k.weights + g_k.biases + s_k.weights + s_k.biases):
+                assert got[k].tobytes() == want.tobytes()
+            assert (kl[k], ce[k]) == (nn.kl_div(t_k, q_k), nn.cross_entropy(q_k, t_k))

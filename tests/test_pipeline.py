@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from guidance_learn import data, guidance, nn, pipeline
-from guidance_learn.errors import ConfigurationError, ParameterError
+from guidance_learn.errors import ConfigurationError, ConsistencyError, ParameterError
 from guidance_learn.serialize import canonical_json
-from helpers import params_bytes
+from helpers import params_bytes, train_student
 
 
 def small_config(**overrides):
@@ -93,7 +93,7 @@ def test_student_requires_clean_subset():
     config = small_config()
     teacher, _ = pipeline.train_teacher(dataset, config)
     with pytest.raises(ConfigurationError, match="baseline"):
-        pipeline.train_student(teacher, dataset, config)
+        train_student(teacher, dataset, config)
 
 
 def test_student_does_not_mutate_teacher():
@@ -101,7 +101,7 @@ def test_student_does_not_mutate_teacher():
     config = small_config(seed=3)
     teacher, _ = pipeline.train_teacher(dataset, config)
     before = nn.fingerprint(teacher)
-    pipeline.train_student(teacher, dataset, config)
+    train_student(teacher, dataset, config)
     assert nn.fingerprint(teacher) == before
 
 
@@ -109,7 +109,7 @@ def test_student_alpha_zero_matches_clean_only_training_bitwise():
     dataset = small_dataset(seed=4)
     config = small_config(seed=4, alpha=0.0)
     teacher, _ = pipeline.train_teacher(dataset, config)
-    student, _ = pipeline.train_student(teacher, dataset, config)
+    student, _ = train_student(teacher, dataset, config)
 
     # straight-line clean-only reference: same init, same clean batch
     # stream, cross-entropy only
@@ -131,7 +131,7 @@ def test_student_self_distillation_keeps_guidance_loss_zero():
     config = small_config(seed=5, beta=0.0,
                           student_lr_schedule=((0, 0.0),), weight_decay=0.0)
     teacher, _ = pipeline.train_teacher(dataset, config)
-    _, report = pipeline.train_student(teacher, dataset, config)
+    _, report = train_student(teacher, dataset, config)
     assert all(r.loss_guidance == 0.0 for r in report.epochs)
 
 
@@ -139,11 +139,55 @@ def test_full_two_stage_run_is_reproducible():
     dataset = small_dataset(seed=6)
     config = small_config(seed=6)
     t1, tr1 = pipeline.train_teacher(dataset, config)
-    s1, sr1 = pipeline.train_student(t1, dataset, config)
+    s1, sr1 = train_student(t1, dataset, config)
     t2, tr2 = pipeline.train_teacher(dataset, config)
-    s2, sr2 = pipeline.train_student(t2, dataset, config)
+    s2, sr2 = train_student(t2, dataset, config)
     assert params_bytes(s1) == params_bytes(s2)
     assert canonical_json(sr1.to_json_dict()) == canonical_json(sr2.to_json_dict())
+
+
+def test_student_stack_slices_and_reports_equal_single_runs():
+    dataset = small_dataset(seed=8)
+    configs = [small_config(seed=8, alpha=a, beta=b, temperature=t)
+               for a, b, t in ((0.0, 0.3, 5.0), (0.1, 1.0, 2.0), (1.0, 0.0, 5.0))]
+    teacher, _ = pipeline.train_teacher(dataset, configs[0])
+    cache = guidance.compute_teacher_soft_targets(teacher, dataset,
+                                                  [c.temperature for c in configs])
+    students, report = pipeline.train_student(teacher, dataset, configs, cache)
+    tuned, tuned_report = pipeline.finetune_clean(students, dataset, configs[0])
+    assert report.checkpoint_fingerprints == {"teacher": nn.fingerprint(teacher)}
+    assert tuned_report.checkpoint_fingerprints == {}
+    assert report.config["alpha"] == [0.0, 0.1, 1.0]
+    for k, config in enumerate(configs):
+        student, single = train_student(teacher, dataset, config)
+        tuned_k, tuned_single = pipeline.finetune_clean(student, dataset, config)
+        for got, want in ((students, student), (tuned, tuned_k)):
+            assert all(g[k].tobytes() == w.tobytes() for g, w in
+                       zip(got.weights + got.biases, want.weights + want.biases))
+        for got, want in ((report, single), (tuned_report, tuned_single)):
+            assert got.final_test_accuracy[k] == want.final_test_accuracy
+            for g, w in zip(got.epochs, want.epochs):
+                assert (g.loss_total[k], g.loss_guidance[k], g.loss_clean[k],
+                        g.test_accuracy[k]) == (w.loss_total, w.loss_guidance,
+                                                w.loss_clean, w.test_accuracy)
+
+
+def test_student_stack_configs_may_differ_only_in_stage2_values():
+    dataset = small_dataset(seed=9)
+    configs = [small_config(seed=9), small_config(seed=10)]
+    teacher, _ = pipeline.train_teacher(dataset, configs[0])
+    cache = guidance.compute_teacher_soft_targets(teacher, dataset, [5.0, 5.0])
+    with pytest.raises(ConfigurationError, match="differ only"):
+        pipeline.train_student(teacher, dataset, configs, cache)
+
+
+def test_student_rejects_cache_at_another_temperature():
+    dataset = small_dataset(seed=9)
+    config = small_config(seed=9, temperature=5.0)
+    teacher, _ = pipeline.train_teacher(dataset, config)
+    cache = guidance.compute_teacher_soft_targets(teacher, dataset, 2.0)
+    with pytest.raises(ConsistencyError, match="temperature"):
+        pipeline.train_student(teacher, dataset, config, cache)
 
 
 def test_finetune_zero_epochs_and_zero_lr():
