@@ -9,10 +9,9 @@ alone; failed runs leave an `.incomplete` marker behind.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import guidance, nn
@@ -27,21 +26,36 @@ from .pipeline import (
     train_student,
     train_teacher,
 )
-from .serialize import write_canonical_json
+from .serialize import from_document, read_json_object, to_document, write_canonical_json
 
 log = logging.getLogger("guidance_learn")
 
-_DATA_KEYS = {
-    "data_kind", "data_csv", "data_classes", "data_per_class", "data_dim",
-    "data_sigma", "data_clean_fraction", "data_test_fraction",
-    "noise_model", "noise_rate", "noise_pair_map",
+# DataRecipe field -> config key
+_RECIPE_KEYS = {
+    "kind": "data_kind", "csv_path": "data_csv", "classes": "data_classes",
+    "per_class": "data_per_class", "dim": "data_dim", "sigma": "data_sigma",
+    "clean_fraction": "data_clean_fraction", "test_fraction": "data_test_fraction",
+    "noise_model": "noise_model", "noise_rate": "noise_rate", "pair_map": "noise_pair_map",
 }
-_SWEEP_KEYS = {"sweep_axis", "sweep_values", "sweep_seeds"}
-_TRAIN_KEYS = set(TrainConfig().to_dict())
+
+
+@dataclass(frozen=True)
+class SweepKeys:
+    """The optional sweep keys of a config file."""
+
+    sweep_axis: str | None = None
+    sweep_values: tuple[float, ...] | None = None
+    sweep_seeds: tuple[int, ...] | None = None
+
+
+_CONFIG_KEYS = {f.name for f in (*fields(TrainConfig), *fields(SweepKeys))} | set(
+    _RECIPE_KEYS.values())
 
 
 @dataclass
 class CliConfig:
+    """The parsed command line; each field is the `dest` of its flag."""
+
     command: str
     config_path: str | None = None
     out_dir: str | None = None
@@ -53,10 +67,10 @@ class CliConfig:
     teacher: str | None = None
     data_path: str | None = None
     split: str = "test"
-    classes: int = 10
-    per_class: int = 500
-    dim: int = 20
-    sigma: float = 0.1
+    classes: int = DataRecipe.classes
+    per_class: int = DataRecipe.per_class
+    dim: int = DataRecipe.dim
+    sigma: float = DataRecipe.sigma
     noise_model: str | None = None
     noise_rate: float | None = None
     sweep_axis: str | None = None
@@ -72,179 +86,112 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        p.add_argument("--config", required=config_required, help="JSON config file")
-        p.add_argument("--out", required=True, help="output run directory")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    def command(name, help):
+        # a flag not given stays out of the namespace: CliConfig holds the defaults
+        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        p.add_argument("-v", "--verbose", dest="verbosity", action="count")
+        return p
+
+    def common(p):
+        p.add_argument("--config", dest="config_path", required=True, help="JSON config file")
+        p.add_argument("--out", dest="out_dir", required=True, help="output run directory")
+        p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--force", action="store_true",
                        help="overwrite an existing report in the output directory")
-        p.add_argument("-v", "--verbose", action="count", default=0)
+        return p
 
-    p = sub.add_parser("make-data", help="generate a Gaussian-blob CSV dataset")
-    p.add_argument("--out", required=True)
-    p.add_argument("--classes", type=int, default=10)
-    p.add_argument("--per-class", type=int, default=500)
-    p.add_argument("--dim", type=int, default=20)
-    p.add_argument("--sigma", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
+    p = command("make-data", "generate a Gaussian-blob CSV dataset")
+    p.add_argument("--out", dest="out_dir", required=True)
+    p.add_argument("--classes", type=int)
+    p.add_argument("--per-class", type=int)
+    p.add_argument("--dim", type=int)
+    p.add_argument("--sigma", type=float)
+    p.add_argument("--seed", type=int)
     p.add_argument("--force", action="store_true")
-    p.add_argument("-v", "--verbose", action="count", default=0)
 
-    p = sub.add_parser("inject-noise", help="corrupt labels of a CSV dataset")
-    p.add_argument("--data", required=True, help="input CSV dataset")
-    p.add_argument("--out", required=True)
+    p = command("inject-noise", "corrupt labels of a CSV dataset")
+    p.add_argument("--data", dest="data_path", required=True, help="input CSV dataset")
+    p.add_argument("--out", dest="out_dir", required=True)
     p.add_argument("--noise-model", required=True, choices=["symmetric", "pair_flip"])
     p.add_argument("--noise-rate", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--force", action="store_true")
-    p.add_argument("-v", "--verbose", action="count", default=0)
 
-    common(sub.add_parser("train-teacher", help="stage 1: cross-entropy on all training data"))
+    common(command("train-teacher", "stage 1: cross-entropy on all training data"))
 
-    p = sub.add_parser("train-student", help="stage 2: guidance training from a teacher")
-    common(p)
-    p.add_argument("--teacher", default=None,
-                   help="teacher checkpoint; trained in-place when omitted")
+    p = common(command("train-student", "stage 2: guidance training from a teacher"))
+    p.add_argument("--teacher", help="teacher checkpoint; trained in-place when omitted")
 
-    p = sub.add_parser("finetune", help="cross-entropy fine-tuning on the clean subset")
-    common(p)
+    p = common(command("finetune", "cross-entropy fine-tuning on the clean subset"))
     p.add_argument("--checkpoint", required=True, help="model checkpoint to start from")
 
-    p = sub.add_parser("baseline", help="run one comparison variant")
-    common(p)
+    p = common(command("baseline", "run one comparison variant"))
     p.add_argument("--variant", required=True, choices=list(BASELINE_VARIANTS))
 
-    p = sub.add_parser("sweep", help="sweep one hyperparameter axis")
-    common(p)
-    p.add_argument("--axis", default=None, choices=list(SWEEP_AXES))
-    p.add_argument("--values", default=None, help="comma-separated axis values")
-    p.add_argument("--seeds", default=None, help="comma-separated replicate seeds")
+    p = common(command("sweep", "sweep one hyperparameter axis"))
+    p.add_argument("--axis", dest="sweep_axis", choices=list(SWEEP_AXES))
+    p.add_argument("--values", dest="sweep_values", help="comma-separated axis values")
+    p.add_argument("--seeds", dest="sweep_seeds", help="comma-separated replicate seeds")
 
-    p = sub.add_parser("eval", help="accuracy of a saved checkpoint on a split")
-    p.add_argument("--config", required=True)
+    p = command("eval", "accuracy of a saved checkpoint on a split")
+    p.add_argument("--config", dest="config_path", required=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--split", default="test", choices=["clean_train", "noisy_train", "test"])
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("-v", "--verbose", action="count", default=0)
+    p.add_argument("--split", choices=["clean_train", "noisy_train", "test"])
+    p.add_argument("--seed", type=int)
 
     return parser
 
 
 def parse_args(argv: list[str]) -> CliConfig:
-    ns = make_parser().parse_args(argv)
-    return CliConfig(
-        command=ns.command,
-        config_path=getattr(ns, "config", None),
-        out_dir=getattr(ns, "out", None),
-        seed=getattr(ns, "seed", None),
-        verbosity=getattr(ns, "verbose", 0),
-        force=getattr(ns, "force", False),
-        variant=getattr(ns, "variant", None),
-        checkpoint=getattr(ns, "checkpoint", None),
-        teacher=getattr(ns, "teacher", None),
-        data_path=getattr(ns, "data", None),
-        split=getattr(ns, "split", "test"),
-        classes=getattr(ns, "classes", 10),
-        per_class=getattr(ns, "per_class", 500),
-        dim=getattr(ns, "dim", 20),
-        sigma=getattr(ns, "sigma", 0.1),
-        noise_model=getattr(ns, "noise_model", None),
-        noise_rate=getattr(ns, "noise_rate", None),
-        sweep_axis=getattr(ns, "axis", None),
-        sweep_values=getattr(ns, "values", None),
-        sweep_seeds=getattr(ns, "seeds", None),
-    )
+    return CliConfig(**vars(make_parser().parse_args(argv)))
 
 
-def _load_config_file(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigurationError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(
-            f"{path}: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-    if not isinstance(doc, dict):
-        raise ConfigurationError(f"{path}: config must be a JSON object")
-    unknown = set(doc) - _TRAIN_KEYS - _DATA_KEYS - _SWEEP_KEYS
+def _effective_config(cli: CliConfig) -> tuple[TrainConfig, DataRecipe, SweepKeys]:
+    """The training config, dataset recipe and sweep keys of the config file;
+    a bad key or value is a ConfigurationError naming the file."""
+    path = cli.config_path
+    doc = read_json_object(path, "config")
+    unknown = set(doc) - _CONFIG_KEYS
     if unknown:
         raise ConfigurationError(f"{path}: unknown config keys: {sorted(unknown)}")
-    return doc
-
-
-def _recipe_from_config(doc: dict) -> DataRecipe:
-    pair_map = doc.get("noise_pair_map")
-    return DataRecipe(
-        kind=doc.get("data_kind", "blobs"),
-        classes=int(doc.get("data_classes", 10)),
-        per_class=int(doc.get("data_per_class", 500)),
-        dim=int(doc.get("data_dim", 20)),
-        sigma=float(doc.get("data_sigma", 0.1)),
-        csv_path=doc.get("data_csv"),
-        clean_fraction=float(doc.get("data_clean_fraction", 0.05)),
-        test_fraction=float(doc.get("data_test_fraction", 0.2)),
-        noise_model=doc.get("noise_model", "none"),
-        noise_rate=float(doc.get("noise_rate", 0.0)),
-        pair_map=None if pair_map is None
-        else {int(k): int(v) for k, v in pair_map.items()},
-    )
-
-
-def _effective_config(cli: CliConfig) -> tuple[TrainConfig, DataRecipe, dict]:
-    doc = _load_config_file(cli.config_path)
-    config = TrainConfig.from_dict({k: v for k, v in doc.items() if k in _TRAIN_KEYS})
+    try:
+        config = TrainConfig.from_dict(doc)
+        recipe = from_document(DataRecipe, doc, _RECIPE_KEYS)
+        sweep_keys = from_document(SweepKeys, doc)
+    except GuidanceLearnError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
     if cli.seed is not None:
         config = replace(config, seed=cli.seed)
-    recipe = _recipe_from_config(doc)
-    sweep_doc = {k: doc[k] for k in _SWEEP_KEYS if k in doc}
-    return config, recipe, sweep_doc
+    return config, recipe, sweep_keys
 
 
 def _snapshot(config: TrainConfig, recipe: DataRecipe, sweep_doc: dict | None = None) -> dict:
-    doc = dict(config.to_dict())
-    r = recipe.to_dict()
-    doc.update({
-        "data_kind": r["kind"], "data_csv": r["csv_path"],
-        "data_classes": r["classes"], "data_per_class": r["per_class"],
-        "data_dim": r["dim"], "data_sigma": r["sigma"],
-        "data_clean_fraction": r["clean_fraction"],
-        "data_test_fraction": r["test_fraction"],
-        "noise_model": r["noise_model"], "noise_rate": r["noise_rate"],
-        "noise_pair_map": r["pair_map"],
-    })
-    if sweep_doc:
-        doc.update(sweep_doc)
-    return doc
+    return {**config.to_dict(), **to_document(recipe, _RECIPE_KEYS), **(sweep_doc or {})}
 
 
-def _parse_list(tokens, kind: type, source: str) -> tuple:
-    """Each token as `kind`; a bad token is a ConfigurationError naming `source`."""
+def _parse_list(text: str, kind: type, flag: str) -> tuple:
+    """Each comma-separated token as `kind`; a bad token is a ConfigurationError naming `flag`."""
     try:
-        return tuple(kind(t) for t in tokens)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{source}: not a list of {kind.__name__} values: {exc}") from None
+        return tuple(kind(t) for t in text.split(","))
+    except ValueError as exc:
+        raise ConfigurationError(f"{flag}: not a list of {kind.__name__} values: {exc}") from None
 
 
-def _sweep_grid(cli: CliConfig, config: TrainConfig, sweep_doc: dict) -> tuple[SweepGrid, dict]:
-    axis = cli.sweep_axis or sweep_doc.get("sweep_axis")
+def _sweep_grid(cli: CliConfig, config: TrainConfig, keys: SweepKeys) -> tuple[SweepGrid, dict]:
+    axis = cli.sweep_axis or keys.sweep_axis
     if axis is None:
         raise ConfigurationError("sweep needs an axis (--axis or sweep_axis in the config)")
-    if cli.sweep_values is not None:
-        values = _parse_list(cli.sweep_values.split(","), float, "--values")
-    elif "sweep_values" in sweep_doc:
-        values = _parse_list(sweep_doc["sweep_values"], float, "sweep_values")
-    else:
+    values = (keys.sweep_values if cli.sweep_values is None
+              else _parse_list(cli.sweep_values, float, "--values"))
+    if values is None:
         raise ConfigurationError("sweep needs values (--values or sweep_values in the config)")
-    if cli.sweep_seeds is not None:
-        seeds = _parse_list(cli.sweep_seeds.split(","), int, "--seeds")
-    elif "sweep_seeds" in sweep_doc:
-        seeds = _parse_list(sweep_doc["sweep_seeds"], int, "sweep_seeds")
-    else:
+    seeds = (keys.sweep_seeds if cli.sweep_seeds is None
+             else _parse_list(cli.sweep_seeds, int, "--seeds"))
+    if seeds is None:
         seeds = (config.seed,)
-    effective = {"sweep_axis": axis, "sweep_values": list(values), "sweep_seeds": list(seeds)}
-    return SweepGrid(axis=axis, values=values, base_config=config, seeds=seeds), effective
+    effective = SweepKeys(sweep_axis=axis, sweep_values=values, sweep_seeds=seeds)
+    return (SweepGrid(axis=axis, values=values, base_config=config, seeds=seeds),
+            to_document(effective))
 
 
 def _guard(path: Path, force: bool) -> None:
@@ -268,18 +215,29 @@ class _RunDir:
         self.marker.unlink(missing_ok=True)
 
 
-def _print_summary(report) -> None:
+def _start_run(cli: CliConfig):
+    """The effective config, the dataset, and a new run directory holding the
+    config.json snapshot (also returned, for the report)."""
+    config, recipe, _ = _effective_config(cli)
+    rundir = _RunDir(cli.out_dir, "report.json", cli.force)
+    snapshot = _snapshot(config, recipe)
+    write_canonical_json(rundir.path / "config.json", snapshot)
+    dataset, _ = recipe.build(config.seed)
+    return config, dataset, rundir, snapshot
+
+
+def _finish_run(rundir: _RunDir, snapshot: dict, report, models: dict) -> int:
+    """Write `models` as `<name>.ckpt` and the report, which embeds the full
+    flat snapshot so it alone suffices to replay the run."""
+    for name, params in models.items():
+        nn.save_checkpoint(params, rundir.path / f"{name}.ckpt")
+    write_canonical_json(rundir.path / "report.json",
+                         {**report.to_json_dict(), "config": snapshot})
+    rundir.finish()
     acc = report.final_test_accuracy
     shown = "n/a" if acc is None else f"{acc:.4f}"
     print(f"{report.stage}: final test accuracy {shown}")
-
-
-def _write_report(rundir: _RunDir, report, snapshot: dict) -> None:
-    # the report embeds the full flat snapshot (training + data keys) so it
-    # alone suffices to replay the run
-    doc = report.to_json_dict()
-    doc["config"] = snapshot
-    write_canonical_json(rundir.path / "report.json", doc)
+    return 0
 
 
 def _cmd_make_data(cli: CliConfig) -> int:
@@ -306,23 +264,13 @@ def _cmd_inject_noise(cli: CliConfig) -> int:
 
 
 def _cmd_train_teacher(cli: CliConfig) -> int:
-    config, recipe, _ = _effective_config(cli)
-    rundir = _RunDir(cli.out_dir, "report.json", cli.force)
-    write_canonical_json(rundir.path / "config.json", _snapshot(config, recipe))
-    dataset, _ = recipe.build(config.seed)
+    config, dataset, rundir, snapshot = _start_run(cli)
     teacher, report = train_teacher(dataset, config)
-    nn.save_checkpoint(teacher, rundir.path / "teacher.ckpt")
-    _write_report(rundir, report, _snapshot(config, recipe))
-    rundir.finish()
-    _print_summary(report)
-    return 0
+    return _finish_run(rundir, snapshot, report, {"teacher": teacher})
 
 
 def _cmd_train_student(cli: CliConfig) -> int:
-    config, recipe, _ = _effective_config(cli)
-    rundir = _RunDir(cli.out_dir, "report.json", cli.force)
-    write_canonical_json(rundir.path / "config.json", _snapshot(config, recipe))
-    dataset, _ = recipe.build(config.seed)
+    config, dataset, rundir, snapshot = _start_run(cli)
     if cli.teacher is not None:
         teacher = nn.load_checkpoint(cli.teacher)
         log.info("loaded teacher from %s", cli.teacher)
@@ -334,44 +282,25 @@ def _cmd_train_student(cli: CliConfig) -> int:
     cache = guidance.compute_teacher_soft_targets(teacher, dataset, config.temperature)
     guidance.save_cache(cache, rundir.path / "guidance_cache.bin")
     student, report = train_student(teacher, dataset, config, cache)
-    nn.save_checkpoint(student, rundir.path / "student.ckpt")
-    _write_report(rundir, report, _snapshot(config, recipe))
-    rundir.finish()
-    _print_summary(report)
-    return 0
+    return _finish_run(rundir, snapshot, report, {"student": student})
 
 
 def _cmd_finetune(cli: CliConfig) -> int:
-    config, recipe, _ = _effective_config(cli)
-    rundir = _RunDir(cli.out_dir, "report.json", cli.force)
-    write_canonical_json(rundir.path / "config.json", _snapshot(config, recipe))
-    dataset, _ = recipe.build(config.seed)
+    config, dataset, rundir, snapshot = _start_run(cli)
     model = nn.load_checkpoint(cli.checkpoint)
     finetuned, report = finetune_clean(model, dataset, config)
-    nn.save_checkpoint(finetuned, rundir.path / "finetuned.ckpt")
-    _write_report(rundir, report, _snapshot(config, recipe))
-    rundir.finish()
-    _print_summary(report)
-    return 0
+    return _finish_run(rundir, snapshot, report, {"finetuned": finetuned})
 
 
 def _cmd_baseline(cli: CliConfig) -> int:
-    config, recipe, _ = _effective_config(cli)
-    rundir = _RunDir(cli.out_dir, "report.json", cli.force)
-    write_canonical_json(rundir.path / "config.json", _snapshot(config, recipe))
-    dataset, _ = recipe.build(config.seed)
+    config, dataset, rundir, snapshot = _start_run(cli)
     models, report = _baseline_models(cli.variant, dataset, config)
-    for name, params in models.items():
-        nn.save_checkpoint(params, rundir.path / f"{name}.ckpt")
-    _write_report(rundir, report, _snapshot(config, recipe))
-    rundir.finish()
-    _print_summary(report)
-    return 0
+    return _finish_run(rundir, snapshot, report, models)
 
 
 def _cmd_sweep(cli: CliConfig) -> int:
-    config, recipe, sweep_doc = _effective_config(cli)
-    grid, effective = _sweep_grid(cli, config, sweep_doc)
+    config, recipe, sweep_keys = _effective_config(cli)
+    grid, effective = _sweep_grid(cli, config, sweep_keys)
     rundir = _RunDir(cli.out_dir, "results.json", cli.force)
     write_canonical_json(rundir.path / "config.json", _snapshot(config, recipe, effective))
     result = sweep(grid, recipe)

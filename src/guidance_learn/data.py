@@ -10,7 +10,6 @@ the split does not reshuffle which samples get corrupted.
 from __future__ import annotations
 
 import csv
-import json
 import struct
 from dataclasses import dataclass, replace
 
@@ -23,6 +22,7 @@ from .errors import (
     InputError,
     ParameterError,
 )
+from .serialize import read_json_object, write_canonical_json
 
 CLEAN_TRAIN = "clean_train"
 NOISY_TRAIN = "noisy_train"
@@ -410,14 +410,11 @@ def noise_manifest_dict(dataset: Dataset, spec: NoiseSpec, mask: FlipMask) -> di
 
 
 def save_noise_manifest(path, dataset: Dataset, spec: NoiseSpec, mask: FlipMask) -> None:
-    from .serialize import write_canonical_json
-
     write_canonical_json(path, noise_manifest_dict(dataset, spec, mask))
 
 
 def load_noise_manifest(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json_object(path, "noise manifest")
     if doc.get("format_version") != MANIFEST_FORMAT_VERSION:
         raise FormatError(
             f"{path}: unsupported manifest format version {doc.get('format_version')!r}"
@@ -460,37 +457,3 @@ class DataRecipe:
         spec = NoiseSpec(model=self.noise_model, rate=self.noise_rate, seed=seed,
                          pair_map=self.pair_map)
         return inject_noise(dataset, spec)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "classes": self.classes,
-            "per_class": self.per_class,
-            "dim": self.dim,
-            "sigma": self.sigma,
-            "csv_path": self.csv_path,
-            "clean_fraction": self.clean_fraction,
-            "test_fraction": self.test_fraction,
-            "noise_model": self.noise_model,
-            "noise_rate": self.noise_rate,
-            "pair_map": None if self.pair_map is None
-            else {str(k): v for k, v in self.pair_map.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "DataRecipe":
-        pair_map = doc.get("pair_map")
-        return cls(
-            kind=doc.get("kind", "blobs"),
-            classes=int(doc.get("classes", 10)),
-            per_class=int(doc.get("per_class", 500)),
-            dim=int(doc.get("dim", 20)),
-            sigma=float(doc.get("sigma", 0.1)),
-            csv_path=doc.get("csv_path"),
-            clean_fraction=float(doc.get("clean_fraction", 0.05)),
-            test_fraction=float(doc.get("test_fraction", 0.2)),
-            noise_model=doc.get("noise_model", "none"),
-            noise_rate=float(doc.get("noise_rate", 0.0)),
-            pair_map=None if pair_map is None
-            else {int(k): int(v) for k, v in pair_map.items()},
-        )

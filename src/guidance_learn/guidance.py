@@ -19,7 +19,7 @@ import numpy as np
 from . import nn
 from .data import Dataset, NOISY_TRAIN
 from .errors import ConsistencyError, FormatError, InputError, ParameterError, ShapeError
-from .serialize import canonical_json, read_json_object
+from .serialize import canonical_json, read_field, read_json_object
 
 CACHE_FORMAT_VERSION = 1
 
@@ -193,22 +193,25 @@ def load_cache(path, *, expected_fingerprint: str | None = None,
         raise FormatError(
             f"{path}: unsupported cache format version {doc.get('format_version')!r}"
         )
-    try:
-        targets = doc["targets"]
-        temperature = float(doc["temperature"])
-        teacher_fingerprint = str(doc["teacher_fingerprint"])
-    except KeyError as exc:
-        raise FormatError(f"{path}: missing cache field {exc}") from exc
+    temperature = read_field(doc, "temperature", float, path, "cache")
+    teacher_fingerprint = read_field(doc, "teacher_fingerprint", str, path, "cache")
+    targets = doc.get("targets")
+    if not isinstance(targets, dict):
+        raise FormatError(f"{path}: field 'targets' must be an object of sample "
+                          f"index -> row, got {type(targets).__name__}")
     try:
         indices = np.array([int(k) for k in targets], dtype=np.int64)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: field 'targets' has a key that is not a sample "
                           f"index: {exc}") from exc
     try:
         rows = np.asarray(list(targets.values()), dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: field 'targets' must hold equal-length rows of "
                           f"numbers: {exc}") from exc
+    if rows.ndim != 2:
+        raise FormatError(f"{path}: field 'targets' must hold equal-length rows of "
+                          f"numbers, got a {rows.ndim}-D array")
     order = np.argsort(indices, kind="stable")
     cache = GuidanceCache(
         indices=indices[order],

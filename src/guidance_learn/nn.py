@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, InputError, ParameterError, ShapeError
-from .serialize import canonical_json, read_json_object
+from .errors import FormatError, GuidanceLearnError, InputError, ParameterError, ShapeError
+from .serialize import canonical_json, read_field, read_json_object
 
 PROB_CLAMP = 1e-12
 CHECKPOINT_FORMAT_VERSION = 1
@@ -351,21 +351,31 @@ def save_checkpoint(params: ModelParams, path) -> None:
         fh.write(checkpoint_bytes(params))
 
 
+def _checkpoint_arrays(doc: dict, key: str, path) -> list[np.ndarray]:
+    if not isinstance(doc.get(key), list):
+        raise FormatError(f"{path}: checkpoint field {key!r} must be a list of arrays")
+    try:
+        return [np.asarray(a, dtype=np.float64) for a in doc[key]]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"{path}: checkpoint field {key!r} must hold rectangular "
+                          f"arrays of numbers: {exc}") from exc
+
+
 def load_checkpoint(path) -> ModelParams:
     doc = read_json_object(path, "checkpoint")
     version = doc.get("format_version")
     if version != CHECKPOINT_FORMAT_VERSION:
         raise FormatError(f"{path}: unsupported checkpoint format version {version!r}")
+    weights = _checkpoint_arrays(doc, "weights", path)
+    biases = _checkpoint_arrays(doc, "biases", path)
+    activation = read_field(doc, "activation", str, path, "checkpoint")
+    rng_seed = read_field(doc, "rng_seed", int, path, "checkpoint")
+    declared = list(read_field(doc, "layer_dims", tuple[int, ...], path, "checkpoint"))
     try:
-        weights = [np.asarray(W, dtype=np.float64) for W in doc["weights"]]
-        biases = [np.asarray(b, dtype=np.float64) for b in doc["biases"]]
-        params = ModelParams(
-            weights=weights, biases=biases,
-            activation=doc["activation"], rng_seed=int(doc["rng_seed"]),
-        )
-        declared = list(doc["layer_dims"])
-    except KeyError as exc:
-        raise FormatError(f"{path}: missing checkpoint field {exc}") from exc
+        params = ModelParams(weights=weights, biases=biases,
+                             activation=activation, rng_seed=rng_seed)
+    except GuidanceLearnError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     if params.weights[0].ndim != 2:
         raise FormatError(f"{path}: checkpoint field 'weights' must hold 2-D matrices")
     if params.layer_dims != declared:

@@ -18,6 +18,7 @@ import numpy as np
 from . import guidance, nn
 from .data import CLEAN_TRAIN, NOISY_TRAIN, TEST, Dataset, batch_indices, mixed_batch_iterator
 from .errors import ConfigurationError, ParameterError, ShapeError
+from .serialize import from_document, to_document
 
 BASELINE_VARIANTS = ("noisy_only", "clean_only", "mixed", "guidance", "guidance_finetuned")
 
@@ -102,49 +103,13 @@ class TrainConfig:
         return ((0, self.student_lr_schedule[0][1] / 10.0),)
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "temperature": self.temperature,
-            "momentum": self.momentum,
-            "weight_decay": self.weight_decay,
-            "batch_size": self.batch_size,
-            "hidden_dims": list(self.hidden_dims),
-            "seed": self.seed,
-            "teacher_epochs": self.teacher_epochs,
-            "student_epochs": self.student_epochs,
-            "finetune_epochs": self.finetune_epochs,
-            "teacher_lr_schedule": [list(e) for e in self.teacher_lr_schedule],
-            "student_lr_schedule": [list(e) for e in self.student_lr_schedule],
-            "finetune_lr_schedule": None if self.finetune_lr_schedule is None
-            else [list(e) for e in self.finetune_lr_schedule],
-        }
+        return to_document(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
-        def sched(key, default):
-            raw = doc.get(key, default)
-            if raw is None:
-                return None
-            return tuple((int(e), float(lr)) for e, lr in raw)
-
-        defaults = cls()
-        return cls(
-            alpha=float(doc.get("alpha", defaults.alpha)),
-            beta=float(doc.get("beta", defaults.beta)),
-            temperature=float(doc.get("temperature", defaults.temperature)),
-            momentum=float(doc.get("momentum", defaults.momentum)),
-            weight_decay=float(doc.get("weight_decay", defaults.weight_decay)),
-            batch_size=int(doc.get("batch_size", defaults.batch_size)),
-            hidden_dims=tuple(int(h) for h in doc.get("hidden_dims", defaults.hidden_dims)),
-            seed=int(doc.get("seed", defaults.seed)),
-            teacher_epochs=int(doc.get("teacher_epochs", defaults.teacher_epochs)),
-            student_epochs=int(doc.get("student_epochs", defaults.student_epochs)),
-            finetune_epochs=int(doc.get("finetune_epochs", defaults.finetune_epochs)),
-            teacher_lr_schedule=sched("teacher_lr_schedule", defaults.teacher_lr_schedule),
-            student_lr_schedule=sched("student_lr_schedule", defaults.student_lr_schedule),
-            finetune_lr_schedule=sched("finetune_lr_schedule", None),
-        )
+        """The config from the field keys present in `doc` (others are
+        ignored); a value of the wrong JSON type is a ConfigurationError."""
+        return from_document(cls, doc)
 
 
 @dataclass
@@ -174,24 +139,9 @@ class RunReport:
     wall_time_sec: float = 0.0
 
     def to_json_dict(self) -> dict:
-        return {
-            "stage": self.stage,
-            "variant": self.variant,
-            "config": self.config,
-            "epochs": [
-                {
-                    "epoch": r.epoch,
-                    "lr": r.lr,
-                    "loss_total": r.loss_total,
-                    "loss_guidance": r.loss_guidance,
-                    "loss_clean": r.loss_clean,
-                    "test_accuracy": r.test_accuracy,
-                }
-                for r in self.epochs
-            ],
-            "final_test_accuracy": self.final_test_accuracy,
-            "checkpoint_fingerprints": self.checkpoint_fingerprints,
-        }
+        doc = to_document(self)
+        del doc["wall_time_sec"]
+        return doc
 
 
 def _test_accuracy(params: nn.ModelParams, dataset: Dataset) -> float | list[float] | None:

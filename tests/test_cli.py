@@ -205,6 +205,26 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "alhpa" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("alpha", "abc"),
+    ("hidden_dims", 5),
+    ("data_classes", "ten"),
+    ("noise_pair_map", [1, 2]),
+    ("teacher_lr_schedule", [[0]]),
+    ("batch_size", 64.7),
+    ("seed", True),
+])
+def test_config_value_of_wrong_type_names_file_and_key(tmp_path, capsys, key, value):
+    path = tmp_path / "c.json"
+    write_canonical_json(path, small_config_doc(**{key: value}))
+    out = tmp_path / "x"
+    assert cli.main(["train-teacher", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {key}"), err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_seed_flag_overrides_config(tmp_path, config_file):
     out1, out2 = tmp_path / "s1", tmp_path / "s2"
     assert cli.main(["train-teacher", "--config", str(config_file), "--out", str(out1),
@@ -258,7 +278,10 @@ def test_sweep_writes_result_files(tmp_path, config_file, capsys):
     (["--values", "0.1", "--seeds", "1,x"], {}, ("--seeds", "'x'")),
     ([], {"sweep_values": [0.1, "abc"]}, ("sweep_values", "'abc'")),
     (["--values", "0.1"], {"sweep_seeds": [1, "x"]}, ("sweep_seeds", "'x'")),
-], ids=["values-flag", "seeds-flag", "values-key", "seeds-key"])
+    (["--values", "0.1"], {"sweep_seeds": [1.5, 2.9]}, ("sweep_seeds", "1.5")),
+    (["--values", "0.1"], {"sweep_seeds": "12"}, ("sweep_seeds", "'12'")),
+], ids=["values-flag", "seeds-flag", "values-key", "seeds-key", "seeds-key-float",
+        "seeds-key-string"])
 def test_sweep_bad_value_or_seed_names_its_source(tmp_path, capsys, flags, doc, named):
     path = tmp_path / "c.json"
     write_canonical_json(path, small_config_doc(**doc))

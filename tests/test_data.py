@@ -10,6 +10,7 @@ from guidance_learn.errors import (
     FormatError,
     ParameterError,
 )
+from guidance_learn.serialize import from_document, to_document
 
 
 def test_csv_direct_parse(tmp_path):
@@ -286,7 +287,7 @@ def test_manifest_roundtrip(tmp_path):
 def test_recipe_roundtrip_and_determinism():
     recipe = data.DataRecipe(classes=3, per_class=20, dim=4, sigma=0.2,
                              noise_model="symmetric", noise_rate=0.3)
-    again = data.DataRecipe.from_dict(recipe.to_dict())
+    again = from_document(data.DataRecipe, to_document(recipe))
     assert again == recipe
     a, mask_a = recipe.build(5)
     b, mask_b = recipe.build(5)

@@ -328,18 +328,27 @@ def _without(doc, key):
     (nn.load_checkpoint, _without(_CHECKPOINT_OK, "layer_dims"), "layer_dims"),
     (nn.load_checkpoint, {**_CHECKPOINT_OK, "weights": [[[[1.0]]]], "biases": [[[0.0]]]},
      "weights"),
+    (nn.load_checkpoint, {**_CHECKPOINT_OK, "layer_dims": [2, 2],
+                          "weights": [[[1.0, 0.0], [1.0]]], "biases": [[0.0, 0.0]]},
+     "weights"),
     (guidance.load_cache, _without(_CACHE_OK, "targets"), "targets"),
     (guidance.load_cache, [_CACHE_OK], "JSON object"),
     (guidance.load_cache, {**_CACHE_OK, "targets": {"zero": [0.5, 0.5]}}, "targets"),
     (guidance.load_cache, {**_CACHE_OK, "targets": {"0": [0.5, 0.5], "1": [1.0]}},
      "targets"),
+    (guidance.load_cache, {**_CACHE_OK, "targets": [[0.5, 0.5]]}, "targets"),
+    (guidance.load_cache, {**_CACHE_OK, "temperature": "hot"}, "temperature"),
+    (data.load_noise_manifest, '{"format_version": 1,', "not valid JSON"),
+    (data.load_noise_manifest, [{"format_version": 1}], "JSON object"),
 ], ids=["checkpoint-list", "checkpoint-no-layer-dims", "checkpoint-stacked-weights",
-        "cache-no-targets", "cache-list", "cache-non-integer-key", "cache-ragged-rows"])
+        "checkpoint-ragged-rows", "cache-no-targets", "cache-list", "cache-non-integer-key",
+        "cache-ragged-rows", "cache-targets-list", "cache-temperature-string",
+        "manifest-invalid-json", "manifest-list"])
 def test_loaders_raise_format_error_naming_path_and_field(tmp_path, loader, doc, field):
     import json
 
     path = tmp_path / "artifact.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
     with pytest.raises(FormatError) as exc:
         loader(path)
     assert str(path) in str(exc.value)
