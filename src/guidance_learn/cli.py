@@ -26,7 +26,8 @@ from .pipeline import (
     train_student,
     train_teacher,
 )
-from .serialize import from_document, read_json_object, to_document, write_canonical_json
+from .serialize import (_write_atomic, from_document, read_json_object, to_document,
+                        write_canonical_json)
 
 log = logging.getLogger("guidance_learn")
 
@@ -304,9 +305,9 @@ def _cmd_sweep(cli: CliConfig) -> int:
     rundir = _RunDir(cli.out_dir, "results.json", cli.force)
     write_canonical_json(rundir.path / "config.json", _snapshot(config, recipe, effective))
     result = sweep(grid, recipe)
-    (rundir.path / "results.csv").write_text(result.to_csv_text(), encoding="utf-8")
+    _write_atomic(rundir.path / "results.csv", result.to_csv_text().encode("utf-8"))
     write_canonical_json(rundir.path / "results.json", result.to_json_dict())
-    (rundir.path / "plotdata.txt").write_text(result.to_plotdata_text(), encoding="utf-8")
+    _write_atomic(rundir.path / "plotdata.txt", result.to_plotdata_text().encode("utf-8"))
     rundir.finish()
     best = max(result.aggregates(), key=lambda e: e["acc_student"]["mean"])
     print(f"sweep over {grid.axis}: best mean student accuracy "

@@ -10,6 +10,8 @@ the split does not reshuffle which samples get corrupted.
 from __future__ import annotations
 
 import csv
+import io
+import os
 import struct
 from dataclasses import dataclass, replace
 
@@ -22,7 +24,7 @@ from .errors import (
     InputError,
     ParameterError,
 )
-from .serialize import read_json_object, write_canonical_json
+from .serialize import _write_atomic, read_json_object, write_canonical_json
 
 CLEAN_TRAIN = "clean_train"
 NOISY_TRAIN = "noisy_train"
@@ -61,6 +63,9 @@ class Dataset:
         n = self.features.shape[0]
         if self.features.ndim != 2:
             raise DataError(f"features must be 2-D, got shape {self.features.shape}")
+        if not np.isfinite(self.features).all():
+            row = np.argmin(np.isfinite(self.features).all(axis=1))
+            raise DataError(f"non-finite feature at row {row}")
         if self.labels.shape != (n,) or self.tags.shape != (n,):
             raise DataError("labels/tags length must match feature rows")
         if self.num_classes < 2:
@@ -274,20 +279,21 @@ def save_csv(dataset: Dataset, path) -> None:
     header = [f"f{j}" for j in range(dim)] + ["label"]
     if dataset.true_labels is not None:
         header.append("true_label")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(len(dataset)):
-            row = [repr(float(v)) for v in dataset.features[i]]
-            row.append(str(int(dataset.labels[i])))
-            if dataset.true_labels is not None:
-                row.append(str(int(dataset.true_labels[i])))
-            writer.writerow(row)
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    for i in range(len(dataset)):
+        row = [repr(float(v)) for v in dataset.features[i]]
+        row.append(str(int(dataset.labels[i])))
+        if dataset.true_labels is not None:
+            row.append(str(int(dataset.true_labels[i])))
+        writer.writerow(row)
+    _write_atomic(path, text.getvalue().encode("utf-8"))
 
 
 def load_csv(path, num_classes: int | None = None) -> Dataset:
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_records(fh, path)
         try:
             header = next(reader)
         except StopIteration:
@@ -312,7 +318,7 @@ def load_csv(path, num_classes: int | None = None) -> Dataset:
                 raise DataError(f"{path}: row {rownum}: {exc}") from exc
     if not labels:
         raise FormatError(f"{path}: no data rows")
-    labels_arr = np.asarray(labels, dtype=np.int64)
+    labels_arr = _int64_column(labels, "label", path)
     C = num_classes if num_classes is not None else int(labels_arr.max()) + 1
     bad = np.where((labels_arr < 0) | (labels_arr >= C))[0]
     if bad.size:
@@ -320,24 +326,51 @@ def load_csv(path, num_classes: int | None = None) -> Dataset:
             f"{path}: row {int(bad[0]) + 2}: label {int(labels_arr[bad[0]])} out of "
             f"range [0, {C})"
         )
+    features = np.asarray(feats, dtype=np.float64)
+    finite = np.isfinite(features)
+    if not finite.all():
+        row, col = map(int, np.argwhere(~finite)[0])
+        raise DataError(f"{path}: row {row + 2}: feature {header[feat_cols[col]]!r} "
+                        f"is {float(features[row, col])!r}, not a finite number")
     return Dataset(
-        features=np.asarray(feats, dtype=np.float64),
+        features=features,
         labels=labels_arr,
         tags=np.full(labels_arr.size, NOISY_TRAIN),
         num_classes=C,
-        true_labels=np.asarray(trues, dtype=np.int64) if trues else None,
+        true_labels=_int64_column(trues, "true_label", path) if trues else None,
         provenance=f"csv({path})",
     )
 
 
+def _int64_column(values: list[int], name: str, path) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        row = next(i for i, v in enumerate(values) if not -2**63 <= v < 2**63)
+        raise DataError(f"{path}: row {row + 2}: {name} {values[row]} out of range") from None
+
+
+def _csv_records(fh, path):
+    """The CSV records of text file `fh`; text that is not UTF-8 or not CSV
+    is a FormatError naming `path`."""
+    try:
+        yield from csv.reader(fh)
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
+    except csv.Error as exc:
+        raise FormatError(f"{path}: not a CSV file: {exc}") from exc
+
+
 def _read_exact(fh, count: int, path, offset: int) -> bytes:
-    buf = fh.read(count)
-    if len(buf) != count:
+    """`count` bytes from `offset`, checked against the file size first so a
+    corrupt header cannot ask for a huge read."""
+    available = max(os.fstat(fh.fileno()).st_size - offset, 0)
+    if available < count:
         raise FormatError(
-            f"{path}: truncated at byte offset {offset + len(buf)}, "
+            f"{path}: truncated at byte offset {offset + available}, "
             f"expected {count} more bytes"
         )
-    return buf
+    return fh.read(count)
 
 
 def load_idx(images_path, labels_path, num_classes: int | None = None) -> Dataset:
@@ -364,6 +397,8 @@ def load_idx(images_path, labels_path, num_classes: int | None = None) -> Datase
         raise FormatError(
             f"{labels_path}: {n_labels} labels for {n} images in {images_path}"
         )
+    if n == 0:
+        raise FormatError(f"{images_path}: no images")
     labels = raw_labels.astype(np.int64)
     C = num_classes if num_classes is not None else int(labels.max()) + 1
     return Dataset(

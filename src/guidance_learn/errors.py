@@ -31,3 +31,12 @@ class ConfigurationError(GuidanceLearnError):
 
 class ConsistencyError(GuidanceLearnError):
     """Two artifacts that must agree (cache vs. config, ...) do not."""
+
+
+class DivergenceError(GuidanceLearnError):
+    """Training produced non-finite logits or parameters."""
+
+    def __init__(self, stage: str, epoch: int, step: int, lr: float, reason: object):
+        super().__init__(f"{stage} diverged at epoch {epoch}, step {step} "
+                         f"(learning rate {lr!r}): {reason}")
+        self.stage, self.epoch, self.step, self.lr = stage, epoch, step, lr

@@ -19,7 +19,7 @@ import numpy as np
 from . import nn
 from .data import Dataset, NOISY_TRAIN
 from .errors import ConsistencyError, FormatError, InputError, ParameterError, ShapeError
-from .serialize import canonical_json, read_field, read_json_object
+from .serialize import _write_atomic, canonical_json, read_field, read_json_object
 
 CACHE_FORMAT_VERSION = 1
 
@@ -181,8 +181,7 @@ def cache_dict(cache: GuidanceCache) -> dict:
 
 
 def save_cache(cache: GuidanceCache, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(canonical_json(cache_dict(cache)).encode("utf-8"))
+    _write_atomic(path, canonical_json(cache_dict(cache)).encode("utf-8"))
 
 
 def load_cache(path, *, expected_fingerprint: str | None = None,

@@ -21,12 +21,12 @@ same order.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import FormatError, GuidanceLearnError, InputError, ParameterError, ShapeError
-from .serialize import canonical_json, read_field, read_json_object
+from .serialize import _write_atomic, canonical_json, read_field, read_json_object
 
 PROB_CLAMP = 1e-12
 CHECKPOINT_FORMAT_VERSION = 1
@@ -44,12 +44,19 @@ class ModelParams:
     weights[k] has shape [out_k, in_k] (a stack: [K, out_k, in_k], biases
     [K, out_k]); consecutive layers chain and the final out dim is the
     class count.
+
+    The canonical checkpoint encoding that `fingerprint` and
+    `save_checkpoint` share is kept on the instance, keyed by a digest of
+    the parameter state, so a model changed in place is encoded anew.
     """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     activation: str = "relu"
     rng_seed: int = 0
+    # (state digest, sha256 hex, checkpoint bytes or None once saved)
+    _encoding: tuple[bytes, str, bytes | None] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.activation != "relu":
@@ -164,8 +171,7 @@ def _as_batch(x: np.ndarray) -> np.ndarray:
     return x[None, :] if x.ndim == 1 else x
 
 
-def _forward_cached(params: ModelParams, batch: np.ndarray):
-    """Forward pass keeping pre-activations and activations for backprop."""
+def _checked_batch(params: ModelParams, batch: np.ndarray) -> np.ndarray:
     X = _as_batch(batch)
     if X.ndim != 2:
         raise ShapeError(f"batch must be 1-D or 2-D, got ndim={X.ndim}")
@@ -174,6 +180,12 @@ def _forward_cached(params: ModelParams, batch: np.ndarray):
             f"layer 0 expects input dim {params.weights[0].shape[-1]}, "
             f"batch has {X.shape[1]} columns"
         )
+    return X
+
+
+def _forward_cached(params: ModelParams, batch: np.ndarray):
+    """Forward pass keeping pre-activations and activations for backprop."""
+    X = _checked_batch(params, batch)
     pre, acts = [], [X]
     a = X
     last = len(params.weights) - 1
@@ -190,9 +202,16 @@ def forward(params: ModelParams, batch: np.ndarray) -> np.ndarray:
     """Logits [B, C] for a batch [B, d] (a single 1-D sample gives [C]); a
     stack gives [K, B, C] ([K, C])."""
     squeeze = np.asarray(batch).ndim == 1
-    _, acts = _forward_cached(params, batch)
-    out = acts[-1]
-    return out[..., 0, :] if squeeze else out
+    # Unlike the training pass, keep only the current layer (ReLU in place):
+    # a forward over a whole split then holds two layers' outputs, not all.
+    a = _checked_batch(params, batch)
+    last = len(params.weights) - 1
+    for k, (W, b) in enumerate(zip(params.weights, params.biases)):
+        a = a @ W.swapaxes(-1, -2)
+        a += b[..., None, :]
+        if k < last:
+            np.maximum(a, 0.0, out=a)
+    return a[..., 0, :] if squeeze else a
 
 
 def softmax_t(logits: np.ndarray, temperature=1.0) -> np.ndarray:
@@ -337,18 +356,40 @@ def checkpoint_dict(params: ModelParams) -> dict:
     }
 
 
-def checkpoint_bytes(params: ModelParams) -> bytes:
-    return canonical_json(checkpoint_dict(params)).encode("utf-8")
+def _state_digest(params: ModelParams) -> bytes:
+    """Digest of everything `checkpoint_dict` encodes: activation, seed and
+    each array's dtype, shape and raw bytes."""
+    digest = hashlib.sha256(repr((params.activation, params.rng_seed,
+                                  len(params.weights))).encode())
+    for array in (*params.weights, *params.biases):
+        digest.update(f"{array.dtype.str}{array.shape}".encode())
+        digest.update(np.ascontiguousarray(array))
+    return digest.digest()
+
+
+def _encoded(params: ModelParams, need_bytes: bool) -> tuple[bytes, str, bytes | None]:
+    """(state digest, sha256 hex, bytes) of `params`' canonical checkpoint,
+    encoded only when the state changed since the last encoding or the bytes
+    are needed but were dropped by a save."""
+    state = _state_digest(params)
+    cached = params._encoding
+    if cached is None or cached[0] != state or (need_bytes and cached[2] is None):
+        data = canonical_json(checkpoint_dict(params)).encode("utf-8")
+        cached = params._encoding = (state, hashlib.sha256(data).hexdigest(), data)
+    return cached
 
 
 def fingerprint(params: ModelParams) -> str:
     """sha256 of the canonical checkpoint serialization."""
-    return hashlib.sha256(checkpoint_bytes(params)).hexdigest()
+    return _encoded(params, need_bytes=False)[1]
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(checkpoint_bytes(params))
+    """Write the canonical checkpoint atomically; afterwards only its sha256
+    stays on `params`, not the bytes."""
+    state, sha, data = _encoded(params, need_bytes=True)
+    _write_atomic(path, data)
+    params._encoding = (state, sha, None)
 
 
 def _checkpoint_arrays(doc: dict, key: str, path) -> list[np.ndarray]:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import guidance, nn
 from .data import CLEAN_TRAIN, NOISY_TRAIN, TEST, Dataset, batch_indices, mixed_batch_iterator
-from .errors import ConfigurationError, ParameterError, ShapeError
+from .errors import ConfigurationError, DivergenceError, InputError, ParameterError, ShapeError
 from .serialize import from_document, to_document
 
 BASELINE_VARIANTS = ("noisy_only", "clean_only", "mixed", "guidance", "guidance_finetuned")
@@ -178,24 +178,29 @@ def _train(
     `batches(epoch)` yields the epoch's batches; `step(params, batch)` returns
     ((L_total, L_g, L_c), gradients) of one batch from a single pass. Each
     epoch records its mean losses and test accuracy; the last epoch's
-    accuracy is the final one. The report carries no fingerprints.
+    accuracy is the final one. The report carries no fingerprints. Non-finite
+    logits or parameters (the inputs are finite, so training diverged) are a
+    DivergenceError naming the stage, epoch, step (from 0) and learning rate.
     """
     t0 = time.perf_counter()
     state = nn.OptState.zeros(params)
     report = RunReport(stage=stage, config=config.to_dict())
-    for epoch in range(epochs):
-        lr = lr_at(schedule, epoch)
-        losses = []
-        for batch in batches(epoch):
-            loss, grads = step(params, batch)
-            params, state = nn.sgd_step(params, grads, state, lr,
-                                        config.momentum, config.weight_decay)
-            losses.append(loss)
-        total, guide, clean = (_epoch_mean(column) for column in zip(*losses))
-        report.epochs.append(EpochRecord(
-            epoch=epoch, lr=lr, loss_total=total, loss_guidance=guide,
-            loss_clean=clean, test_accuracy=_test_accuracy(params, dataset),
-        ))
+    try:
+        for epoch in range(epochs):
+            lr = lr_at(schedule, epoch)
+            losses = []
+            for batch in batches(epoch):
+                loss, grads = step(params, batch)
+                params, state = nn.sgd_step(params, grads, state, lr,
+                                            config.momentum, config.weight_decay)
+                losses.append(loss)
+            total, guide, clean = (_epoch_mean(column) for column in zip(*losses))
+            report.epochs.append(EpochRecord(
+                epoch=epoch, lr=lr, loss_total=total, loss_guidance=guide,
+                loss_clean=clean, test_accuracy=_test_accuracy(params, dataset),
+            ))
+    except InputError as exc:
+        raise DivergenceError(stage, epoch, len(losses), lr, exc) from exc
     report.final_test_accuracy = (report.epochs[-1].test_accuracy if report.epochs
                                   else _test_accuracy(params, dataset))
     report.wall_time_sec = time.perf_counter() - t0

@@ -2,15 +2,19 @@
 
 Every artifact this package writes (checkpoints, reports, caches,
 manifests) goes through `canonical_json` so that rerunning a job with
-the same seed produces byte-identical files. Config dataclasses map to
+the same seed produces byte-identical files, and every file it writes goes
+through `_write_atomic`, so a crash mid-write leaves the old file or none,
+never a truncated one. Config dataclasses map to
 and from flat JSON documents through `to_document`/`from_document`,
 which derive the keys from the dataclass fields and check each value
 against the field's type hint.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import os
 import reprlib
 import types
 import typing
@@ -22,13 +26,112 @@ from .errors import ConfigurationError, FormatError
 
 
 def canonical_json(obj: Any) -> str:
-    """Serialize `obj` deterministically: sorted keys, fixed separators."""
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """Serialize `obj` deterministically: exactly
+    `json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\\n"`.
+
+    Documents of string keys and str/int/float/bool/None/list/tuple/dict
+    values take a fast path that writes a list of floats with one join (the
+    stdlib drops to its pure-Python encoder once `indent` is set); any other
+    key or value type, and NaN or an infinity (a ValueError), is left to
+    `json.dumps`.
+    """
+    chunks: list[str] = []
+    try:
+        _encode(obj, "\n", chunks)
+    except (_Unsupported, RecursionError):
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+class _Unsupported(Exception):
+    """A value outside `canonical_json`'s fast path."""
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _encode(value: Any, newline: str, out: list[str]) -> None:
+    """Append the chunks of `value` nested at `newline` (a newline plus the
+    current indent) to `out`, as the stdlib's indented encoder writes it."""
+    kind = type(value)
+    if kind is str:
+        out.append(_encode_str(value))
+    elif kind is float:
+        text = float.__repr__(value)
+        if "n" in text:  # nan, inf or -inf; a finite float's repr has no "n"
+            raise _Unsupported
+        out.append(text)
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        try:
+            floats = ("," + inner).join(map(float.__repr__, value))
+        except TypeError:  # not all floats (bool and int are not)
+            out.append("[" + inner)
+            for i, item in enumerate(value):
+                if i:
+                    out.append("," + inner)
+                _encode(item, inner, out)
+        else:
+            if "n" in floats:
+                raise _Unsupported
+            out.append("[" + inner + floats)
+        out.append(newline + "]")
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        if not all(type(key) is str for key in value):
+            raise _Unsupported
+        inner = newline + "  "
+        out.append("{" + inner)
+        for i, key in enumerate(sorted(value)):
+            if i:
+                out.append("," + inner)
+            out.append(_encode_str(key) + ": ")
+            _encode(value[key], inner, out)
+        out.append(newline + "}")
+    else:
+        raise _Unsupported
 
 
 def write_canonical_json(path, obj: Any) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(canonical_json(obj))
+    _write_atomic(path, canonical_json(obj).encode("utf-8"))
+
+
+_tmp_names = itertools.count()
+
+
+def _write_atomic(path, data: bytes) -> None:
+    """Write `data` to `path` through a new file in the same directory that
+    then replaces `path`, so `path` holds its old contents or the new ones,
+    never a part; the temporary file is removed if anything fails."""
+    path = os.fspath(path)
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.{next(_tmp_names)}.tmp")
+    try:
+        fh = open(tmp, "xb")
+    except OSError as exc:
+        exc.filename = path  # name the target, not the temporary file
+        raise
+    try:
+        with fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def read_json_object(path, what: str) -> dict:

@@ -1,9 +1,12 @@
+import errno
+import hashlib
+import io
 import json
 
 import numpy as np
 import pytest
 
-from guidance_learn import cli, data, evaluation, nn
+from guidance_learn import cli, data, evaluation, nn, serialize
 from guidance_learn.serialize import write_canonical_json
 
 
@@ -291,3 +294,81 @@ def test_sweep_bad_value_or_seed_names_its_source(tmp_path, capsys, flags, doc, 
     err = capsys.readouterr().err
     assert all(name in err for name in named), err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("with_teacher", [True, False], ids=["from-teacher", "desk"])
+def test_train_student_encodes_each_checkpoint_once(tmp_path, config_file, monkeypatch,
+                                                    with_teacher):
+    teacher_flag = []
+    if with_teacher:
+        assert cli.main(["train-teacher", "--config", str(config_file),
+                         "--out", str(tmp_path / "teacher")]) == 0
+        teacher_flag = ["--teacher", str(tmp_path / "teacher" / "teacher.ckpt")]
+    encoded = []
+    checkpoint_dict = nn.checkpoint_dict
+    monkeypatch.setattr(nn, "checkpoint_dict",
+                        lambda params: encoded.append(params) or checkpoint_dict(params))
+    out = tmp_path / "student"
+    assert cli.main(["train-student", "--config", str(config_file), "--out", str(out),
+                     *teacher_flag]) == 0
+    assert len(encoded) == 2  # the teacher once, the student once
+    report = json.loads((out / "report.json").read_text())
+    for role in ("teacher", "student"):
+        digest = hashlib.sha256((out / f"{role}.ckpt").read_bytes()).hexdigest()
+        assert report["checkpoint_fingerprints"][role] == digest
+
+
+class _FullDisk(io.FileIO):
+    """A file whose write stores half the data, then fails."""
+
+    def write(self, data):
+        super().write(bytes(data)[:len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_failed_forced_write_keeps_the_old_artifact(tmp_path, config_file, monkeypatch,
+                                                   capsys):
+    out = tmp_path / "run"
+    assert cli.main(["train-teacher", "--config", str(config_file), "--out", str(out)]) == 0
+    old = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def open_failing_for_checkpoints(path, mode, **kwargs):
+        return _FullDisk(path, "x") if ".ckpt." in str(path) else open(path, mode, **kwargs)
+
+    monkeypatch.setattr(serialize, "open", open_failing_for_checkpoints, raising=False)
+    assert cli.main(["train-teacher", "--config", str(config_file), "--out", str(out),
+                     "--seed", "3", "--force"]) == 1
+    assert "No space left on device" in capsys.readouterr().err
+    assert (out / "teacher.ckpt").read_bytes() == old["teacher.ckpt"]
+    assert (out / "report.json").read_bytes() == old["report.json"]
+    assert (out / "config.json").read_bytes() != old["config.json"]  # written whole
+    assert sorted(p.name for p in out.iterdir()) == [
+        ".incomplete", "config.json", "report.json", "teacher.ckpt"]
+
+
+def test_divergent_run_exits_1_naming_stage_epoch_and_step(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    write_canonical_json(path, small_config_doc(teacher_lr_schedule=[[0, 1e100]]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main(["train-teacher", "--config", str(path), "--out", str(tmp_path / "r")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: teacher diverged at epoch 0, step "), err
+    assert "learning rate 1e+100" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"\xff\xfef0,label\n1.0,0\n", "not UTF-8"),
+    (b"f0,f1,label\n1.0,2.0,0\n0.5,nan,1\n", "row 3: feature 'f1' is nan"),
+    (b"f0,label\n1e999,0\n0.5,1\n", "row 2: feature 'f0' is inf"),
+], ids=["not-utf8", "nan", "overflow"])
+def test_inject_noise_bad_csv_names_the_file(tmp_path, capsys, content, message):
+    source = tmp_path / "in.csv"
+    source.write_bytes(content)
+    out = tmp_path / "noisy"
+    assert cli.main(["inject-noise", "--data", str(source), "--out", str(out),
+                     "--noise-model", "symmetric", "--noise-rate", "0.4"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {source}: ") and message in err, err
+    assert "Traceback" not in err
+    assert not (out / "dataset.csv").exists()

@@ -93,6 +93,43 @@ def test_idx_count_mismatch(tmp_path):
         data.load_idx(images_path, labels_path)
 
 
+def test_idx_header_declaring_more_than_the_file_holds_is_truncation(tmp_path):
+    images_path, labels_path, _, _ = _write_idx_pair(tmp_path, n=2, rows=4, cols=4)
+    raw = images_path.read_bytes()
+    # 2**32 - 1 images of 2**32 - 1 rows: the size is checked before any read
+    images_path.write_bytes(raw[:4] + b"\xff" * 12 + raw[16:])
+    with pytest.raises(FormatError, match="truncated at byte offset 48"):
+        data.load_idx(images_path, labels_path)
+
+
+def test_idx_without_images_is_format_error(tmp_path):
+    images_path, labels_path, _, _ = _write_idx_pair(tmp_path, n=0)
+    with pytest.raises(FormatError, match="no images"):
+        data.load_idx(images_path, labels_path)
+
+
+@pytest.mark.parametrize("content, error, message", [
+    (b"f0,label\n\xff1.0,0\n", FormatError, "not UTF-8"),
+    (b"f0,label\n1.0,0\n-inf,1\n", DataError, "row 3: feature 'f0' is -inf"),
+    (b"label,f0,true_label\n0,1.0,0\n1,nan,1\n", DataError, "row 3: feature 'f0' is nan"),
+    (b"f0,label\n1.0,0\n2.0,99999999999999999999\n", DataError, "row 3: label"),
+], ids=["not-utf8", "inf", "nan", "label-overflow"])
+def test_csv_bad_bytes_name_path_and_row(tmp_path, content, error, message):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(content)
+    with pytest.raises(error, match=message) as exc:
+        data.load_csv(path)
+    assert str(exc.value).startswith(f"{path}: ")
+
+
+def test_dataset_rejects_non_finite_features():
+    features = np.zeros((3, 2))
+    features[2, 1] = np.nan
+    with pytest.raises(DataError, match="non-finite feature at row 2"):
+        data.Dataset(features=features, labels=np.array([0, 1, 0]),
+                     tags=np.full(3, data.NOISY_TRAIN), num_classes=2)
+
+
 def test_unknown_format_rejected(tmp_path):
     with pytest.raises(ParameterError, match="format"):
         data.load_dataset(tmp_path / "x", "parquet")

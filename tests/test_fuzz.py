@@ -1,6 +1,8 @@
-"""Arbitrary JSON documents fed to every document loader fail, if at all,
-only with a package error (GuidanceLearnError subclass)."""
+"""Arbitrary JSON documents fed to every document loader, and arbitrary
+bytes fed to the CSV and IDX dataset loaders, fail, if at all, only with a
+package error (GuidanceLearnError subclass)."""
 import json
+import struct
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -58,5 +60,45 @@ def test_loaders_fail_only_with_package_errors(tmp_path, load, valid, example):
     path.write_text(json.dumps(example.draw(_documents(valid))), encoding="utf-8")
     try:
         load(path)
+    except GuidanceLearnError:
+        pass
+
+
+_CSV = b"f0,f1,label,true_label\n0.5,-1.25,0,0\n1e-3,2.0,1,0\n3.0,0.0,2,2\n"
+_IDX_IMAGES = struct.pack(">IIII", data.IDX_IMAGE_MAGIC, 3, 2, 2) + bytes(range(0, 240, 20))
+_IDX_LABELS = struct.pack(">II", data.IDX_LABEL_MAGIC, 3) + bytes([0, 2, 1])
+
+
+def _bytes_like(valid: bytes):
+    """Any bytes, or `valid` with a slice replaced by any bytes (which also
+    truncates, extends or leaves it whole)."""
+    cut = st.integers(min_value=0, max_value=len(valid))
+    return st.one_of(
+        st.binary(max_size=64),
+        st.builds(lambda i, j, new: valid[:min(i, j)] + new + valid[max(i, j):],
+                  cut, cut, st.binary(max_size=8)),
+    )
+
+
+def _load_csv(tmp_path, example):
+    path = tmp_path / "dataset.csv"
+    path.write_bytes(example.draw(_bytes_like(_CSV)))
+    data.load_csv(path)
+
+
+def _load_idx(tmp_path, example):
+    images, labels = tmp_path / "images-idx3", tmp_path / "labels-idx1"
+    images.write_bytes(example.draw(_bytes_like(_IDX_IMAGES)))
+    labels.write_bytes(example.draw(_bytes_like(_IDX_LABELS)))
+    data.load_idx(images, labels)
+
+
+@pytest.mark.parametrize("load", [_load_csv, _load_idx], ids=["csv", "idx"])
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(example=st.data())
+def test_byte_loaders_fail_only_with_package_errors(tmp_path, load, example):
+    try:
+        load(tmp_path, example)
     except GuidanceLearnError:
         pass

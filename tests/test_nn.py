@@ -48,6 +48,19 @@ def test_forward_matches_loop_oracle():
     assert np.abs(got - want).max() < 1e-12
 
 
+def test_forward_equals_training_pass_logits_bitwise():
+    rng = np.random.default_rng(4)
+    batch = rng.normal(size=(9, 5))
+    single = nn.init_params([5, 7, 6, 3], seed=2)
+    for params in (single, stack([single, nn.init_params([5, 7, 6, 3], seed=3)])):
+        copy = batch.copy()
+        logits = nn.forward(params, copy)
+        cached = nn._forward_cached(params, batch)[1][-1]
+        assert np.array_equal(logits, cached)
+        assert np.array_equal(np.signbit(logits), np.signbit(cached))
+        assert np.array_equal(copy, batch)  # the input is not written to
+
+
 def test_forward_dimension_mismatch_names_layer():
     params = nn.init_params([4, 6, 3], seed=0)
     with pytest.raises(ShapeError, match="layer 0"):
@@ -355,6 +368,27 @@ def test_fingerprint_tracks_parameter_changes():
     other = params.copy()
     other.weights[0][0, 0] += 1e-9
     assert nn.fingerprint(params) != nn.fingerprint(other)
+
+
+def test_fingerprint_and_save_follow_in_place_changes(tmp_path):
+    import hashlib
+
+    params = nn.init_params([5, 7, 4], seed=13)
+    before = nn.fingerprint(params)
+    params.weights[1][2, 3] += 0.5
+    params.biases[0][1] = -0.0
+    after = nn.fingerprint(params)
+    assert after != before
+    assert after == nn.fingerprint(params.copy())
+    path = tmp_path / "model.ckpt"
+    nn.save_checkpoint(params, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == after
+    assert params._encoding[2] is None  # the save keeps only the sha256
+
+    params.weights[0][0, 0] = 2.0  # changed after its save: encoded again
+    nn.save_checkpoint(params, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == nn.fingerprint(params.copy())
+    assert nn.fingerprint(params) == nn.fingerprint(params.copy()) != after
 
 
 def test_stacked_passes_equal_each_single_model_bitwise():

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from guidance_learn import data, guidance, nn, pipeline
-from guidance_learn.errors import ConfigurationError, ConsistencyError, ParameterError
+from guidance_learn.errors import (
+    ConfigurationError,
+    ConsistencyError,
+    DivergenceError,
+    ParameterError,
+)
 from guidance_learn.serialize import canonical_json
 from helpers import params_bytes, train_student
 
@@ -268,3 +273,18 @@ def test_epoch_records_track_schedule_and_accuracies():
         pipeline.lr_at(config.teacher_lr_schedule, e) for e in range(config.teacher_epochs)
     ]
     assert all(0.0 <= r.test_accuracy <= 1.0 for r in report.epochs)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_divergent_learning_rate_names_stage_epoch_step_and_lr():
+    dataset = small_dataset()
+    with pytest.raises(DivergenceError, match="teacher diverged at epoch 0, step ") as exc:
+        pipeline.train_teacher(dataset, small_config(teacher_lr_schedule=((0, 1e100),)))
+    assert (exc.value.stage, exc.value.epoch, exc.value.lr) == ("teacher", 0, 1e100)
+    assert exc.value.step > 0  # the first step's forward pass sees the initial weights
+
+    teacher, _ = pipeline.train_teacher(dataset, small_config())
+    config = small_config(student_lr_schedule=((0, 1e-3), (1, 1e100)))
+    with pytest.raises(DivergenceError, match="student diverged at epoch 1, step ") as exc:
+        train_student(teacher, dataset, config)
+    assert (exc.value.epoch, exc.value.lr) == (1, 1e100)
