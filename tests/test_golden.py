@@ -131,6 +131,34 @@ GOLDEN = {
 }
 
 
+# The data commands: make-data, then inject-noise on its dataset.csv.
+DATA_JOBS = {
+    "make_data": ["make-data", "--classes", "3", "--per-class", "20", "--dim", "4",
+                  "--sigma", "0.3", "--seed", "7"],
+    "inject_noise_pair_flip": ["inject-noise", "--data", "{make_data}/dataset.csv",
+                               "--noise-model", "pair_flip", "--noise-rate", "0.3",
+                               "--seed", "7"],
+}
+
+GOLDEN_DATA = {
+    "inject_noise_pair_flip": {
+        "dataset.csv":
+            "c78d464ec0e6ffdfe4a3efbb36b40d33141e1b8245c736d933aff8d25fb6a04c",
+        "noise_manifest.json":
+            "4c1b739f995dfa92e9f3cd9186414c1ab767f35d14150f1b68c7784dfef0dd13",
+    },
+    "make_data": {
+        "dataset.csv":
+            "14d5c2ff8baf5bc8e905ff4e825194fb842c0f4038b8866ccbf5c70bd5b6266a",
+    },
+}
+
+
+def _digests(directory) -> dict[str, str]:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(directory.iterdir())}
+
+
 def run_job(tmp_path, name: str) -> dict[str, str]:
     """Run one pinned job in a fresh directory; sha256 of every file it wrote."""
     overrides, argv = JOBS[name]
@@ -144,10 +172,18 @@ def run_job(tmp_path, name: str) -> dict[str, str]:
     out = tmp_path / name
     assert cli.main([argv[0], "--config", str(config_path), "--out", str(out),
                      *argv[1:]]) == 0
-    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(out.iterdir())}
+    return _digests(out)
 
 
 @pytest.mark.parametrize("name", sorted(JOBS))
 def test_pinned_job_artifacts_are_byte_identical(tmp_path, name):
     assert run_job(tmp_path, name) == GOLDEN[name]
+
+
+def test_data_command_artifacts_are_byte_identical(tmp_path):
+    got = {}
+    for name, argv in DATA_JOBS.items():
+        argv = [a.replace("{make_data}", str(tmp_path / "make_data")) for a in argv]
+        assert cli.main([*argv, "--out", str(tmp_path / name)]) == 0
+        got[name] = _digests(tmp_path / name)
+    assert got == GOLDEN_DATA
