@@ -15,17 +15,15 @@ from .data import (
     FlipMask,
     NoiseSpec,
     inject_noise,
-    load_dataset,
     make_blobs,
     mixed_batch_iterator,
     save_csv,
     split,
 )
-from .evaluation import SweepGrid, SweepResult, accuracy, confusion_matrix, sweep
+from .evaluation import SweepGrid, SweepResult, accuracy, sweep
 from .guidance import (
     GuidanceCache,
     compute_teacher_soft_targets,
-    fuse_guidance,
     student_batch_loss,
     total_loss,
 )
@@ -71,16 +69,13 @@ __all__ = [
     "accuracy",
     "backward",
     "compute_teacher_soft_targets",
-    "confusion_matrix",
     "cross_entropy",
     "finetune_clean",
     "forward",
-    "fuse_guidance",
     "init_params",
     "inject_noise",
     "kl_div",
     "load_checkpoint",
-    "load_dataset",
     "make_blobs",
     "mixed_batch_iterator",
     "run_baseline",

@@ -21,8 +21,8 @@ from .evaluation import SWEEP_AXES, SweepGrid, accuracy, sweep
 from .pipeline import (
     BASELINE_VARIANTS,
     TrainConfig,
-    _baseline_models,
     finetune_clean,
+    run_baseline,
     train_student,
     train_teacher,
 )
@@ -295,7 +295,7 @@ def _cmd_finetune(cli: CliConfig) -> int:
 
 def _cmd_baseline(cli: CliConfig) -> int:
     config, dataset, rundir, snapshot = _start_run(cli)
-    models, report = _baseline_models(cli.variant, dataset, config)
+    models, report = run_baseline(cli.variant, dataset, config)
     return _finish_run(rundir, snapshot, report, models)
 
 

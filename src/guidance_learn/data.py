@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import os
-import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,18 +19,14 @@ from .errors import (
     ConfigurationError,
     DataError,
     FormatError,
-    InputError,
     ParameterError,
 )
-from .serialize import _write_atomic, read_json_object, write_canonical_json
+from .serialize import _write_atomic, to_document, write_canonical_json
 
 CLEAN_TRAIN = "clean_train"
 NOISY_TRAIN = "noisy_train"
 TEST = "test"
 VALID_TAGS = (CLEAN_TRAIN, NOISY_TRAIN, TEST)
-
-IDX_IMAGE_MAGIC = 0x00000803
-IDX_LABEL_MAGIC = 0x00000801
 
 STREAM_BLOBS = 10
 STREAM_SPLIT = 20
@@ -361,84 +355,12 @@ def _csv_records(fh, path):
         raise FormatError(f"{path}: not a CSV file: {exc}") from exc
 
 
-def _read_exact(fh, count: int, path, offset: int) -> bytes:
-    """`count` bytes from `offset`, checked against the file size first so a
-    corrupt header cannot ask for a huge read."""
-    available = max(os.fstat(fh.fileno()).st_size - offset, 0)
-    if available < count:
-        raise FormatError(
-            f"{path}: truncated at byte offset {offset + available}, "
-            f"expected {count} more bytes"
-        )
-    return fh.read(count)
-
-
-def load_idx(images_path, labels_path, num_classes: int | None = None) -> Dataset:
-    """Big-endian IDX image/label pair (magics 0x00000803 / 0x00000801)."""
-    with open(images_path, "rb") as fh:
-        magic, n, rows, cols = struct.unpack(">IIII", _read_exact(fh, 16, images_path, 0))
-        if magic != IDX_IMAGE_MAGIC:
-            raise FormatError(
-                f"{images_path}: bad image magic 0x{magic:08x} at byte offset 0, "
-                f"expected 0x{IDX_IMAGE_MAGIC:08x}"
-            )
-        pixels = np.frombuffer(_read_exact(fh, n * rows * cols, images_path, 16),
-                               dtype=np.uint8)
-    with open(labels_path, "rb") as fh:
-        magic, n_labels = struct.unpack(">II", _read_exact(fh, 8, labels_path, 0))
-        if magic != IDX_LABEL_MAGIC:
-            raise FormatError(
-                f"{labels_path}: bad label magic 0x{magic:08x} at byte offset 0, "
-                f"expected 0x{IDX_LABEL_MAGIC:08x}"
-            )
-        raw_labels = np.frombuffer(_read_exact(fh, n_labels, labels_path, 8),
-                                   dtype=np.uint8)
-    if n_labels != n:
-        raise FormatError(
-            f"{labels_path}: {n_labels} labels for {n} images in {images_path}"
-        )
-    if n == 0:
-        raise FormatError(f"{images_path}: no images")
-    labels = raw_labels.astype(np.int64)
-    C = num_classes if num_classes is not None else int(labels.max()) + 1
-    return Dataset(
-        features=pixels.reshape(n, rows * cols).astype(np.float64) / 255.0,
-        labels=labels,
-        tags=np.full(n, NOISY_TRAIN),
-        num_classes=C,
-        provenance=f"idx({images_path})",
-    )
-
-
-def _derive_labels_path(images_path: str) -> str:
-    derived = images_path.replace("images", "labels").replace("idx3", "idx1")
-    if derived == images_path:
-        raise ParameterError(
-            f"cannot derive a labels path from {images_path!r}; pass labels_path"
-        )
-    return derived
-
-
-def load_dataset(path, fmt: str, *, labels_path=None, num_classes: int | None = None) -> Dataset:
-    if fmt == "csv":
-        return load_csv(path, num_classes=num_classes)
-    if fmt == "idx":
-        if labels_path is None:
-            labels_path = _derive_labels_path(str(path))
-        return load_idx(path, labels_path, num_classes=num_classes)
-    raise ParameterError(f"unknown dataset format {fmt!r}; expected 'idx' or 'csv'")
-
-
 def noise_manifest_dict(dataset: Dataset, spec: NoiseSpec, mask: FlipMask) -> dict:
+    spec_doc = to_document(spec)
     return {
         "format_version": MANIFEST_FORMAT_VERSION,
-        "seed": spec.seed,
-        "spec": {
-            "model": spec.model,
-            "rate": spec.rate,
-            "pair_map": None if spec.pair_map is None
-            else {str(k): v for k, v in spec.pair_map.items()},
-        },
+        "seed": spec_doc.pop("seed"),
+        "spec": spec_doc,
         "tags": dataset.tags.tolist(),
         "flip_indices": np.where(mask.corrupted)[0].tolist(),
     }
@@ -446,15 +368,6 @@ def noise_manifest_dict(dataset: Dataset, spec: NoiseSpec, mask: FlipMask) -> di
 
 def save_noise_manifest(path, dataset: Dataset, spec: NoiseSpec, mask: FlipMask) -> None:
     write_canonical_json(path, noise_manifest_dict(dataset, spec, mask))
-
-
-def load_noise_manifest(path) -> dict:
-    doc = read_json_object(path, "noise manifest")
-    if doc.get("format_version") != MANIFEST_FORMAT_VERSION:
-        raise FormatError(
-            f"{path}: unsupported manifest format version {doc.get('format_version')!r}"
-        )
-    return doc
 
 
 @dataclass(frozen=True)

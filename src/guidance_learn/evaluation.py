@@ -1,7 +1,7 @@
 """Metrics and single-axis hyperparameter sweeps over the full pipeline."""
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -9,13 +9,10 @@ from . import guidance, nn
 from .data import DataRecipe, Dataset
 from .errors import InputError, ParameterError
 from .pipeline import TrainConfig, finetune_clean, train_student, train_teacher
+from .serialize import to_document
 
 SWEEP_AXES = ("alpha", "beta", "T", "clean_fraction", "noise_rate")
 _STAGE2_AXES = ("alpha", "beta", "T")
-
-
-def _eval_labels(dataset: Dataset) -> np.ndarray:
-    return dataset.true_labels if dataset.true_labels is not None else dataset.labels
 
 
 def accuracy(params: nn.ModelParams, dataset: Dataset, tag: str) -> float | list[float]:
@@ -28,19 +25,8 @@ def accuracy(params: nn.ModelParams, dataset: Dataset, tag: str) -> float | list
     if idx.size == 0:
         raise InputError(f"split {tag!r} is empty")
     preds = np.argmax(nn.forward(params, dataset.features[idx]), axis=-1)
-    return (preds == _eval_labels(dataset)[idx]).mean(axis=-1).tolist()
-
-
-def confusion_matrix(params: nn.ModelParams, dataset: Dataset, tag: str) -> np.ndarray:
-    """Counts indexed [true, predicted]; trace/N equals accuracy."""
-    idx = dataset.indices(tag)
-    if idx.size == 0:
-        raise InputError(f"split {tag!r} is empty")
-    C = dataset.num_classes
-    preds = np.argmax(nn.forward(params, dataset.features[idx]), axis=1)
-    truth = _eval_labels(dataset)[idx]
-    flat = truth * C + preds
-    return np.bincount(flat, minlength=C * C).reshape(C, C)
+    truth = dataset.true_labels if dataset.true_labels is not None else dataset.labels
+    return (preds == truth[idx]).mean(axis=-1).tolist()
 
 
 @dataclass(frozen=True)
@@ -109,29 +95,19 @@ class SweepResult:
         return out
 
     def to_csv_text(self) -> str:
-        lines = ["axis,value,seed,acc_teacher,acc_student,acc_finetuned"]
+        """A header of the SweepRow fields, then each row's values (numbers
+        as their repr)."""
+        lines = [",".join(f.name for f in fields(SweepRow))]
         for r in self.rows:
-            lines.append(
-                f"{r.axis},{r.value!r},{r.seed},{r.acc_teacher!r},"
-                f"{r.acc_student!r},{r.acc_finetuned!r}"
-            )
+            lines.append(",".join(v if isinstance(v, str) else repr(v)
+                                  for v in to_document(r).values()))
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
-        return {
-            "axis": self.axis,
-            "rows": [
-                {
-                    "value": r.value,
-                    "seed": r.seed,
-                    "acc_teacher": r.acc_teacher,
-                    "acc_student": r.acc_student,
-                    "acc_finetuned": r.acc_finetuned,
-                }
-                for r in self.rows
-            ],
-            "aggregates": self.aggregates(),
-        }
+        rows = [to_document(r) for r in self.rows]
+        for row in rows:
+            del row["axis"]
+        return {"axis": self.axis, "rows": rows, "aggregates": self.aggregates()}
 
     def to_plotdata_text(self) -> str:
         """Student accuracy per axis value: `x mean min max` rows."""

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import nn
 from .data import Dataset, NOISY_TRAIN
-from .errors import ConsistencyError, FormatError, InputError, ParameterError, ShapeError
-from .serialize import _write_atomic, canonical_json, read_field, read_json_object
+from .errors import ConsistencyError, InputError, ParameterError, ShapeError
+from .serialize import _write_atomic, canonical_json
 
 CACHE_FORMAT_VERSION = 1
 
@@ -65,25 +65,6 @@ def compute_teacher_soft_targets(
         temperature=temperature if temperature.ndim else float(temperature),
         teacher_fingerprint=nn.fingerprint(teacher),
     )
-
-
-def fuse_guidance(p: np.ndarray, y: np.ndarray, beta: float) -> np.ndarray:
-    """g = (p + beta*y) / (1 + beta) for a soft target p and one-hot y."""
-    if beta < 0:
-        raise ParameterError(f"beta must be >= 0, got {beta}")
-    p = np.asarray(p, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if p.shape != y.shape:
-        raise ShapeError(f"p shape {p.shape} != y shape {y.shape}")
-    _check_prob_vector(p, "p")
-    if not (np.isin(y, (0.0, 1.0)).all() and y.sum() == 1.0):
-        raise InputError("y must be one-hot")
-    return (p + beta * y) / (1.0 + beta)
-
-
-def _check_prob_vector(p: np.ndarray, name: str) -> None:
-    if (p < 0).any() or abs(float(p.sum()) - 1.0) > 1e-9:
-        raise InputError(f"{name} is not a probability vector (sum {float(p.sum())})")
 
 
 def total_loss(loss_guidance, loss_clean, alpha, temperature):
@@ -182,50 +163,3 @@ def cache_dict(cache: GuidanceCache) -> dict:
 
 def save_cache(cache: GuidanceCache, path) -> None:
     _write_atomic(path, canonical_json(cache_dict(cache)).encode("utf-8"))
-
-
-def load_cache(path, *, expected_fingerprint: str | None = None,
-               expected_temperature: float | None = None) -> GuidanceCache:
-    """Load a cache sidecar, failing loudly on provenance mismatch."""
-    doc = read_json_object(path, "guidance cache")
-    if doc.get("format_version") != CACHE_FORMAT_VERSION:
-        raise FormatError(
-            f"{path}: unsupported cache format version {doc.get('format_version')!r}"
-        )
-    temperature = read_field(doc, "temperature", float, path, "cache")
-    teacher_fingerprint = read_field(doc, "teacher_fingerprint", str, path, "cache")
-    targets = doc.get("targets")
-    if not isinstance(targets, dict):
-        raise FormatError(f"{path}: field 'targets' must be an object of sample "
-                          f"index -> row, got {type(targets).__name__}")
-    try:
-        indices = np.array([int(k) for k in targets], dtype=np.int64)
-    except (ValueError, OverflowError) as exc:
-        raise FormatError(f"{path}: field 'targets' has a key that is not a sample "
-                          f"index: {exc}") from exc
-    try:
-        rows = np.asarray(list(targets.values()), dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"{path}: field 'targets' must hold equal-length rows of "
-                          f"numbers: {exc}") from exc
-    if rows.ndim != 2:
-        raise FormatError(f"{path}: field 'targets' must hold equal-length rows of "
-                          f"numbers, got a {rows.ndim}-D array")
-    order = np.argsort(indices, kind="stable")
-    cache = GuidanceCache(
-        indices=indices[order],
-        targets=rows[order],
-        temperature=temperature,
-        teacher_fingerprint=teacher_fingerprint,
-    )
-    if expected_fingerprint is not None and cache.teacher_fingerprint != expected_fingerprint:
-        raise ConsistencyError(
-            f"{path}: cache was built from teacher {cache.teacher_fingerprint[:12]}..., "
-            f"expected {expected_fingerprint[:12]}..."
-        )
-    if expected_temperature is not None and cache.temperature != expected_temperature:
-        raise ConsistencyError(
-            f"{path}: cache temperature {cache.temperature} != configured "
-            f"{expected_temperature}"
-        )
-    return cache

@@ -102,11 +102,10 @@ class Gradients:
 
 @dataclass
 class OptState:
-    """SGD momentum buffers plus step bookkeeping."""
+    """SGD momentum buffers."""
 
     velocity_w: list[np.ndarray]
     velocity_b: list[np.ndarray]
-    step: int = 0
 
     @classmethod
     def zeros(cls, params: ModelParams) -> "OptState":
@@ -341,7 +340,7 @@ def sgd_step(
     return (
         ModelParams(weights=new_w, biases=new_b, activation=params.activation,
                     rng_seed=params.rng_seed),
-        OptState(velocity_w=vel_w, velocity_b=vel_b, step=state.step + 1),
+        OptState(velocity_w=vel_w, velocity_b=vel_b),
     )
 
 

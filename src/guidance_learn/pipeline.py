@@ -17,7 +17,8 @@ import numpy as np
 
 from . import guidance, nn
 from .data import CLEAN_TRAIN, NOISY_TRAIN, TEST, Dataset, batch_indices, mixed_batch_iterator
-from .errors import ConfigurationError, DivergenceError, InputError, ParameterError, ShapeError
+from .errors import (ConfigurationError, ConsistencyError, DivergenceError, InputError,
+                     ParameterError, ShapeError)
 from .serialize import from_document, to_document
 
 BASELINE_VARIANTS = ("noisy_only", "clean_only", "mixed", "guidance", "guidance_finetuned")
@@ -163,6 +164,7 @@ def _epoch_mean(values) -> float | list[float]:
     return np.ascontiguousarray(np.transpose(values)).mean(axis=-1).tolist()
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _train(
     params: nn.ModelParams,
     dataset: Dataset,
@@ -181,6 +183,8 @@ def _train(
     accuracy is the final one. The report carries no fingerprints. Non-finite
     logits or parameters (the inputs are finite, so training diverged) are a
     DivergenceError naming the stage, epoch, step (from 0) and learning rate.
+    That check is the detector, so numpy's overflow and invalid-value
+    warnings on the way there are not printed.
     """
     t0 = time.perf_counter()
     state = nn.OptState.zeros(params)
@@ -272,9 +276,10 @@ def train_student(
 ) -> tuple[nn.ModelParams, RunReport]:
     """Stage 2: teacher-initialized student under the multi-task objective.
 
-    `cache` holds the teacher's soft targets at the configured temperature
-    (`guidance.compute_teacher_soft_targets`); its teacher fingerprint goes
-    into the report. Given K configs that differ only in alpha, beta and
+    `cache` holds the soft targets of this `teacher` at the configured
+    temperature (`guidance.compute_teacher_soft_targets`); a cache built from
+    another model is a ConsistencyError. The teacher's fingerprint goes into
+    the report. Given K configs that differ only in alpha, beta and
     temperature, and a cache built at their K temperatures, the K students
     train as one [K, ...] stack: slice k equals the student of config k
     trained alone, and the report holds per-slice values and no student
@@ -297,6 +302,12 @@ def train_student(
         )
     if dataset.indices(NOISY_TRAIN).size == 0:
         raise ConfigurationError("student training needs a noisy subset")
+    teacher_fingerprint = nn.fingerprint(teacher)
+    if cache.teacher_fingerprint != teacher_fingerprint:
+        raise ConsistencyError(
+            f"guidance cache was built from teacher {cache.teacher_fingerprint[:12]}..., "
+            f"not from the given teacher {teacher_fingerprint[:12]}..."
+        )
 
     if isinstance(config, TrainConfig):
         student = teacher.copy()
@@ -326,7 +337,7 @@ def train_student(
     # a stack's report lists the per-slice values (a single run's are unchanged)
     report.config.update(alpha=np.asarray(alpha).tolist(), beta=np.asarray(beta).tolist(),
                          temperature=np.asarray(temperature).tolist())
-    report.checkpoint_fingerprints["teacher"] = cache.teacher_fingerprint
+    report.checkpoint_fingerprints["teacher"] = teacher_fingerprint
     return _fingerprinted(student, report, "student")
 
 
@@ -345,9 +356,12 @@ def finetune_clean(
     )
 
 
-def _baseline_models(
+def run_baseline(
     variant: str, dataset: Dataset, config: TrainConfig
 ) -> tuple[dict[str, nn.ModelParams], RunReport]:
+    """Run one comparison variant: its models by checkpoint name ("model";
+    or "teacher" and "student", plus "finetuned") and its report. Reports
+    of one dataset and config differ only in their variant field."""
     if variant == "noisy_only":
         params, report = _train_cross_entropy(
             dataset, dataset.indices(NOISY_TRAIN), _init_for(dataset, config),
@@ -385,8 +399,3 @@ def _baseline_models(
     report.variant = variant
     return models, report
 
-
-def run_baseline(variant: str, dataset: Dataset, config: TrainConfig) -> RunReport:
-    """Run one comparison variant; reports differ only in their variant field."""
-    _, report = _baseline_models(variant, dataset, config)
-    return report

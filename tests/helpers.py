@@ -1,5 +1,7 @@
-"""Shared test utilities: finite-difference gradients and small builders."""
+"""Shared test utilities: finite-difference gradients, oracles and small builders."""
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
@@ -59,6 +61,31 @@ def train_student(teacher: nn.ModelParams, dataset, config):
     """`pipeline.train_student` with the guidance cache built from `teacher`."""
     cache = guidance.compute_teacher_soft_targets(teacher, dataset, config.temperature)
     return pipeline.train_student(teacher, dataset, config, cache)
+
+
+def fuse(p, y, beta) -> np.ndarray:
+    """g = (p + beta*y) / (1 + beta) for one soft target p and one-hot y,
+    computed by the product path: `guidance.guidance_targets` on a one-row
+    cache."""
+    p = np.asarray(p, dtype=np.float64)
+    label = int(np.argmax(y))
+    assert np.array_equal(y, nn.one_hot([label], p.size)[0]), "y must be one-hot"
+    cache = guidance.GuidanceCache(indices=np.array([0]), targets=p[None],
+                                   temperature=1.0, teacher_fingerprint="")
+    return guidance.guidance_targets(cache, np.array([0]), np.array([label]), beta, p.size)[0]
+
+
+def read_cache(path) -> guidance.GuidanceCache:
+    """The cache a `guidance.save_cache` file holds, rows in ascending
+    sample-index order."""
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    indices = sorted(map(int, doc["targets"]))
+    return guidance.GuidanceCache(
+        indices=np.array(indices),
+        targets=np.array([doc["targets"][str(i)] for i in indices]),
+        temperature=doc["temperature"],
+        teacher_fingerprint=doc["teacher_fingerprint"],
+    )
 
 
 def params_bytes(params: nn.ModelParams) -> bytes:

@@ -17,7 +17,8 @@ import scipy.stats
 
 from guidance_learn import data, evaluation, guidance, nn, pipeline
 from guidance_learn.serialize import canonical_json
-from helpers import fd_gradients, max_rel_error, params_bytes, random_probs, train_student
+from helpers import (fd_gradients, fuse, max_rel_error, params_bytes, random_probs, read_cache,
+                     train_student)
 
 DESK_RECIPE = data.DataRecipe(
     classes=10, per_class=500, dim=20, sigma=0.1,
@@ -111,7 +112,7 @@ def test_criterion_2_formula_oracles():
             beta = float(rng.uniform(0, 5))
             fuse_want = np.array([(float(pi) + beta * float(yi)) / (1.0 + beta)
                                   for pi, yi in zip(p, y)])
-            assert np.abs(guidance.fuse_guidance(p, y, beta) - fuse_want).max() < 1e-12
+            assert np.abs(fuse(p, y, beta) - fuse_want).max() < 1e-12
 
             lg, lc = float(rng.uniform(0, 3)), float(rng.uniform(0, 3))
             alpha = float(rng.uniform(0, 1))
@@ -131,15 +132,15 @@ def test_criterion_3_guidance_algebra():
             y = np.zeros(C)
             y[label] = 1.0
             beta = float(rng.uniform(0, 50))
-            g = guidance.fuse_guidance(p, y, beta)
+            g = fuse(p, y, beta)
             assert abs(g.sum() - 1.0) < 1e-9
 
-            assert np.array_equal(guidance.fuse_guidance(p, y, 0.0), p)
+            assert np.array_equal(fuse(p, y, 0.0), p)
             for b in (0.0, 0.3, 1.0, 10.0):
-                assert np.abs(guidance.fuse_guidance(y, y, b) - y).max() < 1e-12
+                assert np.abs(fuse(y, y, b) - y).max() < 1e-12
 
             betas = np.sort(rng.uniform(0, 20, size=4))
-            labeled = [guidance.fuse_guidance(p, y, b)[label] for b in betas]
+            labeled = [fuse(p, y, b)[label] for b in betas]
             assert all(later >= earlier - 1e-12
                        for earlier, later in zip(labeled, labeled[1:]))
 
@@ -205,7 +206,7 @@ def desk_runs():
         dataset, _ = DESK_RECIPE.build(seed)
         config = _desk_config(seed)
         started = time.perf_counter()
-        noisy_report = pipeline.run_baseline("noisy_only", dataset, config)
+        _, noisy_report = pipeline.run_baseline("noisy_only", dataset, config)
         teacher, teacher_report = pipeline.train_teacher(dataset, config)
         student, student_report = train_student(teacher, dataset, config)
         finetuned, finetuned_report = pipeline.finetune_clean(student, dataset, config)
@@ -349,17 +350,18 @@ def test_criterion_10_format_roundtrips(tmp_path):
         data.save_csv(loaded, csv_b)
         assert csv_a.read_bytes() == csv_b.read_bytes()
 
+        tagged = data.split(dataset, 0.2, 0.2, seed=11)
         teacher = nn.init_params([5, 8, 3], seed=12)
-        cache = guidance.compute_teacher_soft_targets(teacher, dataset, 5.0)
+        cache = guidance.compute_teacher_soft_targets(teacher, tagged, 5.0)
         cache_path = tmp_path / "guidance_cache.bin"
         guidance.save_cache(cache, cache_path)
-        reloaded = guidance.load_cache(cache_path,
-                                       expected_fingerprint=nn.fingerprint(teacher),
-                                       expected_temperature=5.0)
-        assert len(reloaded) == len(cache)
+        reloaded = read_cache(cache_path)
+        assert reloaded.indices.tolist() == cache.indices.tolist()
+        assert reloaded.targets.tobytes() == cache.targets.tobytes()
+        assert reloaded.temperature == 5.0
+        assert reloaded.teacher_fingerprint == nn.fingerprint(teacher)
         from guidance_learn.errors import ConsistencyError
 
+        other_teacher = nn.init_params([5, 8, 3], seed=13)
         with pytest.raises(ConsistencyError):
-            guidance.load_cache(cache_path, expected_fingerprint="0" * 64)
-        with pytest.raises(ConsistencyError):
-            guidance.load_cache(cache_path, expected_temperature=1.0)
+            pipeline.train_student(other_teacher, tagged, pipeline.TrainConfig(), cache)

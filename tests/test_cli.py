@@ -2,12 +2,14 @@ import errno
 import hashlib
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from guidance_learn import cli, data, evaluation, nn, serialize
 from guidance_learn.serialize import write_canonical_json
+from helpers import read_cache
 
 
 def small_config_doc(**overrides):
@@ -122,13 +124,11 @@ def test_train_student_full_run_layout(tmp_path, config_file):
     report = json.loads((out / "report.json").read_text())
     fp = report["checkpoint_fingerprints"]
     assert fp["teacher"] != fp["student"]
-    # cache sidecar validates against the stored teacher
-    from guidance_learn import guidance
-
+    # the cache sidecar names the stored teacher and the temperature
     teacher = nn.load_checkpoint(out / "teacher.ckpt")
-    cache = guidance.load_cache(out / "guidance_cache.bin",
-                                expected_fingerprint=nn.fingerprint(teacher),
-                                expected_temperature=5.0)
+    cache = read_cache(out / "guidance_cache.bin")
+    assert cache.teacher_fingerprint == nn.fingerprint(teacher) == fp["teacher"]
+    assert cache.temperature == 5.0
     assert len(cache) > 0
 
 
@@ -349,9 +349,11 @@ def test_failed_forced_write_keeps_the_old_artifact(tmp_path, config_file, monke
 def test_divergent_run_exits_1_naming_stage_epoch_and_step(tmp_path, capsys):
     path = tmp_path / "c.json"
     write_canonical_json(path, small_config_doc(teacher_lr_schedule=[[0, 1e100]]))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = cli.main(["train-teacher", "--config", str(path), "--out", str(tmp_path / "r")])
     assert code == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], caught
     err = capsys.readouterr().err
     assert err.startswith("error: teacher diverged at epoch 0, step "), err
     assert "learning rate 1e+100" in err and "Traceback" not in err

@@ -1,4 +1,4 @@
-import struct
+import json
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from guidance_learn.serialize import from_document, to_document
 def test_csv_direct_parse(tmp_path):
     path = tmp_path / "tiny.csv"
     path.write_text("f0,f1,label\n0.5,1.5,0\n-1.0,2.0,1\n0.0,0.0,0\n3.25,-4.5,1\n")
-    dataset = data.load_dataset(path, "csv")
+    dataset = data.load_csv(path)
     assert len(dataset) == 4
     assert dataset.features.shape == (4, 2)
     assert dataset.num_classes == 2
@@ -51,63 +51,6 @@ def test_csv_errors_carry_row_numbers(tmp_path):
         data.load_csv(path)
 
 
-def _write_idx_pair(tmp_path, n=10, rows=28, cols=28, image_magic=data.IDX_IMAGE_MAGIC,
-                    label_magic=data.IDX_LABEL_MAGIC, n_labels=None):
-    rng = np.random.default_rng(5)
-    pixels = rng.integers(0, 256, size=(n, rows, cols), dtype=np.uint8)
-    labels = rng.integers(0, 10, size=n if n_labels is None else n_labels, dtype=np.uint8)
-    images_path = tmp_path / "t10k-images-idx3-ubyte"
-    labels_path = tmp_path / "t10k-labels-idx1-ubyte"
-    images_path.write_bytes(struct.pack(">IIII", image_magic, n, rows, cols) + pixels.tobytes())
-    labels_path.write_bytes(struct.pack(">II", label_magic, labels.size) + labels.tobytes())
-    return images_path, labels_path, pixels, labels
-
-
-def test_idx_loading(tmp_path):
-    images_path, labels_path, pixels, labels = _write_idx_pair(tmp_path)
-    dataset = data.load_dataset(images_path, "idx")
-    assert len(dataset) == 10
-    assert dataset.features.shape == (10, 784)
-    assert dataset.features.min() >= 0.0 and dataset.features.max() <= 1.0
-    assert np.array_equal(dataset.features[0], pixels[0].reshape(-1) / 255.0)
-    assert np.array_equal(dataset.labels, labels)
-
-
-def test_idx_bad_magic_reports_offset(tmp_path):
-    images_path, labels_path, _, _ = _write_idx_pair(tmp_path, image_magic=0x00000901)
-    with pytest.raises(FormatError, match="byte offset 0"):
-        data.load_idx(images_path, labels_path)
-
-
-def test_idx_truncation_reports_offset(tmp_path):
-    images_path, labels_path, _, _ = _write_idx_pair(tmp_path, n=2, rows=4, cols=4)
-    raw = images_path.read_bytes()
-    images_path.write_bytes(raw[:20])
-    with pytest.raises(FormatError, match="truncated at byte offset 20"):
-        data.load_idx(images_path, labels_path)
-
-
-def test_idx_count_mismatch(tmp_path):
-    images_path, labels_path, _, _ = _write_idx_pair(tmp_path, n=10, n_labels=9)
-    with pytest.raises(FormatError, match="9 labels for 10 images"):
-        data.load_idx(images_path, labels_path)
-
-
-def test_idx_header_declaring_more_than_the_file_holds_is_truncation(tmp_path):
-    images_path, labels_path, _, _ = _write_idx_pair(tmp_path, n=2, rows=4, cols=4)
-    raw = images_path.read_bytes()
-    # 2**32 - 1 images of 2**32 - 1 rows: the size is checked before any read
-    images_path.write_bytes(raw[:4] + b"\xff" * 12 + raw[16:])
-    with pytest.raises(FormatError, match="truncated at byte offset 48"):
-        data.load_idx(images_path, labels_path)
-
-
-def test_idx_without_images_is_format_error(tmp_path):
-    images_path, labels_path, _, _ = _write_idx_pair(tmp_path, n=0)
-    with pytest.raises(FormatError, match="no images"):
-        data.load_idx(images_path, labels_path)
-
-
 @pytest.mark.parametrize("content, error, message", [
     (b"f0,label\n\xff1.0,0\n", FormatError, "not UTF-8"),
     (b"f0,label\n1.0,0\n-inf,1\n", DataError, "row 3: feature 'f0' is -inf"),
@@ -128,11 +71,6 @@ def test_dataset_rejects_non_finite_features():
     with pytest.raises(DataError, match="non-finite feature at row 2"):
         data.Dataset(features=features, labels=np.array([0, 1, 0]),
                      tags=np.full(3, data.NOISY_TRAIN), num_classes=2)
-
-
-def test_unknown_format_rejected(tmp_path):
-    with pytest.raises(ParameterError, match="format"):
-        data.load_dataset(tmp_path / "x", "parquet")
 
 
 def test_blobs_construction_and_balance():
@@ -313,7 +251,7 @@ def test_manifest_roundtrip(tmp_path):
     noisy, mask = data.inject_noise(tagged, spec)
     path = tmp_path / "noise_manifest.json"
     data.save_noise_manifest(path, noisy, spec, mask)
-    doc = data.load_noise_manifest(path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
     assert doc["seed"] == 18
     assert doc["spec"]["model"] == "symmetric"
     assert doc["spec"]["rate"] == 0.4

@@ -70,31 +70,6 @@ def test_accuracy_invariant_to_prediction_temperature():
         assert np.array_equal(p1, p5)
 
 
-def test_confusion_matrix_shapes_and_consistency():
-    dataset = _tagged_blobs(classes=3, per_class=20, seed=6)
-    model = nn.init_params([3, 6, 3], seed=7)
-    cm = evaluation.confusion_matrix(model, dataset, "test")
-    idx = dataset.indices("test")
-    assert cm.shape == (3, 3)
-    for c in range(3):
-        assert cm[c].sum() == int((dataset.true_labels[idx] == c).sum())
-    assert cm.trace() / len(idx) == evaluation.accuracy(model, dataset, "test")
-
-
-def test_confusion_matrix_perfect_and_constant_models():
-    dataset = _tagged_blobs(classes=4, per_class=25, seed=8)
-    centers = np.stack([dataset.features[dataset.true_labels == c].mean(axis=0)
-                        for c in range(4)])
-    perfect = nn.ModelParams(weights=[2.0 * centers],
-                             biases=[-np.sum(centers**2, axis=1)])
-    cm = evaluation.confusion_matrix(perfect, dataset, "test")
-    assert np.array_equal(cm, np.diag(np.diag(cm)))
-
-    constant = _constant_class_model(3, 4)
-    cm0 = evaluation.confusion_matrix(constant, dataset, "test")
-    assert cm0[:, 1:].sum() == 0
-
-
 def _sweep_inputs():
     recipe = data.DataRecipe(classes=3, per_class=40, dim=4, sigma=0.15,
                              clean_fraction=0.1, test_fraction=0.2,

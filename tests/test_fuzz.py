@@ -1,14 +1,13 @@
 """Arbitrary JSON documents fed to every document loader, and arbitrary
-bytes fed to the CSV and IDX dataset loaders, fail, if at all, only with a
-package error (GuidanceLearnError subclass)."""
+bytes fed to the CSV dataset loader, fail, if at all, only with a package
+error (GuidanceLearnError subclass)."""
 import json
-import struct
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from guidance_learn import cli, data, guidance, nn
+from guidance_learn import cli, data, nn
 from guidance_learn.errors import GuidanceLearnError
 from test_cli import small_config_doc
 
@@ -25,11 +24,6 @@ _CHECKPOINT = {"format_version": 1, "activation": "relu", "layer_dims": [2, 3, 2
                "weights": [[[1.0, 0.5], [0.0, -1.0], [2.0, 0.0]], [[1.0, 0.0, 0.5],
                                                                     [0.0, 1.0, 0.5]]],
                "biases": [[0.0, 0.1, 0.2], [0.0, 0.0]], "rng_seed": 3}
-_CACHE = {"format_version": 1, "temperature": 5.0, "teacher_fingerprint": "f",
-          "targets": {"0": [0.5, 0.5], "3": [0.25, 0.75]}}
-_MANIFEST = {"format_version": 1, "seed": 0, "flip_indices": [1],
-             "spec": {"model": "symmetric", "rate": 0.5, "pair_map": None},
-             "tags": ["noisy_train", "noisy_train"]}
 
 
 def _load_config(path):
@@ -49,9 +43,7 @@ def _documents(valid: dict):
 @pytest.mark.parametrize("load, valid", [
     (_load_config, _CONFIG),
     (nn.load_checkpoint, _CHECKPOINT),
-    (guidance.load_cache, _CACHE),
-    (data.load_noise_manifest, _MANIFEST),
-], ids=["config", "checkpoint", "cache", "manifest"])
+], ids=["config", "checkpoint"])
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(example=st.data())
@@ -65,8 +57,6 @@ def test_loaders_fail_only_with_package_errors(tmp_path, load, valid, example):
 
 
 _CSV = b"f0,f1,label,true_label\n0.5,-1.25,0,0\n1e-3,2.0,1,0\n3.0,0.0,2,2\n"
-_IDX_IMAGES = struct.pack(">IIII", data.IDX_IMAGE_MAGIC, 3, 2, 2) + bytes(range(0, 240, 20))
-_IDX_LABELS = struct.pack(">II", data.IDX_LABEL_MAGIC, 3) + bytes([0, 2, 1])
 
 
 def _bytes_like(valid: bytes):
@@ -86,14 +76,7 @@ def _load_csv(tmp_path, example):
     data.load_csv(path)
 
 
-def _load_idx(tmp_path, example):
-    images, labels = tmp_path / "images-idx3", tmp_path / "labels-idx1"
-    images.write_bytes(example.draw(_bytes_like(_IDX_IMAGES)))
-    labels.write_bytes(example.draw(_bytes_like(_IDX_LABELS)))
-    data.load_idx(images, labels)
-
-
-@pytest.mark.parametrize("load", [_load_csv, _load_idx], ids=["csv", "idx"])
+@pytest.mark.parametrize("load", [_load_csv], ids=["csv"])
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(example=st.data())

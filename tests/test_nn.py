@@ -281,7 +281,6 @@ def test_sgd_zero_gradient_is_fixed_point():
                          biases=[np.zeros_like(b) for b in params.biases])
     updated, state = nn.sgd_step(params, grads, state, lr=0.5, momentum=0.9, weight_decay=0.0)
     assert all(np.array_equal(a, b) for a, b in zip(updated.weights, params.weights))
-    assert state.step == 1
 
 
 def test_sgd_single_step_arithmetic():

@@ -195,6 +195,18 @@ def test_student_rejects_cache_at_another_temperature():
         pipeline.train_student(teacher, dataset, config, cache)
 
 
+def test_student_rejects_cache_of_another_teacher():
+    dataset = small_dataset(seed=9)
+    config = small_config(seed=9)
+    teacher, _ = pipeline.train_teacher(dataset, config)
+    other, _ = pipeline.train_teacher(dataset, small_config(seed=10))
+    cache = guidance.compute_teacher_soft_targets(other, dataset, config.temperature)
+    with pytest.raises(ConsistencyError, match="teacher") as exc:
+        pipeline.train_student(teacher, dataset, config, cache)
+    assert cache.teacher_fingerprint[:12] in str(exc.value)
+    assert nn.fingerprint(teacher)[:12] in str(exc.value)
+
+
 def test_finetune_zero_epochs_and_zero_lr():
     dataset = small_dataset(seed=7)
     config = small_config(seed=7)
@@ -228,8 +240,8 @@ def test_finetune_requires_clean_subset():
 def test_noisy_only_with_no_noise_equals_mixed_with_no_clean():
     dataset = small_dataset(seed=9, rho=0.0, clean_fraction=0.0)
     config = small_config(seed=9)
-    a = pipeline.run_baseline("noisy_only", dataset, config)
-    b = pipeline.run_baseline("mixed", dataset, config)
+    _, a = pipeline.run_baseline("noisy_only", dataset, config)
+    _, b = pipeline.run_baseline("mixed", dataset, config)
     ra, rb = a.to_json_dict(), b.to_json_dict()
     ra.pop("variant"), rb.pop("variant")
     assert canonical_json(ra) == canonical_json(rb)
@@ -250,8 +262,11 @@ def test_baseline_requires_its_subset():
 def test_baseline_reports_share_config_snapshots():
     dataset = small_dataset(seed=11)
     config = small_config(seed=11)
-    reports = [pipeline.run_baseline(v, dataset, config)
-               for v in pipeline.BASELINE_VARIANTS]
+    results = [pipeline.run_baseline(v, dataset, config) for v in pipeline.BASELINE_VARIANTS]
+    reports = [report for _, report in results]
+    assert [sorted(models) for models, _ in results] == [
+        ["model"], ["model"], ["model"], ["student", "teacher"],
+        ["finetuned", "student", "teacher"]]
     snapshots = [canonical_json(r.config) for r in reports]
     assert len(set(snapshots)) == 1
     assert [r.variant for r in reports] == list(pipeline.BASELINE_VARIANTS)
@@ -275,7 +290,6 @@ def test_epoch_records_track_schedule_and_accuracies():
     assert all(0.0 <= r.test_accuracy <= 1.0 for r in report.epochs)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergent_learning_rate_names_stage_epoch_step_and_lr():
     dataset = small_dataset()
     with pytest.raises(DivergenceError, match="teacher diverged at epoch 0, step ") as exc:
