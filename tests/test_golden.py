@@ -46,6 +46,10 @@ JOBS = {
     "sweep_alpha": ({}, ["sweep", "--axis", "alpha", "--values", "0.0,0.1",
                          "--seeds", "1,2"]),
     "sweep_T": ({}, ["sweep", "--axis", "T", "--values", "1.0,5.0", "--seeds", "1,2"]),
+    "sweep_noise_rate": ({}, ["sweep", "--axis", "noise_rate", "--values", "0.2,0.4",
+                              "--seeds", "1,2"]),
+    "sweep_clean_fraction": ({}, ["sweep", "--axis", "clean_fraction", "--values",
+                                  "0.1,0.2", "--seeds", "1,2"]),
     "baseline_guidance_finetuned": ({}, ["baseline", "--variant", "guidance_finetuned"]),
 }
 
@@ -127,6 +131,26 @@ GOLDEN = {
             "e39e89f372934fffa538aaec24759b694a7171e0cd57a1b2273319c3e4c6a4e6",
         "results.json":
             "c3e6fc594575df9c34fc79093150aa7f436dfd36f41cd3e9ab874a731757fe6e",
+    },
+    "sweep_clean_fraction": {
+        "config.json":
+            "5a8636b54ef6e0fa96b57822bd64b9c07967cfe0fe870dad124755fdb3a00b06",
+        "plotdata.txt":
+            "814cfd5f822082de93dae6748744d5452ae26ac0a737cccee9fd8387ddb768d6",
+        "results.csv":
+            "d3996404a29f0046a3effc0f1391d6ec7d071952688dcf5315659875c963a7e7",
+        "results.json":
+            "2beded0a0a35cbcd9e3b7fff8de26db343843e2cd96cf53e0dd99580b7911ea7",
+    },
+    "sweep_noise_rate": {
+        "config.json":
+            "4360742cfcd77553e1b935292f35b5d0262161cc6039ef5b8b82f58e47f22b74",
+        "plotdata.txt":
+            "d9f6da3dda31fd595cc4620cbbcddd47d2078b7ce68112c569778fa391d41114",
+        "results.csv":
+            "3a0e54dcb3530fe3cee9946b6879889de25b3295bfc12fab68e2338298be0c24",
+        "results.json":
+            "30c65503c8403f404ce0eaabcbb648428c611423bdfb8a71d1fbf568342dbd80",
     },
 }
 
