@@ -144,11 +144,12 @@ _CELL_FIELDS = {"alpha": "alpha", "beta": "beta", "T": "temperature"}
     ("beta", (0.0, 0.5)),
     ("T", (1.0, 20.0)),
     ("clean_fraction", (0.1, 0.2)),
+    ("noise_rate", (0.1, 0.4)),
 ])
 def test_sweep_cells_match_standalone_runs(monkeypatch, axis, values):
-    """Every cell's student and fine-tuned model (bit for bit, signs of zeros
-    included) and its three accuracies equal a standalone teacher, student
-    and fine-tune run of the same (value, seed)."""
+    """Every cell's teacher, student and fine-tuned model (bit for bit, signs
+    of zeros included) and its three accuracies equal a standalone teacher,
+    student and fine-tune run of the same (value, seed)."""
     from dataclasses import replace
 
     # noisy enough that the two cells of a seed never report the same three
@@ -169,12 +170,13 @@ def test_sweep_cells_match_standalone_runs(monkeypatch, axis, values):
         return real_accuracy(params, dataset, tag)
 
     monkeypatch.setattr(evaluation, "accuracy", recording_accuracy)
-    grid = evaluation.SweepGrid(axis=axis, values=values, base_config=config, seeds=(1, 2))
+    seeds = (1, 2, 4)  # seeds at which the two cells of every axis differ
+    grid = evaluation.SweepGrid(axis=axis, values=values, base_config=config, seeds=seeds)
     rows = evaluation.sweep(grid, recipe).rows
     monkeypatch.undo()
 
-    assert len(rows) == 4
-    for seed in (1, 2):
+    assert len(rows) == 6
+    for seed in seeds:
         assert len({(r.acc_teacher, r.acc_student, r.acc_finetuned)
                     for r in rows if r.seed == seed}) == 2
     for row in rows:
@@ -188,6 +190,7 @@ def test_sweep_cells_match_standalone_runs(monkeypatch, axis, values):
         teacher, _ = pipeline.train_teacher(dataset, cfg)
         student, _ = train_student(teacher, dataset, cfg)
         finetuned, _ = pipeline.finetune_clean(student, dataset, cfg)
+        assert any(_same_bits(teacher, m) for m in evaluated)
         assert any(_same_bits(student, m) for m in evaluated)
         assert any(_same_bits(finetuned, m) for m in evaluated)
         assert (row.acc_teacher, row.acc_student, row.acc_finetuned) == tuple(
