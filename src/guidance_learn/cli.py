@@ -190,6 +190,9 @@ def _sweep_grid(cli: CliConfig, config: TrainConfig, keys: SweepKeys) -> tuple[S
              else _parse_list(cli.sweep_seeds, int, "--seeds"))
     if seeds is None:
         seeds = (config.seed,)
+    elif any(seed < 0 for seed in seeds):
+        source = "sweep_seeds" if cli.sweep_seeds is None else "--seeds"
+        raise ConfigurationError(f"{source}: seeds must be >= 0, got {list(seeds)}")
     effective = SweepKeys(sweep_axis=axis, sweep_values=values, sweep_seeds=seeds)
     return (SweepGrid(axis=axis, values=values, base_config=config, seeds=seeds),
             to_document(effective))
@@ -341,6 +344,8 @@ def run(cli: CliConfig) -> int:
         logging.INFO if cli.verbosity == 1 else logging.DEBUG)
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     try:
+        if cli.seed is not None and cli.seed < 0:
+            raise ConfigurationError(f"--seed: must be >= 0, got {cli.seed}")
         return _COMMANDS[cli.command](cli)
     except GuidanceLearnError as exc:
         print(f"error: {exc}", file=sys.stderr)

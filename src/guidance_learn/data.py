@@ -5,12 +5,16 @@ noise replaces the organically mislabeled web data the method was designed
 for: labels of noisy-train samples are corrupted either symmetrically
 (uniform wrong class) or by a fixed class->class pair map. The noise
 realization for a sample depends only on (seed, sample index), so changing
-the split does not reshuffle which samples get corrupted.
+the split does not reshuffle which samples get corrupted. `Slices` holds
+the data of a stack of models (see `nn`), one dataset and batch stream per
+slice.
 """
 from __future__ import annotations
 
+import copy
 import csv
 import io
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,6 +24,7 @@ from .errors import (
     DataError,
     FormatError,
     ParameterError,
+    ShapeError,
 )
 from .serialize import _write_atomic, to_document, write_canonical_json
 
@@ -98,6 +103,8 @@ class NoiseSpec:
             raise ParameterError(f"unknown noise model {self.model!r}")
         if not (0.0 <= self.rate < 1.0):
             raise ParameterError(f"noise rate must be in [0, 1), got {self.rate}")
+        if self.seed < 0:
+            raise ParameterError(f"noise seed must be >= 0, got {self.seed}")
         if self.pair_map is not None:
             for src, dst in self.pair_map.items():
                 if src == dst:
@@ -121,6 +128,8 @@ def make_blobs(classes: int, per_class: int, dim: int, sigma: float, seed: int) 
         raise ParameterError(f"per_class must be >= 1, got {per_class}")
     if not (sigma > 0):
         raise ParameterError(f"sigma must be > 0, got {sigma}")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, STREAM_BLOBS]))
     centers = rng.normal(size=(classes, dim))
     dists = np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=-1)
@@ -265,6 +274,113 @@ def mixed_batch_iterator(dataset: Dataset, batch_size: int, seed: int, epoch: in
                 clean_perm = rng_clean.permutation(clean)
                 cursor = 0
         yield noisy_batch, np.concatenate(picked)
+
+
+def layout(dataset: Dataset) -> tuple:
+    """What the datasets of a stack's slices must share: the feature shape,
+    the class count and the sample count of each split."""
+    return (dataset.features.shape, dataset.num_classes,
+            *(int((dataset.tags == tag).sum()) for tag in VALID_TAGS))
+
+
+class Slices:
+    """The data of the K slices of a stack: slice k trains on `datasets[k]`
+    with the batch stream of `seeds[k]`; one dataset or one seed stands for
+    all K.
+
+    Slices with the same dataset (by identity) and seed share a source;
+    `source[k]` numbers slice k's in order of first appearance, and each
+    source's batches are drawn once. With one source (a single model, or a
+    stack on shared data) index batches are [B] and `rows` gathers [B, ...]
+    rows shared by the stack. Otherwise index batches are [K, B], row k
+    from slice k's own stream, and `rows` gathers [K, B, ...] from each
+    slice's own dataset. All datasets must share one `layout`, so that the
+    slices' batches align.
+    """
+
+    def __init__(self, datasets: Dataset | Sequence[Dataset], seeds: int | Sequence[int] = 0):
+        datasets = [datasets] if isinstance(datasets, Dataset) else list(datasets)
+        seeds = [seeds] if isinstance(seeds, (int, np.integer)) else list(seeds)
+        if len(datasets) == 1:
+            datasets = datasets * len(seeds)
+        if len(seeds) == 1:
+            seeds = seeds * len(datasets)
+        if len(datasets) != len(seeds):
+            raise ShapeError(f"{len(datasets)} datasets for {len(seeds)} seeds")
+        keys = [(id(ds), seed) for ds, seed in zip(datasets, seeds)]
+        sources = dict(zip(keys, zip(datasets, seeds)))
+        order = {key: j for j, key in enumerate(sources)}
+        self._sources = list(sources.values())
+        self._map(np.array([order[key] for key in keys]))
+        layouts = {layout(ds) for ds, _ in self._sources}
+        if len(layouts) > 1:
+            raise ShapeError(f"the datasets of a stack's slices must share their feature "
+                             f"shape, class count and split sizes; got {sorted(layouts)}")
+        self.num_sources = len(self._sources)
+        self.shared = self.num_sources == 1
+        self.num_classes = datasets[0].num_classes
+        self.features = self._joined(lambda ds: ds.features)
+        self.labels = self._joined(lambda ds: ds.labels)
+        self.truth = self._joined(lambda ds: ds.labels if ds.true_labels is None
+                                  else ds.true_labels)
+        self._subsets: dict[tuple[str, ...], list[np.ndarray]] = {}
+
+    def _map(self, source: np.ndarray) -> None:
+        """Slice k draws on source[k]: in the sources' arrays joined end to
+        end, its sample i is row i + _offset[k]."""
+        self.source = source
+        self._offset = source[:, None] * len(self._sources[0][0])
+
+    def _joined(self, array_of) -> np.ndarray:
+        arrays = [array_of(ds) for ds, _ in self._sources]
+        return arrays[0] if self.shared else np.concatenate(arrays)
+
+    def _per_slice(self, per_source: Sequence[np.ndarray]) -> np.ndarray:
+        """The one source's array, or slice k's source's array as row k."""
+        return per_source[0] if self.shared else np.array(per_source)[self.source]
+
+    def _subset(self, tags: tuple[str, ...]) -> list[np.ndarray]:
+        """Per source, the ascending indices of its samples with any of `tags`."""
+        if tags not in self._subsets:
+            self._subsets[tags] = [np.where(np.isin(ds.tags, tags))[0]
+                                   for ds, _ in self._sources]
+        return self._subsets[tags]
+
+    def _zipped(self, iterators: list) -> Iterable:
+        """The one source's batches, or the sources' batches as per-slice rows."""
+        if self.shared:
+            return iterators[0]
+        return (self._per_slice(items) if isinstance(items[0], np.ndarray)
+                else tuple(map(self._per_slice, zip(*items)))
+                for items in zip(*iterators))
+
+    def per_source(self) -> "Slices":
+        """One slice per source, in `source` order, sharing these arrays."""
+        view = copy.copy(self)
+        view._map(np.arange(self.num_sources))
+        return view
+
+    def rows(self, array: np.ndarray, indices: np.ndarray) -> np.ndarray:
+        """The rows `indices` of `features`, `labels` or `truth`, each slice's
+        from its own dataset."""
+        if self.shared:
+            return array[indices]
+        return np.take(array, indices + self._offset, axis=0)
+
+    def indices(self, *tags: str) -> np.ndarray:
+        """Ascending indices of the samples with any of `tags`: [n], or
+        [K, n] per slice."""
+        return self._per_slice(self._subset(tags))
+
+    def batches(self, tags: tuple[str, ...], batch_size: int, epoch: int) -> Iterable:
+        """`batch_indices` over the samples with `tags`, per source."""
+        return self._zipped([batch_indices(idx, batch_size, seed, epoch)
+                             for idx, (_, seed) in zip(self._subset(tags), self._sources)])
+
+    def mixed_batches(self, batch_size: int, epoch: int) -> Iterable:
+        """`mixed_batch_iterator` pairs, per source."""
+        return self._zipped([mixed_batch_iterator(ds, batch_size, seed, epoch)
+                             for ds, seed in self._sources])
 
 
 def save_csv(dataset: Dataset, path) -> None:

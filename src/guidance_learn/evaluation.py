@@ -6,7 +6,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import guidance, nn
-from .data import DataRecipe, Dataset
+from .data import DataRecipe, Dataset, Slices, layout
 from .errors import InputError, ParameterError
 from .pipeline import TrainConfig, finetune_clean, train_student, train_teacher
 from .serialize import to_document
@@ -15,18 +15,19 @@ SWEEP_AXES = ("alpha", "beta", "T", "clean_fraction", "noise_rate")
 _STAGE2_AXES = ("alpha", "beta", "T")
 
 
-def accuracy(params: nn.ModelParams, dataset: Dataset, tag: str) -> float | list[float]:
+def accuracy(params: nn.ModelParams, dataset: Dataset | Slices, tag: str) -> float | list[float]:
     """Fraction of split samples whose argmax logit hits the true label; a
-    list of K fractions, one per slice, for a stack.
+    list of K fractions, one per slice, for a stack (on per-slice data, each
+    slice's own split).
 
     np.argmax breaks ties toward the lowest class index.
     """
-    idx = dataset.indices(tag)
+    data = dataset if isinstance(dataset, Slices) else Slices(dataset)
+    idx = data.indices(tag)
     if idx.size == 0:
         raise InputError(f"split {tag!r} is empty")
-    preds = np.argmax(nn.forward(params, dataset.features[idx]), axis=-1)
-    truth = dataset.true_labels if dataset.true_labels is not None else dataset.labels
-    return (preds == truth[idx]).mean(axis=-1).tolist()
+    preds = np.argmax(nn.forward(params, data.rows(data.features, idx)), axis=-1)
+    return (preds == data.rows(data.truth, idx)).mean(axis=-1).tolist()
 
 
 @dataclass(frozen=True)
@@ -47,6 +48,12 @@ class SweepGrid:
             raise ParameterError(f"sweep values must be finite: {self.values}")
         if not self.seeds:
             raise ParameterError("sweep needs at least one seed")
+        if any(seed < 0 for seed in self.seeds):
+            raise ParameterError(f"sweep seeds must be >= 0, got {list(self.seeds)}")
+        for name, items in (("value", self.values), ("seed", self.seeds)):
+            repeated = [x for i, x in enumerate(items) if x in items[:i]]
+            if repeated:
+                raise ParameterError(f"sweep {name} {repeated[0]!r} is repeated")
         for v in self.values:
             self._validate_value(v)
 
@@ -140,41 +147,47 @@ def _cell_recipe(grid: SweepGrid, recipe: DataRecipe, value: float) -> DataRecip
 def sweep(grid: SweepGrid, recipe: DataRecipe) -> SweepResult:
     """Run the full two-stage pipeline for every (value, seed) cell.
 
-    Stage-2-only axes (alpha, beta, T) share one teacher per seed, and the
-    cells of a seed train as one [K, ...] stack of students and then of
-    fine-tuned models (each slice bit-identical to its cell trained alone).
-    Axes that change the data (clean_fraction, noise_rate) retrain the
-    teacher per cell and train each cell as a stack of one.
+    Cells whose datasets share a `layout` train together: one [K, ...]
+    stack of teachers, one per dataset (per seed; per seed and value on the
+    axes that change the data), then one stack of students and one of
+    fine-tuned models over the cells, each cell starting from its dataset's
+    teacher. Every slice is bit-identical to its cell trained alone. The
+    stratified split gives every seed and noise rate the same split sizes,
+    so only clean_fraction values train apart.
     """
     if grid.axis == "noise_rate" and recipe.noise_model == "none":
         raise ParameterError("noise_rate sweep needs a recipe with a noise model")
 
-    cells = list(enumerate(grid.values))
-    if grid.axis in _STAGE2_AXES:
-        groups = [(seed, cells) for seed in grid.seeds]
-    else:
-        groups = [(seed, [cell]) for cell in cells for seed in grid.seeds]
-    results: dict[tuple[int, int], tuple[float, float, float]] = {}
-    for seed, group in groups:
-        dataset, _ = _cell_recipe(grid, recipe, group[0][1]).build(seed)
-        configs = [_cell_config(grid, value, seed) for _, value in group]
-        teacher, _ = train_teacher(dataset, configs[0])
-        acc_teacher = accuracy(teacher, dataset, "test")
-        cache = guidance.compute_teacher_soft_targets(
-            teacher, dataset, [c.temperature for c in configs])
-        students, student_report = train_student(teacher, dataset, configs, cache)
-        _, finetune_report = finetune_clean(students, dataset, configs[0])
-        for (vi, _), acc_student, acc_finetuned in zip(
-                group, student_report.final_test_accuracy,
-                finetune_report.final_test_accuracy):
-            results[(vi, seed)] = (acc_teacher, acc_student, acc_finetuned)
+    def data_key(value: float, seed: int) -> tuple:
+        return (None if grid.axis in _STAGE2_AXES else value, seed)
 
-    rows = [
-        SweepRow(axis=grid.axis, value=value, seed=seed,
-                 acc_teacher=results[(vi, seed)][0],
-                 acc_student=results[(vi, seed)][1],
-                 acc_finetuned=results[(vi, seed)][2])
-        for vi, value in enumerate(grid.values)
-        for seed in grid.seeds
-    ]
+    cells = [(value, seed) for value in grid.values for seed in grid.seeds]
+    datasets: dict[tuple, Dataset] = {}
+    groups: dict[tuple, list[tuple[float, int]]] = {}
+    for value, seed in cells:
+        key = data_key(value, seed)
+        if key not in datasets:
+            datasets[key], _ = _cell_recipe(grid, recipe, value).build(seed)
+        groups.setdefault(layout(datasets[key]), []).append((value, seed))
+
+    results: dict[tuple[float, int], tuple[float, float, float]] = {}
+    for group in groups.values():
+        # one teacher per source: each distinct dataset (and so seed) of the cells
+        keys = list(dict.fromkeys(data_key(*cell) for cell in group))
+        teacher_data = [datasets[key] for key in keys]
+        teachers, _ = train_teacher(teacher_data, [replace(grid.base_config, seed=seed)
+                                                   for _, seed in keys])
+        acc_teacher = accuracy(teachers, Slices(teacher_data), "test")
+        cell_data = [datasets[data_key(*cell)] for cell in group]
+        configs = [_cell_config(grid, value, seed) for value, seed in group]
+        cache = guidance.compute_teacher_soft_targets(
+            teachers, Slices(cell_data, [c.seed for c in configs]),
+            [c.temperature for c in configs])
+        students, student_report = train_student(teachers, cell_data, configs, cache)
+        _, finetune_report = finetune_clean(students, cell_data, configs)
+        for cell, acc_student, acc_finetuned in zip(
+                group, student_report.final_test_accuracy, finetune_report.final_test_accuracy):
+            results[cell] = (acc_teacher[keys.index(data_key(*cell))], acc_student, acc_finetuned)
+
+    rows = [SweepRow(grid.axis, value, seed, *results[(value, seed)]) for value, seed in cells]
     return SweepResult(axis=grid.axis, rows=rows)

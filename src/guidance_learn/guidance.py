@@ -8,7 +8,8 @@ evaluated at the same temperature; clean samples get plain cross-entropy.
 
 alpha, beta and T may each be one value or [K] per-slice values that train
 a [K, ...] stack of students (see `nn`) in one pass; a cache built with [K]
-temperatures holds [K, N, C] soft targets.
+temperatures holds [K, N, C] soft targets, and one built on per-slice data
+(`data.Slices`) also holds each slice's own noisy indices [K, N].
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .data import Dataset, NOISY_TRAIN
+from .data import NOISY_TRAIN, Dataset, Slices
 from .errors import ConsistencyError, InputError, ParameterError, ShapeError
 from .serialize import _write_atomic, canonical_json
 
@@ -30,7 +31,8 @@ class GuidanceCache:
 
     Row k of `targets` [N, C] is the soft target of dataset sample
     `indices[k]`; `indices` [N] ascends. A cache for a stack holds one
-    temperature per slice ([K]) and `targets` [K, N, C].
+    temperature per slice ([K]) and `targets` [K, N, C]; on per-slice data
+    `indices` is [K, N], row k slice k's ascending indices.
     """
 
     indices: np.ndarray
@@ -38,27 +40,44 @@ class GuidanceCache:
     temperature: float | np.ndarray
     teacher_fingerprint: str
 
+    def __post_init__(self) -> None:
+        # `guidance_targets` looks rows up in a table: entry i + _offset[k] is
+        # the row of slice k's sample i in `targets` flattened over slices,
+        # or -1 where slice k has no sample i
+        keys = np.atleast_2d(self.indices)
+        span = int(keys.max(initial=0)) + 1
+        offsets = np.arange(len(keys))[:, None] * span
+        self._offset = offsets if self.indices.ndim == 2 else 0
+        self._table = np.full(len(keys) * span, -1)
+        self._table[keys + offsets] = np.arange(keys.size).reshape(keys.shape)
+
     def __len__(self) -> int:
         return len(self.indices)
 
 
 def compute_teacher_soft_targets(
-    teacher: nn.ModelParams, dataset: Dataset, temperature
+    teacher: nn.ModelParams, dataset: Dataset | Slices, temperature
 ) -> GuidanceCache:
     """softmax_t(forward(teacher, x_i), T) for every noisy-train sample, at
-    one temperature or at each of [K] (one teacher forward pass either way)."""
+    one temperature or at each of [K] (one teacher forward pass either way).
+    On per-slice data (see `data.Slices`) the teacher is a stack of one
+    model per source, and slice k's targets are those of its source's
+    teacher on its own noisy samples."""
     if not (nn._lowest(temperature) > 0):
         raise ParameterError(f"temperature must be > 0, got {temperature}")
     temperature = np.asarray(temperature, dtype=np.float64)
-    noisy_idx = dataset.indices(NOISY_TRAIN)
+    data = dataset if isinstance(dataset, Slices) else Slices(dataset)
+    noisy_idx = data.indices(NOISY_TRAIN)
     if noisy_idx.size == 0:
         raise InputError("noisy subset is empty; nothing to cache")
-    if dataset.features.shape[1] != teacher.layer_dims[0]:
+    if data.features.shape[-1] != teacher.layer_dims[0]:
         raise ShapeError(
             f"teacher expects input dim {teacher.layer_dims[0]}, dataset has "
-            f"{dataset.features.shape[1]} features"
+            f"{data.features.shape[-1]} features"
         )
-    probs = nn.softmax_t(nn.forward(teacher, dataset.features[noisy_idx]), temperature)
+    sources = data.per_source()
+    logits = nn.forward(teacher, sources.rows(sources.features, sources.indices(NOISY_TRAIN)))
+    probs = nn.softmax_t(logits if data.shared else logits[data.source], temperature)
     return GuidanceCache(
         indices=noisy_idx,
         targets=probs,
@@ -85,20 +104,25 @@ def guidance_targets(
     num_classes: int,
 ) -> np.ndarray:
     """Fused guidance matrix [B, C] for a noisy batch given by dataset indices;
-    [K, B, C] for [K] betas or a stacked cache."""
+    [K, B, C] for [K] betas or a stacked cache. A cache on per-slice data
+    takes per-slice [K, B] indices and labels, row k looked up in slice k."""
     if nn._lowest(beta) < 0:
         raise ParameterError(f"beta must be >= 0, got {beta}")
     indices = np.asarray(indices)
-    rows = np.searchsorted(cache.indices, indices)
-    found = rows < len(cache)
-    found[found] = cache.indices[rows[found]] == indices[found]
+    rows = np.take(cache._table, indices + cache._offset, mode="clip")
+    # a clipped or shifted query lands on another sample's row, or on none
+    found = (rows >= 0) & (np.take(cache.indices, rows) == indices)
+    targets = cache.targets
+    if cache.indices.ndim == 2:
+        targets = targets.reshape(-1, targets.shape[-1])
     if not found.all():
         raise ConsistencyError(
-            f"guidance cache has no entry for sample index {int(indices[~found][0])}"
+            "guidance cache has no entry for sample index "
+            f"{int(np.broadcast_to(indices, found.shape)[~found][0])}"
         )
     y = nn.one_hot(np.asarray(noisy_labels), num_classes)
     beta = nn._per_slice(beta)
-    return (cache.targets[..., rows, :] + beta * y) / (1.0 + beta)
+    return (targets[..., rows, :] + beta * y) / (1.0 + beta)
 
 
 def student_batch_loss(

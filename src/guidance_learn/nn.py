@@ -10,13 +10,13 @@ in per-sample (1-D) and batch (2-D, mean over rows) variants.
 
 Every array may carry a leading stack axis: a stack is K networks of one
 shape held as a single model whose weights are [K, out, in] and biases
-[K, out] (`tile(params, K)` stacks K copies of one network). A stack maps
-a shared input batch [B, d] to logits [K, B, C]; temperatures, gradient
-scales and targets may be given per slice ([K], [K, B, C]), and batch
-losses come back as [K] per-slice means. Slice k of every result is
-bit-identical to running the k-th network on its own, because the stacked
-matmuls and reductions perform the same floating-point operations in the
-same order.
+[K, out] (`stack` and `tile` build one, `take` picks slices of one). A
+stack maps a shared input batch [B, d], or per-slice inputs [K, B, d]
+(slice k's own rows), to logits [K, B, C]; temperatures, gradient scales
+and targets may be given per slice ([K], [K, B, C]), and batch losses come
+back as [K] per-slice means. Slice k of every result is bit-identical to
+running the k-th network on its own rows, because the stacked matmuls and
+reductions perform the same floating-point operations in the same order.
 """
 from __future__ import annotations
 
@@ -130,6 +130,27 @@ def init_params(layer_dims: list[int], seed: int) -> ModelParams:
     return ModelParams(weights=weights, biases=biases, rng_seed=seed)
 
 
+def stack(models: list[ModelParams]) -> ModelParams:
+    """The [K, ...] stack whose slice k is `models[k]`."""
+    return ModelParams(
+        weights=[np.stack(ws) for ws in zip(*(m.weights for m in models))],
+        biases=[np.stack(bs) for bs in zip(*(m.biases for m in models))],
+        activation=models[0].activation,
+        rng_seed=models[0].rng_seed,
+    )
+
+
+def take(params: ModelParams, slices) -> ModelParams:
+    """The stack whose slice j is slice `slices[j]` of the stack `params`."""
+    slices = np.asarray(slices)
+    return ModelParams(
+        weights=[W[slices] for W in params.weights],
+        biases=[b[slices] for b in params.biases],
+        activation=params.activation,
+        rng_seed=params.rng_seed,
+    )
+
+
 def tile(params: ModelParams, k: int) -> ModelParams:
     """A stack of `k` copies of `params`: slice j of every array is `params`'."""
     return ModelParams(
@@ -172,12 +193,15 @@ def _as_batch(x: np.ndarray) -> np.ndarray:
 
 def _checked_batch(params: ModelParams, batch: np.ndarray) -> np.ndarray:
     X = _as_batch(batch)
-    if X.ndim != 2:
-        raise ShapeError(f"batch must be 1-D or 2-D, got ndim={X.ndim}")
-    if X.shape[1] != params.weights[0].shape[-1]:
+    if X.ndim == 3 and X.shape[:1] != params.weights[0].shape[:-2]:
+        raise ShapeError(f"per-slice batch {X.shape} needs a stack of {X.shape[0]} models, "
+                         f"got weights {params.weights[0].shape}")
+    if X.ndim not in (2, 3):
+        raise ShapeError(f"batch must be 1-D, 2-D or per-slice 3-D, got ndim={X.ndim}")
+    if X.shape[-1] != params.weights[0].shape[-1]:
         raise ShapeError(
             f"layer 0 expects input dim {params.weights[0].shape[-1]}, "
-            f"batch has {X.shape[1]} columns"
+            f"batch has {X.shape[-1]} columns"
         )
     return X
 
@@ -199,18 +223,29 @@ def _forward_cached(params: ModelParams, batch: np.ndarray):
 
 def forward(params: ModelParams, batch: np.ndarray) -> np.ndarray:
     """Logits [B, C] for a batch [B, d] (a single 1-D sample gives [C]); a
-    stack gives [K, B, C] ([K, C])."""
+    stack gives [K, B, C] ([K, C]) for a shared batch or per-slice [K, B, d]."""
     squeeze = np.asarray(batch).ndim == 1
+    X = _checked_batch(params, batch)
+    if X.ndim == 3:
+        # one slice at a time: a forward over per-slice splits then holds one
+        # model's layer outputs, not the whole stack's
+        return np.stack([_logits([W[k] for W in params.weights],
+                                 [b[k] for b in params.biases], x) for k, x in enumerate(X)])
+    logits = _logits(params.weights, params.biases, X)
+    return logits[..., 0, :] if squeeze else logits
+
+
+def _logits(weights: list[np.ndarray], biases: list[np.ndarray], X: np.ndarray) -> np.ndarray:
     # Unlike the training pass, keep only the current layer (ReLU in place):
     # a forward over a whole split then holds two layers' outputs, not all.
-    a = _checked_batch(params, batch)
-    last = len(params.weights) - 1
-    for k, (W, b) in enumerate(zip(params.weights, params.biases)):
+    a = X
+    last = len(weights) - 1
+    for k, (W, b) in enumerate(zip(weights, biases)):
         a = a @ W.swapaxes(-1, -2)
         a += b[..., None, :]
         if k < last:
             np.maximum(a, 0.0, out=a)
-    return a[..., 0, :] if squeeze else a
+    return a
 
 
 def softmax_t(logits: np.ndarray, temperature=1.0) -> np.ndarray:
@@ -225,9 +260,10 @@ def softmax_t(logits: np.ndarray, temperature=1.0) -> np.ndarray:
     if not np.isfinite(z).all():
         raise InputError("logits contain non-finite entries")
     z = z / _per_slice(temperature)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def _check_targets(targets: np.ndarray, pred: np.ndarray, message: str) -> None:
@@ -271,10 +307,8 @@ def kl_div(target: np.ndarray, pred: np.ndarray) -> float | np.ndarray:
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    labels = np.asarray(labels)
-    out = np.zeros((labels.shape[0], num_classes))
-    out[np.arange(labels.shape[0]), labels] = 1.0
-    return out
+    """[..., C] rows of 0.0 with 1.0 at each label, for labels of any shape."""
+    return np.take(np.eye(num_classes), np.asarray(labels), axis=0)
 
 
 def _backprop(params: ModelParams, pre, acts, dlogits: np.ndarray) -> Gradients:
@@ -285,7 +319,8 @@ def _backprop(params: ModelParams, pre, acts, dlogits: np.ndarray) -> Gradients:
         grads_w[k] = delta.swapaxes(-1, -2) @ acts[k]
         grads_b[k] = delta.sum(axis=-2)
         if k > 0:
-            delta = (delta @ params.weights[k]) * (pre[k - 1] > 0.0)
+            delta = delta @ params.weights[k]
+            delta *= pre[k - 1] > 0.0
     return Gradients(weights=grads_w, biases=grads_b)
 
 
@@ -302,8 +337,9 @@ def backward(
 
     The gradient w.r.t. the logits is scale * (q - targets) / B: scale 1 at
     T = 1 trains plain cross-entropy, scale alpha * T the guidance branch's
-    alpha * T^2 * KL. For a stack, q is [K, B, C], `temperature` and `scale`
-    may be per slice ([K]) and `targets` [K, B, C] or shared [B, C].
+    alpha * T^2 * KL. For a stack, q is [K, B, C], `batch` may be per slice
+    ([K, B, d]), `temperature` and `scale` per slice ([K]) and `targets`
+    [K, B, C] or shared [B, C].
     """
     pre, acts = _forward_cached(params, batch)
     q = softmax_t(acts[-1], temperature)

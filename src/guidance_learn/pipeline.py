@@ -5,7 +5,9 @@ All runs are driven by a TrainConfig and are bit-reproducible from
 (dataset, config): every shuffle and init draws from seed-derived streams.
 The training loop is indifferent to whether it carries one model or a
 [K, ...] stack (see `nn`); for a stack, every loss and accuracy in the
-report is a list of K per-slice values.
+report is a list of K per-slice values. Given K configs, which may differ
+in alpha, beta, temperature and seed, and one dataset or K, a stage trains
+K models as one stack, slice k on its own dataset and seed (`data.Slices`).
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import guidance, nn
-from .data import CLEAN_TRAIN, NOISY_TRAIN, TEST, Dataset, batch_indices, mixed_batch_iterator
+from .data import CLEAN_TRAIN, NOISY_TRAIN, TEST, Dataset, Slices
 from .errors import (ConfigurationError, ConsistencyError, DivergenceError, InputError,
                      ParameterError, ShapeError)
 from .serialize import from_document, to_document
@@ -145,17 +147,60 @@ class RunReport:
         return doc
 
 
-def _test_accuracy(params: nn.ModelParams, dataset: Dataset) -> float | list[float] | None:
+# The config fields in which the slices of a stack may differ.
+_PER_SLICE = ("alpha", "beta", "temperature", "seed")
+
+
+@dataclass(frozen=True)
+class _Stack:
+    """What a stage trains on: the slices' data, the config they share and,
+    for a stack given per-slice configs, each slice's config."""
+
+    data: Slices
+    config: TrainConfig
+    configs: list[TrainConfig] | None
+
+    def report_config(self) -> dict:
+        """The config of a report; a stack of configs lists per-slice values."""
+        doc = self.config.to_dict()
+        if self.configs is not None:
+            doc.update({name: [getattr(c, name) for c in self.configs] for name in _PER_SLICE})
+        return doc
+
+
+def _stack(dataset: Dataset | Sequence[Dataset],
+           config: TrainConfig | Sequence[TrainConfig]) -> _Stack:
+    """One config and one dataset, or K configs that differ only in
+    `_PER_SLICE` with one dataset or K."""
+    if isinstance(config, TrainConfig):
+        if not isinstance(dataset, Dataset):
+            raise ConfigurationError("per-slice datasets need per-slice configs")
+        return _Stack(Slices(dataset, config.seed), config, None)
+    configs = list(config)
+    if not configs:
+        raise ConfigurationError("a stack needs at least one config")
+    shared = [replace(c, **{name: getattr(configs[0], name) for name in _PER_SLICE})
+              for c in configs]
+    if any(c != configs[0] for c in shared):
+        raise ConfigurationError(
+            f"the configs of a stack may differ only in {', '.join(_PER_SLICE)}")
+    return _Stack(Slices(dataset, [c.seed for c in configs]), configs[0], configs)
+
+
+def _test_accuracy(params: nn.ModelParams, data: Slices) -> float | list[float] | None:
     from .evaluation import accuracy
 
-    if dataset.indices(TEST).size == 0:
+    if data.indices(TEST).size == 0:
         return None
-    return accuracy(params, dataset, TEST)
+    return accuracy(params, data, TEST)
 
 
-def _init_for(dataset: Dataset, config: TrainConfig) -> nn.ModelParams:
-    dims = [dataset.features.shape[1], *config.hidden_dims, dataset.num_classes]
-    return nn.init_params(dims, config.seed)
+def _init_for(stack: _Stack) -> nn.ModelParams:
+    """The seeded initial model, or a stack of each slice's."""
+    dims = [stack.data.features.shape[-1], *stack.config.hidden_dims, stack.data.num_classes]
+    if stack.configs is None:
+        return nn.init_params(dims, stack.config.seed)
+    return nn.stack([nn.init_params(dims, c.seed) for c in stack.configs])
 
 
 def _epoch_mean(values) -> float | list[float]:
@@ -167,8 +212,7 @@ def _epoch_mean(values) -> float | list[float]:
 @np.errstate(over="ignore", invalid="ignore")
 def _train(
     params: nn.ModelParams,
-    dataset: Dataset,
-    config: TrainConfig,
+    stack: _Stack,
     schedule: Schedule,
     epochs: int,
     stage: str,
@@ -187,8 +231,9 @@ def _train(
     warnings on the way there are not printed.
     """
     t0 = time.perf_counter()
+    config = stack.config
     state = nn.OptState.zeros(params)
-    report = RunReport(stage=stage, config=config.to_dict())
+    report = RunReport(stage=stage, config=stack.report_config())
     try:
         for epoch in range(epochs):
             lr = lr_at(schedule, epoch)
@@ -201,12 +246,12 @@ def _train(
             total, guide, clean = (_epoch_mean(column) for column in zip(*losses))
             report.epochs.append(EpochRecord(
                 epoch=epoch, lr=lr, loss_total=total, loss_guidance=guide,
-                loss_clean=clean, test_accuracy=_test_accuracy(params, dataset),
+                loss_clean=clean, test_accuracy=_test_accuracy(params, stack.data),
             ))
     except InputError as exc:
         raise DivergenceError(stage, epoch, len(losses), lr, exc) from exc
     report.final_test_accuracy = (report.epochs[-1].test_accuracy if report.epochs
-                                  else _test_accuracy(params, dataset))
+                                  else _test_accuracy(params, stack.data))
     report.wall_time_sec = time.perf_counter() - t0
     return params, report
 
@@ -221,86 +266,83 @@ def _fingerprinted(
 
 
 def _train_cross_entropy(
-    dataset: Dataset,
-    train_idx: np.ndarray,
+    stack: _Stack,
+    tags: tuple[str, ...],
     params: nn.ModelParams,
-    config: TrainConfig,
     schedule: Schedule,
     epochs: int,
     stage: str,
 ) -> tuple[nn.ModelParams, RunReport]:
-    if train_idx.size == 0:
+    """Plain cross-entropy over the samples with `tags`."""
+    data = stack.data
+    if data.indices(*tags).size == 0:
         raise ConfigurationError(f"{stage}: training subset is empty")
-    X, y, C = dataset.features, dataset.labels, dataset.num_classes
+    X, y, C = data.features, data.labels, data.num_classes
 
     def step(params, batch):
-        targets = nn.one_hot(y[batch], C)
-        probs, grads = nn.backward(params, X[batch], targets)
+        targets = nn.one_hot(data.rows(y, batch), C)
+        probs, grads = nn.backward(params, data.rows(X, batch), targets)
         loss = nn.cross_entropy(probs, targets)
         return (loss, 0.0 * loss, loss), grads
 
     return _fingerprinted(*_train(
-        params, dataset, config, schedule, epochs, stage,
-        lambda epoch: batch_indices(train_idx, config.batch_size, config.seed, epoch), step,
+        params, stack, schedule, epochs, stage,
+        lambda epoch: data.batches(tags, stack.config.batch_size, epoch), step,
     ))
 
 
-def train_teacher(dataset: Dataset, config: TrainConfig) -> tuple[nn.ModelParams, RunReport]:
-    """Stage 1: plain cross-entropy over all training samples, clean + noisy."""
-    train_idx = np.where(dataset.tags != TEST)[0]
-    if train_idx.size == 0:
+def train_teacher(
+    dataset: Dataset | Sequence[Dataset], config: TrainConfig | Sequence[TrainConfig]
+) -> tuple[nn.ModelParams, RunReport]:
+    """Stage 1: plain cross-entropy over all training samples, clean + noisy.
+    K configs (and one dataset or K) train a [K, ...] stack of teachers,
+    slice k initialised and batched from its own seed."""
+    stack = _stack(dataset, config)
+    if stack.data.indices(CLEAN_TRAIN, NOISY_TRAIN).size == 0:
         raise ConfigurationError("teacher training needs a nonempty train set")
-    params = _init_for(dataset, config)
-    return _train_cross_entropy(dataset, train_idx, params, config,
-                                config.teacher_lr_schedule, config.teacher_epochs,
-                                stage="teacher")
-
-
-def _shared_config(configs: list[TrainConfig]) -> TrainConfig:
-    """The one config of a student stack's cells, which may differ only in
-    alpha, beta and temperature."""
-    if not configs:
-        raise ConfigurationError("a student stack needs at least one config")
-    shared = [replace(c, alpha=0.0, beta=0.0, temperature=1.0) for c in configs]
-    if any(c != shared[0] for c in shared):
-        raise ConfigurationError(
-            "the configs of a student stack may differ only in alpha, beta and temperature")
-    return configs[0]
+    return _train_cross_entropy(stack, (CLEAN_TRAIN, NOISY_TRAIN), _init_for(stack),
+                                stack.config.teacher_lr_schedule,
+                                stack.config.teacher_epochs, stage="teacher")
 
 
 def train_student(
     teacher: nn.ModelParams,
-    dataset: Dataset,
+    dataset: Dataset | Sequence[Dataset],
     config: TrainConfig | Sequence[TrainConfig],
     cache: guidance.GuidanceCache,
 ) -> tuple[nn.ModelParams, RunReport]:
     """Stage 2: teacher-initialized student under the multi-task objective.
 
     `cache` holds the soft targets of this `teacher` at the configured
-    temperature (`guidance.compute_teacher_soft_targets`); a cache built from
-    another model is a ConsistencyError. The teacher's fingerprint goes into
-    the report. Given K configs that differ only in alpha, beta and
-    temperature, and a cache built at their K temperatures, the K students
-    train as one [K, ...] stack: slice k equals the student of config k
-    trained alone, and the report holds per-slice values and no student
-    fingerprint.
+    temperature (`guidance.compute_teacher_soft_targets`) on this data; a
+    cache built from another model or on other samples is a
+    ConsistencyError. The teacher's fingerprint goes into the report.
+    Given K configs (see `_stack`), one dataset or K, and a cache built at
+    their K temperatures, the K students train as one [K, ...] stack from
+    the teacher tiled K times or, on per-slice data, from a stack of one
+    teacher per source (`data.Slices.source`): slice k equals the student of
+    config k trained alone, and the report holds per-slice values and no
+    student fingerprint.
     """
-    if teacher.layer_dims[0] != dataset.features.shape[1]:
+    stack = _stack(dataset, config)
+    data, config = stack.data, stack.config
+    if teacher.layer_dims[0] != data.features.shape[-1]:
         raise ShapeError(
             f"teacher input dim {teacher.layer_dims[0]} != dataset feature dim "
-            f"{dataset.features.shape[1]}"
+            f"{data.features.shape[-1]}"
         )
-    if teacher.num_classes != dataset.num_classes:
+    if teacher.num_classes != data.num_classes:
         raise ShapeError(
             f"teacher has {teacher.num_classes} outputs, dataset has "
-            f"{dataset.num_classes} classes"
+            f"{data.num_classes} classes"
         )
-    if dataset.indices(CLEAN_TRAIN).size == 0:
+    if data.indices(CLEAN_TRAIN).size == 0:
         raise ConfigurationError(
             "student training needs a clean subset; for noisy-only training "
             "use run_baseline('noisy_only', ...)"
         )
-    if dataset.indices(NOISY_TRAIN).size == 0:
+    noisy_idx = data.indices(NOISY_TRAIN)
+    if noisy_idx.size == 0:
         raise ConfigurationError("student training needs a noisy subset")
     teacher_fingerprint = nn.fingerprint(teacher)
     if cache.teacher_fingerprint != teacher_fingerprint:
@@ -308,51 +350,54 @@ def train_student(
             f"guidance cache was built from teacher {cache.teacher_fingerprint[:12]}..., "
             f"not from the given teacher {teacher_fingerprint[:12]}..."
         )
+    if not np.array_equal(cache.indices, noisy_idx):
+        raise ConsistencyError("guidance cache does not hold the noisy samples of the data")
 
-    if isinstance(config, TrainConfig):
+    if stack.configs is None:
         student = teacher.copy()
         alpha, beta, temperature = config.alpha, config.beta, config.temperature
     else:
-        configs = list(config)
-        config = _shared_config(configs)
-        student = nn.tile(teacher, len(configs))
-        alpha, beta, temperature = (
-            np.array(column) for column in zip(*((c.alpha, c.beta, c.temperature)
-                                                 for c in configs)))
-    X, y = dataset.features, dataset.labels
+        if teacher.weights[0].ndim == 2:
+            student = nn.tile(teacher, len(stack.configs))
+        elif teacher.weights[0].shape[0] == data.num_sources:
+            student = nn.take(teacher, data.source)
+        else:
+            raise ShapeError(f"a stack of {teacher.weights[0].shape[0]} teachers for "
+                             f"data of {data.num_sources} sources")
+        alpha, beta, temperature = (np.array([getattr(c, name) for c in stack.configs])
+                                    for name in ("alpha", "beta", "temperature"))
+    X, y = data.features, data.labels
 
     def step(student, batch):
-        noisy_idx, clean_idx = batch
+        noisy, clean = batch
         return guidance.student_batch_loss(
-            student, X[noisy_idx], y[noisy_idx], noisy_idx, cache,
-            X[clean_idx], y[clean_idx], alpha=alpha, beta=beta, temperature=temperature,
+            student, data.rows(X, noisy), data.rows(y, noisy), noisy, cache,
+            data.rows(X, clean), data.rows(y, clean),
+            alpha=alpha, beta=beta, temperature=temperature,
         )
 
     student, report = _train(
-        student, dataset, config, config.student_lr_schedule, config.student_epochs,
-        "student",
-        lambda epoch: mixed_batch_iterator(dataset, config.batch_size, config.seed, epoch),
-        step,
+        student, stack, config.student_lr_schedule, config.student_epochs, "student",
+        lambda epoch: data.mixed_batches(config.batch_size, epoch), step,
     )
-    # a stack's report lists the per-slice values (a single run's are unchanged)
-    report.config.update(alpha=np.asarray(alpha).tolist(), beta=np.asarray(beta).tolist(),
-                         temperature=np.asarray(temperature).tolist())
     report.checkpoint_fingerprints["teacher"] = teacher_fingerprint
     return _fingerprinted(student, report, "student")
 
 
 def finetune_clean(
-    model: nn.ModelParams, dataset: Dataset, config: TrainConfig
+    model: nn.ModelParams,
+    dataset: Dataset | Sequence[Dataset],
+    config: TrainConfig | Sequence[TrainConfig],
 ) -> tuple[nn.ModelParams, RunReport]:
     """Cross-entropy pass over the clean subset only, at a reduced LR; `model`
-    may be a stack."""
-    clean_idx = dataset.indices(CLEAN_TRAIN)
-    if clean_idx.size == 0:
+    may be a stack, and K configs (and one dataset or K) fine-tune slice k
+    on its own data and seed."""
+    stack = _stack(dataset, config)
+    if stack.data.indices(CLEAN_TRAIN).size == 0:
         raise ConfigurationError("fine-tuning needs a nonempty clean subset")
     return _train_cross_entropy(
-        dataset, clean_idx, model.copy(), config,
-        config.effective_finetune_schedule(), config.finetune_epochs,
-        stage="finetune",
+        stack, (CLEAN_TRAIN,), model.copy(), stack.config.effective_finetune_schedule(),
+        stack.config.finetune_epochs, stage="finetune",
     )
 
 
@@ -362,16 +407,12 @@ def run_baseline(
     """Run one comparison variant: its models by checkpoint name ("model";
     or "teacher" and "student", plus "finetuned") and its report. Reports
     of one dataset and config differ only in their variant field."""
-    if variant == "noisy_only":
+    if variant in ("noisy_only", "clean_only"):
+        stack = _stack(dataset, config)
         params, report = _train_cross_entropy(
-            dataset, dataset.indices(NOISY_TRAIN), _init_for(dataset, config),
-            config, config.teacher_lr_schedule, config.teacher_epochs, stage="teacher",
-        )
-        models = {"model": params}
-    elif variant == "clean_only":
-        params, report = _train_cross_entropy(
-            dataset, dataset.indices(CLEAN_TRAIN), _init_for(dataset, config),
-            config, config.teacher_lr_schedule, config.teacher_epochs, stage="teacher",
+            stack, (NOISY_TRAIN if variant == "noisy_only" else CLEAN_TRAIN,),
+            _init_for(stack), config.teacher_lr_schedule, config.teacher_epochs,
+            stage="teacher",
         )
         models = {"model": params}
     elif variant == "mixed":

@@ -296,6 +296,39 @@ def test_sweep_bad_value_or_seed_names_its_source(tmp_path, capsys, flags, doc, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, doc, named", [
+    (["make-data", "--seed", "-1"], None, "--seed"),
+    (["inject-noise", "--data", "{data}", "--noise-model", "symmetric",
+      "--noise-rate", "0.2", "--seed", "-2"], None, "--seed"),
+    (["sweep", "--axis", "beta", "--values", "0.1", "--seeds", "-1"], {}, "--seeds"),
+    (["sweep", "--axis", "beta", "--values", "0.1"], {"sweep_seeds": [-1]}, "sweep_seeds"),
+], ids=["make-data-flag", "inject-noise-flag", "sweep-flag", "sweep-key"])
+def test_negative_seed_is_an_error_naming_its_source(tmp_path, capsys, argv, doc, named):
+    data_csv = tmp_path / "data" / "dataset.csv"
+    assert cli.main(["make-data", "--out", str(data_csv.parent), "--classes", "3",
+                     "--per-class", "5", "--dim", "2"]) == 0
+    capsys.readouterr()
+    if doc is not None:
+        path = tmp_path / "c.json"
+        write_canonical_json(path, small_config_doc(**doc))
+        argv = [argv[0], "--config", str(path), *argv[1:]]
+    out = tmp_path / "out"
+    argv = [a.replace("{data}", str(data_csv)) for a in argv]
+    assert cli.main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named}: ") and "Traceback" not in err, err
+    assert not out.exists()
+
+
+def test_sweep_with_a_repeated_cell_exits_1_before_the_run_directory(tmp_path, capsys,
+                                                                    config_file):
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", str(config_file), "--out", str(out),
+                     "--axis", "beta", "--values", "0.1,0.1", "--seeds", "1,1"]) == 1
+    assert capsys.readouterr().err == "error: sweep value 0.1 is repeated\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("with_teacher", [True, False], ids=["from-teacher", "desk"])
 def test_train_student_encodes_each_checkpoint_once(tmp_path, config_file, monkeypatch,
                                                     with_teacher):

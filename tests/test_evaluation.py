@@ -96,6 +96,17 @@ def test_sweep_grid_validates_before_training():
         evaluation.SweepGrid(axis="beta", values=(0.3,), base_config=config, seeds=())
 
 
+@pytest.mark.parametrize("values, seeds, message", [
+    ((0.1, 0.3, 0.1), (1, 2), "sweep value 0.1 is repeated"),
+    ((0.1,), (1, 2, 2), "sweep seed 2 is repeated"),
+    ((0.1,), (1, -1), r"sweep seeds must be >= 0, got \[1, -1\]"),
+], ids=["repeated-value", "repeated-seed", "negative-seed"])
+def test_sweep_grid_rejects_repeated_cells_and_negative_seeds(values, seeds, message):
+    _, config = _sweep_inputs()
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        evaluation.SweepGrid(axis="beta", values=values, base_config=config, seeds=seeds)
+
+
 def test_sweep_produces_one_row_per_cell():
     recipe, config = _sweep_inputs()
     grid = evaluation.SweepGrid(axis="beta", values=(0.0, 0.3, 1.0),

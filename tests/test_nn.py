@@ -416,3 +416,37 @@ def test_stacked_passes_equal_each_single_model_bitwise():
                                  g_k.weights + g_k.biases + s_k.weights + s_k.biases):
                 assert got[k].tobytes() == want.tobytes()
             assert (kl[k], ce[k]) == (nn.kl_div(t_k, q_k), nn.cross_entropy(q_k, t_k))
+
+
+def _bits(a):
+    return a.tobytes() + np.signbit(a).tobytes()
+
+
+@pytest.mark.parametrize("B, d, h", [(64, 20, 64), (64, 256, 256), (17, 20, 64), (64, 64, 10)])
+def test_per_slice_inputs_equal_each_single_model_bitwise(B, d, h):
+    """forward and backward of a [K, ...] stack on per-slice inputs [K, B, d]
+    give, slice by slice, the bits (signs of zeros included) of each model on
+    its own rows; a shared [B, d] input gives those of each model on it."""
+    rng = np.random.default_rng(B + d + h)
+    models = [nn.init_params([d, h, 10], seed=s) for s in range(3)]
+    stacked = stack(models)
+    batches = rng.normal(size=(3, B, d))
+    targets = random_probs(rng, (3, B, 10))
+    T, scale = np.array([1.0, 2.5, 20.0]), np.array([0.0, 0.3, 7.0])
+    for inputs, rows in ((batches, list(batches)), (batches[0], [batches[0]] * 3)):
+        logits = nn.forward(stacked, inputs)
+        q, grads = nn.backward(stacked, inputs, targets, T, scale)
+        for k, (model, x) in enumerate(zip(models, rows)):
+            assert _bits(logits[k]) == _bits(nn.forward(model, x))
+            q_k, g_k = nn.backward(model, x, targets[k], T[k], scale[k])
+            assert _bits(q[k]) == _bits(q_k)
+            for got, want in zip(grads.weights + grads.biases, g_k.weights + g_k.biases):
+                assert _bits(got[k]) == _bits(want)
+
+
+def test_per_slice_inputs_need_a_stack_of_as_many_models():
+    single = nn.init_params([4, 3, 2], seed=0)
+    with pytest.raises(ShapeError, match="per-slice batch"):
+        nn.forward(single, np.zeros((2, 5, 4)))
+    with pytest.raises(ShapeError, match="per-slice batch"):
+        nn.backward(stack([single, single]), np.zeros((3, 5, 4)), np.zeros((5, 2)))
