@@ -14,6 +14,7 @@ from .data import (
     Dataset,
     FlipMask,
     NoiseSpec,
+    Slices,
     inject_noise,
     make_blobs,
     mixed_batch_iterator,
@@ -63,6 +64,7 @@ __all__ = [
     "NoiseSpec",
     "OptState",
     "RunReport",
+    "Slices",
     "SweepGrid",
     "SweepResult",
     "TrainConfig",

@@ -317,12 +317,13 @@ def train_student(
     temperature (`guidance.compute_teacher_soft_targets`) on this data; a
     cache built from another model or on other samples is a
     ConsistencyError. The teacher's fingerprint goes into the report.
-    Given K configs (see `_stack`), one dataset or K, and a cache built at
-    their K temperatures, the K students train as one [K, ...] stack from
-    the teacher tiled K times or, on per-slice data, from a stack of one
-    teacher per source (`data.Slices.source`): slice k equals the student of
-    config k trained alone, and the report holds per-slice values and no
-    student fingerprint.
+    Given K configs that differ only in alpha, beta, temperature and seed,
+    one dataset or K, and a cache built at their K temperatures on that
+    data, the K students train as one [K, ...] stack. They start from the
+    teacher tiled K times or, on per-slice data, from a stack of one teacher
+    per source (`data.Slices.source`). Slice k equals the student of config
+    k trained alone, and the report holds per-slice values and no student
+    fingerprint.
     """
     stack = _stack(dataset, config)
     data, config = stack.data, stack.config
