@@ -30,7 +30,6 @@ from .guidance import (
 )
 from .nn import (
     ModelParams,
-    OptState,
     backward,
     cross_entropy,
     forward,
@@ -44,6 +43,7 @@ from .nn import (
 from .pipeline import (
     RunReport,
     TrainConfig,
+    check_fits,
     finetune_clean,
     run_baseline,
     train_student,
@@ -62,7 +62,6 @@ __all__ = [
     "GuidanceCache",
     "ModelParams",
     "NoiseSpec",
-    "OptState",
     "RunReport",
     "Slices",
     "SweepGrid",
@@ -70,6 +69,7 @@ __all__ = [
     "TrainConfig",
     "accuracy",
     "backward",
+    "check_fits",
     "compute_teacher_soft_targets",
     "cross_entropy",
     "finetune_clean",

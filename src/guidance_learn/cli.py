@@ -21,6 +21,7 @@ from .evaluation import SWEEP_AXES, SweepGrid, accuracy, sweep
 from .pipeline import (
     BASELINE_VARIANTS,
     TrainConfig,
+    check_fits,
     finetune_clean,
     run_baseline,
     train_student,
@@ -244,6 +245,14 @@ def _finish_run(rundir: _RunDir, snapshot: dict, report, models: dict) -> int:
     return 0
 
 
+def _load_model(path: str, dataset) -> nn.ModelParams:
+    """The checkpoint at `path`; one that does not fit `dataset` is a
+    ShapeError naming the file and both sizes."""
+    model = nn.load_checkpoint(path)
+    check_fits(model, dataset, f"{path}: checkpoint")
+    return model
+
+
 def _cmd_make_data(cli: CliConfig) -> int:
     rundir = _RunDir(cli.out_dir, "dataset.csv", cli.force)
     dataset = make_blobs(cli.classes, cli.per_class, cli.dim, cli.sigma, cli.seed or 0)
@@ -276,7 +285,7 @@ def _cmd_train_teacher(cli: CliConfig) -> int:
 def _cmd_train_student(cli: CliConfig) -> int:
     config, dataset, rundir, snapshot = _start_run(cli)
     if cli.teacher is not None:
-        teacher = nn.load_checkpoint(cli.teacher)
+        teacher = _load_model(cli.teacher, dataset)
         log.info("loaded teacher from %s", cli.teacher)
     else:
         teacher, _teacher_report = train_teacher(dataset, config)
@@ -291,7 +300,7 @@ def _cmd_train_student(cli: CliConfig) -> int:
 
 def _cmd_finetune(cli: CliConfig) -> int:
     config, dataset, rundir, snapshot = _start_run(cli)
-    model = nn.load_checkpoint(cli.checkpoint)
+    model = _load_model(cli.checkpoint, dataset)
     finetuned, report = finetune_clean(model, dataset, config)
     return _finish_run(rundir, snapshot, report, {"finetuned": finetuned})
 
@@ -321,7 +330,7 @@ def _cmd_sweep(cli: CliConfig) -> int:
 def _cmd_eval(cli: CliConfig) -> int:
     config, recipe, _ = _effective_config(cli)
     dataset, _ = recipe.build(config.seed)
-    params = nn.load_checkpoint(cli.checkpoint)
+    params = _load_model(cli.checkpoint, dataset)
     acc = accuracy(params, dataset, cli.split)
     print(f"{cli.split} accuracy: {acc!r}")
     return 0

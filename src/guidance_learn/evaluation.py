@@ -6,7 +6,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import guidance, nn
-from .data import DataRecipe, Dataset, Slices, layout
+from .data import TEST, DataRecipe, Dataset, Slices, layout
 from .errors import InputError, ParameterError
 from .pipeline import TrainConfig, finetune_clean, train_student, train_teacher
 from .serialize import to_document
@@ -153,7 +153,9 @@ def sweep(grid: SweepGrid, recipe: DataRecipe) -> SweepResult:
     fine-tuned models over the cells, each cell starting from its dataset's
     teacher. Every slice is bit-identical to its cell trained alone. The
     stratified split gives every seed and noise rate the same split sizes,
-    so only clean_fraction values train apart.
+    so only clean_fraction values train apart. Each cell's teacher accuracy
+    is its teacher report's; a dataset with an empty test split is an
+    InputError before any training.
     """
     if grid.axis == "noise_rate" and recipe.noise_model == "none":
         raise ParameterError("noise_rate sweep needs a recipe with a noise model")
@@ -168,6 +170,8 @@ def sweep(grid: SweepGrid, recipe: DataRecipe) -> SweepResult:
         key = data_key(value, seed)
         if key not in datasets:
             datasets[key], _ = _cell_recipe(grid, recipe, value).build(seed)
+            if datasets[key].indices(TEST).size == 0:
+                raise InputError(f"split {TEST!r} is empty")
         groups.setdefault(layout(datasets[key]), []).append((value, seed))
 
     results: dict[tuple[float, int], tuple[float, float, float]] = {}
@@ -175,9 +179,9 @@ def sweep(grid: SweepGrid, recipe: DataRecipe) -> SweepResult:
         # one teacher per source: each distinct dataset (and so seed) of the cells
         keys = list(dict.fromkeys(data_key(*cell) for cell in group))
         teacher_data = [datasets[key] for key in keys]
-        teachers, _ = train_teacher(teacher_data, [replace(grid.base_config, seed=seed)
-                                                   for _, seed in keys])
-        acc_teacher = accuracy(teachers, Slices(teacher_data), "test")
+        teachers, teacher_report = train_teacher(
+            teacher_data, [replace(grid.base_config, seed=seed) for _, seed in keys])
+        acc_teacher = teacher_report.final_test_accuracy
         cell_data = [datasets[data_key(*cell)] for cell in group]
         configs = [_cell_config(grid, value, seed) for value, seed in group]
         cache = guidance.compute_teacher_soft_targets(

@@ -51,9 +51,6 @@ class GuidanceCache:
         self._table = np.full(len(keys) * span, -1)
         self._table[keys + offsets] = np.arange(keys.size).reshape(keys.shape)
 
-    def __len__(self) -> int:
-        return len(self.indices)
-
 
 def compute_teacher_soft_targets(
     teacher: nn.ModelParams, dataset: Dataset | Slices, temperature
@@ -160,16 +157,17 @@ def student_batch_loss(
     q, noisy_grads = nn.backward(student, noisy_batch, g, temperature, alpha * temperature)
     clean_targets = nn.one_hot(np.asarray(clean_labels), C)
     p, clean_grads = nn.backward(student, clean_batch, clean_targets)
-    grads = nn.Gradients(
-        weights=[a + b for a, b in zip(noisy_grads.weights, clean_grads.weights)],
-        biases=[a + b for a, b in zip(noisy_grads.biases, clean_grads.biases)],
-    )
+    # the noisy branch's buffers are its own: sum the clean branch into them
+    grads = noisy_grads
+    totals = grads.weights + grads.biases
+    cleans = clean_grads.weights + clean_grads.biases
+    for total, clean in zip(totals, cleans):
+        total += clean
     if nn._lowest(alpha) == 0.0:
         # alpha == 0 (the model, or those slices of a stack) keeps the clean
         # gradient bit for bit: adding the zero branch could turn -0.0 into +0.0
         alpha_zero = np.asarray(alpha) == 0.0
-        for total, clean in zip(grads.weights + grads.biases,
-                                clean_grads.weights + clean_grads.biases):
+        for total, clean in zip(totals, cleans):
             total[alpha_zero] = clean[alpha_zero]
     loss_g = nn.kl_div(g, q)
     loss_c = nn.cross_entropy(p, clean_targets)

@@ -10,7 +10,7 @@ in per-sample (1-D) and batch (2-D, mean over rows) variants.
 
 Every array may carry a leading stack axis: a stack is K networks of one
 shape held as a single model whose weights are [K, out, in] and biases
-[K, out] (`stack` and `tile` build one, `take` picks slices of one). A
+[K, out] (`stack` builds one, `take` picks slices of one). A
 stack maps a shared input batch [B, d], or per-slice inputs [K, B, d]
 (slice k's own rows), to logits [K, B, C]; temperatures, gradient scales
 and targets may be given per slice ([K], [K, B, C]), and batch losses come
@@ -52,15 +52,12 @@ class ModelParams:
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    activation: str = "relu"
     rng_seed: int = 0
     # (state digest, sha256 hex, checkpoint bytes or None once saved)
     _encoding: tuple[bytes, str, bytes | None] | None = field(
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.activation != "relu":
-            raise ParameterError(f"unsupported activation {self.activation!r}")
         if len(self.weights) != len(self.biases) or not self.weights:
             raise ShapeError("weights and biases must be nonempty parallel lists")
         stack = self.weights[0].shape[:-2]
@@ -72,8 +69,7 @@ class ModelParams:
                     f"layer {k}: input dim {W.shape[-1]} != previous output dim "
                     f"{self.weights[k - 1].shape[-2]}"
                 )
-            if not (np.isfinite(W).all() and np.isfinite(b).all()):
-                raise InputError(f"layer {k}: non-finite parameter entries")
+        _check_finite(self)
 
     @property
     def layer_dims(self) -> list[int]:
@@ -87,32 +83,24 @@ class ModelParams:
         return ModelParams(
             weights=[W.copy() for W in self.weights],
             biases=[b.copy() for b in self.biases],
-            activation=self.activation,
             rng_seed=self.rng_seed,
         )
 
 
+def _check_finite(params: ModelParams) -> None:
+    """InputError naming the first layer with a non-finite weight or bias."""
+    for k, (W, b) in enumerate(zip(params.weights, params.biases)):
+        if not (np.isfinite(W).all() and np.isfinite(b).all()):
+            raise InputError(f"layer {k}: non-finite parameter entries")
+
+
 @dataclass
 class Gradients:
-    """Gradient arrays mirroring a ModelParams layout."""
+    """Gradient arrays mirroring a ModelParams layout; also the layout of
+    the SGD momentum buffers (`sgd_step`'s velocity)."""
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-
-
-@dataclass
-class OptState:
-    """SGD momentum buffers."""
-
-    velocity_w: list[np.ndarray]
-    velocity_b: list[np.ndarray]
-
-    @classmethod
-    def zeros(cls, params: ModelParams) -> "OptState":
-        return cls(
-            velocity_w=[np.zeros_like(W) for W in params.weights],
-            velocity_b=[np.zeros_like(b) for b in params.biases],
-        )
 
 
 def init_params(layer_dims: list[int], seed: int) -> ModelParams:
@@ -135,7 +123,6 @@ def stack(models: list[ModelParams]) -> ModelParams:
     return ModelParams(
         weights=[np.stack(ws) for ws in zip(*(m.weights for m in models))],
         biases=[np.stack(bs) for bs in zip(*(m.biases for m in models))],
-        activation=models[0].activation,
         rng_seed=models[0].rng_seed,
     )
 
@@ -146,17 +133,6 @@ def take(params: ModelParams, slices) -> ModelParams:
     return ModelParams(
         weights=[W[slices] for W in params.weights],
         biases=[b[slices] for b in params.biases],
-        activation=params.activation,
-        rng_seed=params.rng_seed,
-    )
-
-
-def tile(params: ModelParams, k: int) -> ModelParams:
-    """A stack of `k` copies of `params`: slice j of every array is `params`'."""
-    return ModelParams(
-        weights=[np.repeat(W[None], k, axis=0) for W in params.weights],
-        biases=[np.repeat(b[None], k, axis=0) for b in params.biases],
-        activation=params.activation,
         rng_seed=params.rng_seed,
     )
 
@@ -351,39 +327,35 @@ def backward(
 def sgd_step(
     params: ModelParams,
     grads: Gradients,
-    state: OptState,
+    velocity: Gradients,
     lr: float,
     momentum: float,
     weight_decay: float,
-) -> tuple[ModelParams, OptState]:
-    """v <- momentum*v + (grad + wd*param); param <- param - lr*v (elementwise,
-    so a stack updates every slice at once)."""
+) -> None:
+    """One SGD step with momentum, in place: v <- momentum*v + (grad + wd*param),
+    then param <- param - lr*v, updating the arrays of `params` and of the
+    momentum buffers `velocity` (a Gradients of zeros before the first step).
+    Elementwise, so a stack updates every slice at once."""
     if len(grads.weights) != len(params.weights):
         raise ShapeError("gradient layer count != parameter layer count")
-    new_w, new_b, vel_w, vel_b = [], [], [], []
-    for W, b, gW, gb, vW, vb in zip(
-        params.weights, params.biases, grads.weights, grads.biases,
-        state.velocity_w, state.velocity_b,
-    ):
-        if gW.shape != W.shape or gb.shape != b.shape:
-            raise ShapeError(f"gradient shape {gW.shape} != parameter shape {W.shape}")
-        vW = momentum * vW + (gW + weight_decay * W)
-        vb = momentum * vb + (gb + weight_decay * b)
-        vel_w.append(vW)
-        vel_b.append(vb)
-        new_w.append(W - lr * vW)
-        new_b.append(b - lr * vb)
-    return (
-        ModelParams(weights=new_w, biases=new_b, activation=params.activation,
-                    rng_seed=params.rng_seed),
-        OptState(velocity_w=vel_w, velocity_b=vel_b),
-    )
+    arrays = params.weights + params.biases
+    steps = grads.weights + grads.biases
+    for W, g in zip(arrays, steps):
+        if g.shape != W.shape:
+            raise ShapeError(f"gradient shape {g.shape} != parameter shape {W.shape}")
+    for W, g, v in zip(arrays, steps, velocity.weights + velocity.biases):
+        # momentum*v + (g + wd*W), operation for operation: the same bits
+        t = weight_decay * W
+        t += g
+        v *= momentum
+        v += t
+        W -= lr * v
 
 
 def checkpoint_dict(params: ModelParams) -> dict:
     return {
         "format_version": CHECKPOINT_FORMAT_VERSION,
-        "activation": params.activation,
+        "activation": "relu",
         "layer_dims": params.layer_dims,
         "weights": [W.tolist() for W in params.weights],
         "biases": [b.tolist() for b in params.biases],
@@ -392,10 +364,9 @@ def checkpoint_dict(params: ModelParams) -> dict:
 
 
 def _state_digest(params: ModelParams) -> bytes:
-    """Digest of everything `checkpoint_dict` encodes: activation, seed and
+    """Digest of everything `checkpoint_dict` encodes that can vary: seed and
     each array's dtype, shape and raw bytes."""
-    digest = hashlib.sha256(repr((params.activation, params.rng_seed,
-                                  len(params.weights))).encode())
+    digest = hashlib.sha256(repr((params.rng_seed, len(params.weights))).encode())
     for array in (*params.weights, *params.biases):
         digest.update(f"{array.dtype.str}{array.shape}".encode())
         digest.update(np.ascontiguousarray(array))
@@ -445,11 +416,12 @@ def load_checkpoint(path) -> ModelParams:
     weights = _checkpoint_arrays(doc, "weights", path)
     biases = _checkpoint_arrays(doc, "biases", path)
     activation = read_field(doc, "activation", str, path, "checkpoint")
+    if activation != "relu":
+        raise FormatError(f"{path}: unsupported checkpoint activation {activation!r}")
     rng_seed = read_field(doc, "rng_seed", int, path, "checkpoint")
     declared = list(read_field(doc, "layer_dims", tuple[int, ...], path, "checkpoint"))
     try:
-        params = ModelParams(weights=weights, biases=biases,
-                             activation=activation, rng_seed=rng_seed)
+        params = ModelParams(weights=weights, biases=biases, rng_seed=rng_seed)
     except GuidanceLearnError as exc:
         raise FormatError(f"{path}: {exc}") from exc
     if params.weights[0].ndim != 2:

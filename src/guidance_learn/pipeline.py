@@ -187,6 +187,17 @@ def _stack(dataset: Dataset | Sequence[Dataset],
     return _Stack(Slices(dataset, [c.seed for c in configs]), configs[0], configs)
 
 
+def check_fits(model: nn.ModelParams, dataset: Dataset | Slices, name: str) -> None:
+    """A ShapeError, its message led by `name`, unless `model` takes the
+    dataset's features as input and has one output per class."""
+    dim = dataset.features.shape[-1]
+    if model.layer_dims[0] != dim:
+        raise ShapeError(f"{name} input dim {model.layer_dims[0]} != dataset feature dim {dim}")
+    if model.num_classes != dataset.num_classes:
+        raise ShapeError(f"{name} has {model.num_classes} outputs, dataset has "
+                         f"{dataset.num_classes} classes")
+
+
 def _test_accuracy(params: nn.ModelParams, data: Slices) -> float | list[float] | None:
     from .evaluation import accuracy
 
@@ -221,18 +232,22 @@ def _train(
 ) -> tuple[nn.ModelParams, RunReport]:
     """The epoch/step loop every stage shares.
 
+    `params` is trained in place with one set of momentum buffers.
     `batches(epoch)` yields the epoch's batches; `step(params, batch)` returns
     ((L_total, L_g, L_c), gradients) of one batch from a single pass. Each
     epoch records its mean losses and test accuracy; the last epoch's
     accuracy is the final one. The report carries no fingerprints. Non-finite
     logits or parameters (the inputs are finite, so training diverged) are a
-    DivergenceError naming the stage, epoch, step (from 0) and learning rate.
-    That check is the detector, so numpy's overflow and invalid-value
-    warnings on the way there are not printed.
+    DivergenceError naming the stage, epoch, step (from 0) and learning rate:
+    the logits are checked at every step, the parameters after each epoch's
+    last step, which is the step named when only they are non-finite. Those
+    checks are the detector, so numpy's overflow and invalid-value warnings
+    on the way there are not printed.
     """
     t0 = time.perf_counter()
     config = stack.config
-    state = nn.OptState.zeros(params)
+    velocity = nn.Gradients(weights=[np.zeros_like(W) for W in params.weights],
+                            biases=[np.zeros_like(b) for b in params.biases])
     report = RunReport(stage=stage, config=stack.report_config())
     try:
         for epoch in range(epochs):
@@ -240,9 +255,12 @@ def _train(
             losses = []
             for batch in batches(epoch):
                 loss, grads = step(params, batch)
-                params, state = nn.sgd_step(params, grads, state, lr,
-                                            config.momentum, config.weight_decay)
+                nn.sgd_step(params, grads, velocity, lr, config.momentum, config.weight_decay)
                 losses.append(loss)
+            try:
+                nn._check_finite(params)
+            except InputError as exc:
+                raise DivergenceError(stage, epoch, len(losses) - 1, lr, exc) from exc
             total, guide, clean = (_epoch_mean(column) for column in zip(*losses))
             report.epochs.append(EpochRecord(
                 epoch=epoch, lr=lr, loss_total=total, loss_guidance=guide,
@@ -319,24 +337,15 @@ def train_student(
     ConsistencyError. The teacher's fingerprint goes into the report.
     Given K configs that differ only in alpha, beta, temperature and seed,
     one dataset or K, and a cache built at their K temperatures on that
-    data, the K students train as one [K, ...] stack. They start from the
-    teacher tiled K times or, on per-slice data, from a stack of one teacher
+    data, the K students train as one [K, ...] stack. They start from K
+    copies of the teacher or, on per-slice data, from a stack of one teacher
     per source (`data.Slices.source`). Slice k equals the student of config
     k trained alone, and the report holds per-slice values and no student
     fingerprint.
     """
     stack = _stack(dataset, config)
     data, config = stack.data, stack.config
-    if teacher.layer_dims[0] != data.features.shape[-1]:
-        raise ShapeError(
-            f"teacher input dim {teacher.layer_dims[0]} != dataset feature dim "
-            f"{data.features.shape[-1]}"
-        )
-    if teacher.num_classes != data.num_classes:
-        raise ShapeError(
-            f"teacher has {teacher.num_classes} outputs, dataset has "
-            f"{data.num_classes} classes"
-        )
+    check_fits(teacher, data, "teacher")
     if data.indices(CLEAN_TRAIN).size == 0:
         raise ConfigurationError(
             "student training needs a clean subset; for noisy-only training "
@@ -359,7 +368,7 @@ def train_student(
         alpha, beta, temperature = config.alpha, config.beta, config.temperature
     else:
         if teacher.weights[0].ndim == 2:
-            student = nn.tile(teacher, len(stack.configs))
+            student = nn.take(nn.stack([teacher]), [0] * len(stack.configs))
         elif teacher.weights[0].shape[0] == data.num_sources:
             student = nn.take(teacher, data.source)
         else:
@@ -390,9 +399,9 @@ def finetune_clean(
     dataset: Dataset | Sequence[Dataset],
     config: TrainConfig | Sequence[TrainConfig],
 ) -> tuple[nn.ModelParams, RunReport]:
-    """Cross-entropy pass over the clean subset only, at a reduced LR; `model`
-    may be a stack, and K configs (and one dataset or K) fine-tune slice k
-    on its own data and seed."""
+    """Cross-entropy pass over the clean subset only, at a reduced LR, on a
+    copy of `model`; `model` may be a stack, and K configs (and one dataset
+    or K) fine-tune slice k on its own data and seed."""
     stack = _stack(dataset, config)
     if stack.data.indices(CLEAN_TRAIN).size == 0:
         raise ConfigurationError("fine-tuning needs a nonempty clean subset")

@@ -88,6 +88,12 @@ def read_cache(path) -> guidance.GuidanceCache:
     )
 
 
+def zero_velocity(params: nn.ModelParams) -> nn.Gradients:
+    """SGD momentum buffers before the first `nn.sgd_step` on `params`."""
+    return nn.Gradients(weights=[np.zeros_like(W) for W in params.weights],
+                        biases=[np.zeros_like(b) for b in params.biases])
+
+
 def params_bytes(params: nn.ModelParams) -> bytes:
     return b"".join([W.tobytes() for W in params.weights] +
                     [b.tobytes() for b in params.biases])

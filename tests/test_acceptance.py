@@ -18,7 +18,7 @@ import scipy.stats
 from guidance_learn import data, evaluation, guidance, nn, pipeline
 from guidance_learn.serialize import canonical_json
 from helpers import (fd_gradients, fuse, max_rel_error, params_bytes, random_probs, read_cache,
-                     train_student)
+                     train_student, zero_velocity)
 
 DESK_RECIPE = data.DataRecipe(
     classes=10, per_class=500, dim=20, sigma=0.1,
@@ -253,7 +253,7 @@ def test_criterion_7_branch_isolation():
 
         # independent clean-only loop from teacher init, same streams
         reference = teacher.copy()
-        state = nn.OptState.zeros(reference)
+        velocity = zero_velocity(reference)
         X, y, C = dataset.features, dataset.labels, dataset.num_classes
         epoch_bytes = []
         for epoch in range(config.student_epochs):
@@ -262,8 +262,8 @@ def test_criterion_7_branch_isolation():
                     dataset, config.batch_size, config.seed, epoch):
                 _, grads = nn.backward(reference, X[clean_idx],
                                        nn.one_hot(y[clean_idx], C))
-                reference, state = nn.sgd_step(reference, grads, state, lr,
-                                               config.momentum, config.weight_decay)
+                nn.sgd_step(reference, grads, velocity, lr,
+                            config.momentum, config.weight_decay)
             epoch_bytes.append(params_bytes(reference))
 
         # the alpha=0 student must match the reference after every epoch

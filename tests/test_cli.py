@@ -129,7 +129,7 @@ def test_train_student_full_run_layout(tmp_path, config_file):
     cache = read_cache(out / "guidance_cache.bin")
     assert cache.teacher_fingerprint == nn.fingerprint(teacher) == fp["teacher"]
     assert cache.temperature == 5.0
-    assert len(cache) > 0
+    assert len(cache.indices) > 0
 
 
 def test_train_student_from_checkpoint_and_finetune(tmp_path, config_file):
@@ -349,6 +349,67 @@ def test_train_student_encodes_each_checkpoint_once(tmp_path, config_file, monke
     for role in ("teacher", "student"):
         digest = hashlib.sha256((out / f"{role}.ckpt").read_bytes()).hexdigest()
         assert report["checkpoint_fingerprints"][role] == digest
+
+
+@pytest.mark.parametrize("override, sizes", [
+    ({"data_classes": 3, "data_dim": 8}, ("4", "3")),
+    ({"data_classes": 4, "data_dim": 5}, ("8", "5")),
+], ids=["classes", "input-dim"])
+@pytest.mark.parametrize("command", ["eval", "finetune", "train-student"])
+def test_checkpoint_that_does_not_fit_the_data_exits_1_naming_it(tmp_path, capsys, command,
+                                                                 override, sizes):
+    """A 4-class teacher of 8 features, given data of 3 classes or of 5
+    features: an error naming the file and both sizes, before any
+    checkpoint is written."""
+    teacher_config = tmp_path / "teacher.json"
+    write_canonical_json(teacher_config, small_config_doc(data_classes=4, data_dim=8,
+                                                          teacher_epochs=1))
+    checkpoint = tmp_path / "teacher" / "teacher.ckpt"
+    assert cli.main(["train-teacher", "--config", str(teacher_config),
+                     "--out", str(checkpoint.parent)]) == 0
+    capsys.readouterr()
+    path = tmp_path / "c.json"
+    write_canonical_json(path, small_config_doc(**override))
+    out = tmp_path / "out"
+    argv = {"eval": ["eval", "--checkpoint", str(checkpoint)],
+            "finetune": ["finetune", "--out", str(out), "--checkpoint", str(checkpoint)],
+            "train-student": ["train-student", "--out", str(out), "--teacher", str(checkpoint)]}
+    assert cli.main([*argv[command], "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {checkpoint}: "), captured
+    reason = captured.err[len(f"error: {checkpoint}: "):]
+    assert all(size in reason for size in sizes) and "Traceback" not in reason, reason
+    assert not list(out.glob("*.ckpt"))
+
+
+def test_sweep_with_an_empty_test_split_exits_1_before_training(tmp_path, capsys,
+                                                                monkeypatch):
+    path = tmp_path / "c.json"
+    write_canonical_json(path, small_config_doc(data_test_fraction=0.0))
+    monkeypatch.setattr(evaluation, "train_teacher",
+                        lambda *args: pytest.fail("a teacher was trained"))
+    assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "sweep"),
+                     "--axis", "beta", "--values", "0.0,0.3"]) == 1
+    assert capsys.readouterr().err == "error: split 'test' is empty\n"
+
+
+def test_train_student_builds_no_model_per_step(tmp_path, monkeypatch):
+    """How many models a train-student job builds does not depend on its step
+    count: each stage trains one parameter set in place."""
+    built = []
+    post_init = nn.ModelParams.__post_init__
+    monkeypatch.setattr(nn.ModelParams, "__post_init__",
+                        lambda params: built.append(params) or post_init(params))
+    counts = []
+    for epochs in (1, 3):
+        path = tmp_path / f"c{epochs}.json"
+        write_canonical_json(path, small_config_doc(teacher_epochs=epochs,
+                                                    student_epochs=epochs))
+        built.clear()
+        assert cli.main(["train-student", "--config", str(path),
+                         "--out", str(tmp_path / f"s{epochs}")]) == 0
+        counts.append(len(built))
+    assert counts[0] == counts[1], counts
 
 
 class _FullDisk(io.FileIO):

@@ -134,11 +134,12 @@ def test_sweep_beta_zero_cell_is_pure_distillation():
 
 
 def _model_slices(params):
-    """The single models in `params`: itself, or each slice of a [K, ...] stack."""
+    """Copies of the single models in `params`: itself, or each slice of a
+    [K, ...] stack (copies, as training goes on updating `params` in place)."""
     if params.weights[0].ndim == 2:
-        return [params]
-    return [nn.ModelParams(weights=[W[k] for W in params.weights],
-                           biases=[b[k] for b in params.biases])
+        return [params.copy()]
+    return [nn.ModelParams(weights=[W[k].copy() for W in params.weights],
+                           biases=[b[k].copy() for b in params.biases])
             for k in range(params.weights[0].shape[0])]
 
 

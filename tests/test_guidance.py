@@ -45,7 +45,7 @@ def test_cache_covers_every_noisy_sample():
     dataset = _toy_dataset(n=1000, seed=3)
     teacher = nn.init_params([3, 4, 3], seed=1)
     cache = guidance.compute_teacher_soft_targets(teacher, dataset, temperature=5.0)
-    assert len(cache) == 1000
+    assert len(cache.indices) == 1000
     assert cache.indices.tolist() == list(range(1000))
 
 
@@ -322,8 +322,9 @@ def _without(doc, key):
                           "weights": [[[1.0, 0.0], [1.0]]], "biases": [[0.0, 0.0]]},
      "weights"),
     (nn.load_checkpoint, '{"format_version": 1,', "not valid JSON"),
+    (nn.load_checkpoint, {**_CHECKPOINT_OK, "activation": "tanh"}, "activation"),
 ], ids=["checkpoint-list", "checkpoint-no-layer-dims", "checkpoint-stacked-weights",
-        "checkpoint-ragged-rows", "checkpoint-invalid-json"])
+        "checkpoint-ragged-rows", "checkpoint-invalid-json", "checkpoint-activation-tanh"])
 def test_loaders_raise_format_error_naming_path_and_field(tmp_path, loader, doc, field):
     path = tmp_path / "artifact.json"
     path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")

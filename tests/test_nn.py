@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from guidance_learn import nn
 from guidance_learn.errors import InputError, ParameterError, ShapeError
-from helpers import fd_gradients, max_rel_error, random_net, random_probs, stack
+from helpers import fd_gradients, max_rel_error, random_net, random_probs, stack, zero_velocity
 
 
 def test_forward_zero_params_gives_zero_logits():
@@ -76,7 +76,7 @@ def test_model_params_chain_validation():
                        biases=[np.zeros((2, 3)), np.zeros((3, 2))])
     with pytest.raises(ShapeError, match="layer 0"):
         nn.ModelParams(weights=[np.zeros((2, 3, 4))], biases=[np.zeros(3)])
-    tiled = nn.tile(nn.init_params([4, 3, 2], seed=0), 5)
+    tiled = nn.stack([nn.init_params([4, 3, 2], seed=0)] * 5)
     assert tiled.layer_dims == [4, 3, 2] and tiled.num_classes == 2
     assert tiled.weights[0].shape == (5, 3, 4) and tiled.biases[1].shape == (5, 2)
 
@@ -276,20 +276,20 @@ def test_backward_rejects_bad_targets_and_temperature():
 
 def test_sgd_zero_gradient_is_fixed_point():
     params = nn.init_params([3, 4, 2], seed=1)
-    state = nn.OptState.zeros(params)
     grads = nn.Gradients(weights=[np.zeros_like(W) for W in params.weights],
                          biases=[np.zeros_like(b) for b in params.biases])
-    updated, state = nn.sgd_step(params, grads, state, lr=0.5, momentum=0.9, weight_decay=0.0)
+    updated = params.copy()
+    nn.sgd_step(updated, grads, zero_velocity(updated), lr=0.5, momentum=0.9, weight_decay=0.0)
     assert all(np.array_equal(a, b) for a, b in zip(updated.weights, params.weights))
 
 
 def test_sgd_single_step_arithmetic():
     params = nn.ModelParams(weights=[np.array([[1.0]])], biases=[np.array([0.0])])
     grads = nn.Gradients(weights=[np.array([[1.0]])], biases=[np.array([0.0])])
-    state = nn.OptState.zeros(params)
-    updated, state = nn.sgd_step(params, grads, state, lr=0.1, momentum=0.9, weight_decay=0.0)
+    updated, velocity = params, zero_velocity(params)
+    nn.sgd_step(updated, grads, velocity, lr=0.1, momentum=0.9, weight_decay=0.0)
     assert updated.weights[0][0, 0] == pytest.approx(0.9, abs=1e-15)
-    assert state.velocity_w[0][0, 0] == pytest.approx(1.0, abs=1e-15)
+    assert velocity.weights[0][0, 0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_sgd_three_step_trajectory_matches_hand_oracle():
@@ -297,12 +297,11 @@ def test_sgd_three_step_trajectory_matches_hand_oracle():
     # weight_decay=1e-3, gradient sequence (1.0, 0.5, -0.25)
     expected = [(1.001, 0.8999), (1.4017999, 0.75972001), (1.01237963001, 0.658482046999)]
     params = nn.ModelParams(weights=[np.array([[1.0]])], biases=[np.array([0.0])])
-    state = nn.OptState.zeros(params)
+    velocity = zero_velocity(params)
     for grad, (v_want, p_want) in zip((1.0, 0.5, -0.25), expected):
         grads = nn.Gradients(weights=[np.array([[grad]])], biases=[np.array([0.0])])
-        params, state = nn.sgd_step(params, grads, state, lr=0.1, momentum=0.9,
-                                    weight_decay=1e-3)
-        assert state.velocity_w[0][0, 0] == pytest.approx(v_want, abs=1e-12)
+        nn.sgd_step(params, grads, velocity, lr=0.1, momentum=0.9, weight_decay=1e-3)
+        assert velocity.weights[0][0, 0] == pytest.approx(v_want, abs=1e-12)
         assert params.weights[0][0, 0] == pytest.approx(p_want, abs=1e-12)
 
 
@@ -311,8 +310,8 @@ def test_sgd_without_momentum_is_vanilla_gradient_descent():
     params = random_net(rng)
     grads = nn.Gradients(weights=[rng.normal(size=W.shape) for W in params.weights],
                          biases=[rng.normal(size=b.shape) for b in params.biases])
-    updated, _ = nn.sgd_step(params, grads, nn.OptState.zeros(params),
-                             lr=0.05, momentum=0.0, weight_decay=0.0)
+    updated = params.copy()
+    nn.sgd_step(updated, grads, zero_velocity(updated), lr=0.05, momentum=0.0, weight_decay=0.0)
     for W, gW, W2 in zip(params.weights, grads.weights, updated.weights):
         assert np.array_equal(W2, W - 0.05 * gW)
 
@@ -321,7 +320,7 @@ def test_sgd_shape_mismatch():
     params = nn.init_params([2, 3], seed=0)
     grads = nn.Gradients(weights=[np.zeros((4, 2))], biases=[np.zeros(4)])
     with pytest.raises(ShapeError):
-        nn.sgd_step(params, grads, nn.OptState.zeros(params), 0.1, 0.9, 0.0)
+        nn.sgd_step(params, grads, zero_velocity(params), 0.1, 0.9, 0.0)
 
 
 def test_t2_compensated_gradient_converges_with_temperature():
@@ -405,12 +404,14 @@ def test_stacked_passes_equal_each_single_model_bitwise():
         assert logits[k].tobytes() == nn.forward(model, batch[0]).tobytes()
     for targets in (random_probs(rng, (3, 9, 4)), random_probs(rng, (9, 4))):
         q, grads = nn.backward(stacked, batch, targets, T, scale)
-        stepped, _ = nn.sgd_step(stacked, grads, nn.OptState.zeros(stacked), 0.1, 0.9, 1e-3)
+        stepped = stacked.copy()
+        nn.sgd_step(stepped, grads, zero_velocity(stepped), 0.1, 0.9, 1e-3)
         kl, ce = nn.kl_div(targets, q), nn.cross_entropy(q, targets)
         for k, model in enumerate(models):
             t_k = targets[k] if targets.ndim == 3 else targets
             q_k, g_k = nn.backward(model, batch, t_k, T[k], scale[k])
-            s_k, _ = nn.sgd_step(model, g_k, nn.OptState.zeros(model), 0.1, 0.9, 1e-3)
+            s_k = model.copy()
+            nn.sgd_step(s_k, g_k, zero_velocity(s_k), 0.1, 0.9, 1e-3)
             assert q[k].tobytes() == q_k.tobytes()
             for got, want in zip(grads.weights + grads.biases + stepped.weights + stepped.biases,
                                  g_k.weights + g_k.biases + s_k.weights + s_k.biases):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from guidance_learn.errors import (
     ParameterError,
 )
 from guidance_learn.serialize import canonical_json
-from helpers import params_bytes, train_student
+from helpers import params_bytes, train_student, zero_velocity
 
 
 def small_config(**overrides):
@@ -110,6 +112,32 @@ def test_student_does_not_mutate_teacher():
     assert nn.fingerprint(teacher) == before
 
 
+def test_divergence_only_in_the_parameters_is_caught_at_the_epoch_end():
+    # one batch whose step overflows the weights while its logits are finite
+    dataset = data.split(data.make_blobs(3, 20, 4, 50.0, seed=0), 0.1, 0.2, seed=0)
+    config = small_config(batch_size=1000, teacher_epochs=1,
+                          teacher_lr_schedule=((0, 1e308),))
+    with pytest.raises(DivergenceError, match=r"^teacher diverged at epoch 0, step 0 .*"
+                                              r"non-finite parameter entries"):
+        pipeline.train_teacher(dataset, config)
+
+
+@pytest.mark.parametrize("stage", ["student-stack", "finetune"])
+def test_training_leaves_the_given_model_unchanged(stage):
+    # a single student: test_student_does_not_mutate_teacher
+    dataset = small_dataset(seed=9)
+    config = small_config(seed=9)
+    teacher, _ = pipeline.train_teacher(dataset, config)
+    before = params_bytes(teacher)
+    if stage == "student-stack":
+        configs = [replace(config, beta=beta) for beta in (0.0, 0.3)]
+        cache = guidance.compute_teacher_soft_targets(teacher, dataset, [5.0, 5.0])
+        pipeline.train_student(teacher, dataset, configs, cache)
+    else:
+        pipeline.finetune_clean(teacher, dataset, config)
+    assert params_bytes(teacher) == before
+
+
 def test_student_alpha_zero_matches_clean_only_training_bitwise():
     dataset = small_dataset(seed=4)
     config = small_config(seed=4, alpha=0.0)
@@ -119,15 +147,14 @@ def test_student_alpha_zero_matches_clean_only_training_bitwise():
     # straight-line clean-only reference: same init, same clean batch
     # stream, cross-entropy only
     params = teacher.copy()
-    state = nn.OptState.zeros(params)
+    velocity = zero_velocity(params)
     X, y, C = dataset.features, dataset.labels, dataset.num_classes
     for epoch in range(config.student_epochs):
         lr = pipeline.lr_at(config.student_lr_schedule, epoch)
         for _, clean_idx in data.mixed_batch_iterator(dataset, config.batch_size,
                                                       config.seed, epoch):
             _, grads = nn.backward(params, X[clean_idx], nn.one_hot(y[clean_idx], C))
-            params, state = nn.sgd_step(params, grads, state, lr,
-                                        config.momentum, config.weight_decay)
+            nn.sgd_step(params, grads, velocity, lr, config.momentum, config.weight_decay)
     assert params_bytes(student) == params_bytes(params)
 
 
