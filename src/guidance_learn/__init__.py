@@ -25,7 +25,7 @@ from .evaluation import SweepGrid, SweepResult, accuracy, sweep
 from .guidance import (
     GuidanceCache,
     compute_teacher_soft_targets,
-    student_batch_loss,
+    student_backward,
     total_loss,
 )
 from .nn import (
@@ -86,7 +86,7 @@ __all__ = [
     "sgd_step",
     "softmax_t",
     "split",
-    "student_batch_loss",
+    "student_backward",
     "sweep",
     "total_loss",
     "train_student",

@@ -364,8 +364,8 @@ class Slices:
         """The rows `indices` of `features`, `labels` or `truth`, each slice's
         from its own dataset."""
         if self.shared:
-            return array[indices]
-        return np.take(array, indices + self._offset, axis=0)
+            return array.take(indices, axis=0)
+        return array.take(indices + self._offset, axis=0)
 
     def indices(self, *tags: str) -> np.ndarray:
         """Ascending indices of the samples with any of `tags`: [n], or

@@ -8,7 +8,7 @@ import numpy as np
 from . import guidance, nn
 from .data import TEST, DataRecipe, Dataset, Slices, layout
 from .errors import InputError, ParameterError
-from .pipeline import TrainConfig, finetune_clean, train_student, train_teacher
+from .pipeline import TrainConfig, check_fits, finetune_clean, train_student, train_teacher
 from .serialize import to_document
 
 SWEEP_AXES = ("alpha", "beta", "T", "clean_fraction", "noise_rate")
@@ -20,9 +20,11 @@ def accuracy(params: nn.ModelParams, dataset: Dataset | Slices, tag: str) -> flo
     list of K fractions, one per slice, for a stack (on per-slice data, each
     slice's own split).
 
-    np.argmax breaks ties toward the lowest class index.
+    np.argmax breaks ties toward the lowest class index. A model that does
+    not fit the data (`pipeline.check_fits`) is a ShapeError.
     """
     data = dataset if isinstance(dataset, Slices) else Slices(dataset)
+    check_fits(params, data, "model")
     idx = data.indices(tag)
     if idx.size == 0:
         raise InputError(f"split {tag!r} is empty")

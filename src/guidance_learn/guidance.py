@@ -122,56 +122,65 @@ def guidance_targets(
     return (targets[..., rows, :] + beta * y) / (1.0 + beta)
 
 
-def student_batch_loss(
-    student: nn.ModelParams,
-    noisy_batch: np.ndarray,
-    noisy_labels: np.ndarray,
-    noisy_indices: np.ndarray,
-    cache: GuidanceCache,
-    clean_batch: np.ndarray,
-    clean_labels: np.ndarray,
-    *,
-    alpha,
-    beta,
-    temperature,
-) -> tuple[tuple, nn.Gradients]:
-    """((L_total, L_g, L_c), gradients of L_total) for one paired batch.
-
-    One forward pass per batch: the KL branch softens the student's own
-    logits with the cache's temperature; the clean branch uses plain
-    softmax. With alpha == 0 the noisy branch stays out of the gradient
-    sum, so training reproduces clean-only cross-entropy bit for bit.
-    For a stacked `student`, alpha, beta and temperature may be [K]
-    per-slice values and each loss is [K].
-    """
-    if nn._is_number(temperature) and nn._is_number(cache.temperature):
-        same_temperature = cache.temperature == temperature
-    else:
-        same_temperature = np.array_equal(cache.temperature, temperature)
-    if not same_temperature:
+def check_cache(cache: GuidanceCache, teacher_fingerprint: str, indices: np.ndarray,
+                temperature, num_classes: int) -> None:
+    """ConsistencyError unless `cache` holds the soft targets of the teacher
+    with `teacher_fingerprint` on the noisy samples `indices` at
+    `temperature` ([K] per slice for a stack), over `num_classes` classes."""
+    if cache.teacher_fingerprint != teacher_fingerprint:
+        raise ConsistencyError(
+            f"guidance cache was built from teacher {cache.teacher_fingerprint[:12]}..., "
+            f"not from the given teacher {teacher_fingerprint[:12]}..."
+        )
+    if not np.array_equal(cache.indices, indices):
+        raise ConsistencyError("guidance cache does not hold the noisy samples of the data")
+    if not np.array_equal(cache.temperature, temperature):
         raise ConsistencyError(
             f"cache temperature {cache.temperature} != configured {temperature}"
         )
-    C = student.num_classes
-    g = guidance_targets(cache, noisy_indices, noisy_labels, beta, C)
-    q, noisy_grads = nn.backward(student, noisy_batch, g, temperature, alpha * temperature)
-    clean_targets = nn.one_hot(np.asarray(clean_labels), C)
-    p, clean_grads = nn.backward(student, clean_batch, clean_targets)
-    # the noisy branch's buffers are its own: sum the clean branch into them
-    grads = noisy_grads
-    totals = grads.weights + grads.biases
-    cleans = clean_grads.weights + clean_grads.biases
-    for total, clean in zip(totals, cleans):
-        total += clean
+    shape = (*np.shape(temperature), indices.shape[-1], num_classes)
+    if cache.targets.shape != shape:
+        raise ConsistencyError(f"cache targets shape {cache.targets.shape} != {shape}, "
+                               f"the shape of the data's soft targets")
+
+
+def student_backward(
+    student: nn.ModelParams,
+    noisy_batch: np.ndarray,
+    targets: np.ndarray,
+    clean_batch: np.ndarray,
+    clean_targets: np.ndarray,
+    *,
+    alpha,
+    temperature,
+    out: tuple[nn.Gradients, nn.Gradients] | None = None,
+) -> tuple[np.ndarray, np.ndarray, nn.Gradients]:
+    """(q, p, gradients of L_total) for one paired batch.
+
+    `targets` are the noisy batch's fused guidance targets
+    (`guidance_targets`) and `clean_targets` the clean batch's one-hot
+    labels. q is the student's noisy-batch softmax at the cache's
+    temperature and p its clean-batch softmax, one forward pass each; the
+    batch's losses are L_g = kl_div(targets, q), L_c = cross_entropy(p,
+    clean_targets) and L_total = total_loss(L_g, L_c, alpha, temperature).
+    With alpha == 0 the noisy branch stays out of the gradient sum, so
+    training reproduces clean-only cross-entropy bit for bit. For a stacked
+    `student`, alpha and temperature may be [K] per-slice values. `out`
+    holds the noisy and the clean branch's gradient buffers; the sum is
+    written into the first.
+    """
+    noisy_out, clean_out = (None, None) if out is None else out
+    q, grads = nn.backward(student, noisy_batch, targets, temperature, alpha * temperature,
+                           out=noisy_out)
+    p, clean = nn.backward(student, clean_batch, clean_targets, out=clean_out)
+    grads.flat += clean.flat
     if nn._lowest(alpha) == 0.0:
         # alpha == 0 (the model, or those slices of a stack) keeps the clean
         # gradient bit for bit: adding the zero branch could turn -0.0 into +0.0
         alpha_zero = np.asarray(alpha) == 0.0
-        for total, clean in zip(totals, cleans):
-            total[alpha_zero] = clean[alpha_zero]
-    loss_g = nn.kl_div(g, q)
-    loss_c = nn.cross_entropy(p, clean_targets)
-    return (total_loss(loss_g, loss_c, alpha, temperature), loss_g, loss_c), grads
+        for total, branch in zip(grads.weights + grads.biases, clean.weights + clean.biases):
+            total[alpha_zero] = branch[alpha_zero]
+    return q, p, grads
 
 
 def cache_dict(cache: GuidanceCache) -> dict:

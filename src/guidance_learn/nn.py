@@ -17,6 +17,16 @@ and targets may be given per slice ([K], [K, B, C]), and batch losses come
 back as [K] per-slice means. Slice k of every result is bit-identical to
 running the k-th network on its own rows, because the stacked matmuls and
 reductions perform the same floating-point operations in the same order.
+
+A model's weights and biases are views of one contiguous float64 buffer,
+its `flat` array, and so are a `Gradients`' arrays, laid out alike. So a
+training loop reuses one gradient buffer per stage (`backward(..., out=)`
+writes into it) and `sgd_step` updates the parameters and the momentum
+buffer with a few operations on whole buffers, however many layers there
+are. The batch losses reduce every leading index on its own, so a loop
+that trains a block of S steps can keep each step's probabilities and get
+all S losses, [..., S], from one call on them stacked [..., S, B, C],
+each with the bits of a call on its own batch.
 """
 from __future__ import annotations
 
@@ -45,14 +55,18 @@ class ModelParams:
     [K, out_k]); consecutive layers chain and the final out dim is the
     class count.
 
-    The canonical checkpoint encoding that `fingerprint` and
-    `save_checkpoint` share is kept on the instance, keyed by a digest of
-    the parameter state, so a model changed in place is encoded anew.
+    The arrays are copied into one buffer, `flat`, and the lists hold
+    views of it (see `Gradients`). The canonical checkpoint encoding that
+    `fingerprint` and `save_checkpoint` share is kept on the instance, keyed
+    by a digest of the parameter state, so a model changed in place is
+    encoded anew.
     """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     rng_seed: int = 0
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+    layout: tuple = field(init=False, repr=False, compare=False)
     # (state digest, sha256 hex, checkpoint bytes or None once saved)
     _encoding: tuple[bytes, str, bytes | None] | None = field(
         default=None, init=False, repr=False, compare=False)
@@ -70,6 +84,7 @@ class ModelParams:
                     f"{self.weights[k - 1].shape[-2]}"
                 )
         _check_finite(self)
+        _pack(self)
 
     @property
     def layer_dims(self) -> list[int]:
@@ -80,11 +95,7 @@ class ModelParams:
         return self.weights[-1].shape[-2]
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            weights=[W.copy() for W in self.weights],
-            biases=[b.copy() for b in self.biases],
-            rng_seed=self.rng_seed,
-        )
+        return ModelParams(weights=self.weights, biases=self.biases, rng_seed=self.rng_seed)
 
 
 def _check_finite(params: ModelParams) -> None:
@@ -97,10 +108,39 @@ def _check_finite(params: ModelParams) -> None:
 @dataclass
 class Gradients:
     """Gradient arrays mirroring a ModelParams layout; also the layout of
-    the SGD momentum buffers (`sgd_step`'s velocity)."""
+    the SGD momentum buffers (`sgd_step`'s velocity). Like a model's, the
+    arrays are copied into one buffer, `flat`, and the lists hold views."""
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+    layout: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        _pack(self)
+
+    @classmethod
+    def zeros(cls, params: ModelParams) -> "Gradients":
+        """Zeros in the layout of `params`."""
+        return cls(weights=[np.zeros(W.shape) for W in params.weights],
+                   biases=[np.zeros(b.shape) for b in params.biases])
+
+
+def _pack(arrays: ModelParams | Gradients) -> None:
+    """Copy the weights and biases of `arrays` into one float64 buffer, its
+    `flat`, and make them views of it: all weights, then all biases. Their
+    shapes in that order are its `layout`."""
+    parts = arrays.weights + arrays.biases
+    flat = np.empty(sum(a.size for a in parts))
+    views, start = [], 0
+    for a in parts:
+        view = flat[start:start + a.size].reshape(a.shape)
+        view[...] = a
+        views.append(view)
+        start += a.size
+    layers = len(arrays.weights)
+    arrays.weights, arrays.biases, arrays.flat = views[:layers], views[layers:], flat
+    arrays.layout = tuple(a.shape for a in parts)
 
 
 def init_params(layer_dims: list[int], seed: int) -> ModelParams:
@@ -230,23 +270,36 @@ def softmax_t(logits: np.ndarray, temperature=1.0) -> np.ndarray:
     Per-slice temperatures [K] give [K, B, C] from stacked logits [K, B, C]
     or from logits [B, C] shared by every slice.
     """
+    z = _checked_logits(np.asarray(logits, dtype=np.float64), temperature)
+    return _normalized(z / _per_slice(temperature))
+
+
+def _checked_logits(z: np.ndarray, temperature) -> np.ndarray:
     if not (_lowest(temperature) > 0):
         raise ParameterError(f"temperature must be > 0, got {temperature!r}")
-    z = np.asarray(logits, dtype=np.float64)
     if not np.isfinite(z).all():
         raise InputError("logits contain non-finite entries")
-    z = z / _per_slice(temperature)
+    return z
+
+
+def _normalized(z: np.ndarray) -> np.ndarray:
+    """exp(z - max z) / sum exp(z - max z) along the last axis, in place."""
     z -= z.max(axis=-1, keepdims=True)
     np.exp(z, out=z)
     z /= z.sum(axis=-1, keepdims=True)
     return z
 
 
+def _is_one(value) -> bool:
+    """The number 1, by which dividing or multiplying changes no bit."""
+    return _is_number(value) and value == 1.0
+
+
 def _check_targets(targets: np.ndarray, pred: np.ndarray, message: str) -> None:
-    """Targets match the predictions, or are one batch shared by every slice
-    of stacked predictions [K, B, C]; `message` names the shapes as
-    {targets} and {pred}."""
-    if targets.shape != pred.shape and not (pred.ndim == 3 and targets.shape == pred.shape[1:]):
+    """Targets match the predictions, or are shared by every slice of
+    stacked predictions [K, B, C] (or [K, S, B, C], S batches of a block);
+    `message` names the shapes as {targets} and {pred}."""
+    if targets.shape != pred.shape and not (pred.ndim >= 3 and targets.shape == pred.shape[1:]):
         raise ShapeError(message.format(targets=targets.shape, pred=pred.shape))
 
 
@@ -261,7 +314,8 @@ def _per_batch(value: np.ndarray) -> float | np.ndarray:
 
 def cross_entropy(pred: np.ndarray, target: np.ndarray) -> float | np.ndarray:
     """-sum_i target_i * log(pred_i); mean over rows for 2-D inputs, per
-    slice ([K]) for stacked ones."""
+    slice ([K]) for stacked ones. Every leading index is reduced on its own:
+    the means of S batches stacked [..., S, B, C] have the bits of S calls."""
     p = np.asarray(pred, dtype=np.float64)
     t = np.asarray(target, dtype=np.float64)
     _check_targets(t, p, "pred shape {pred} != target shape {targets}")
@@ -287,17 +341,14 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return np.take(np.eye(num_classes), np.asarray(labels), axis=0)
 
 
-def _backprop(params: ModelParams, pre, acts, dlogits: np.ndarray) -> Gradients:
-    grads_w = [np.empty(0)] * len(params.weights)
-    grads_b = [np.empty(0)] * len(params.weights)
-    delta = dlogits
+def _backprop(params: ModelParams, pre, acts, delta: np.ndarray, out: Gradients) -> Gradients:
     for k in range(len(params.weights) - 1, -1, -1):
-        grads_w[k] = delta.swapaxes(-1, -2) @ acts[k]
-        grads_b[k] = delta.sum(axis=-2)
+        np.matmul(delta.swapaxes(-1, -2), acts[k], out=out.weights[k])
+        np.add.reduce(delta, axis=-2, out=out.biases[k])
         if k > 0:
             delta = delta @ params.weights[k]
             delta *= pre[k - 1] > 0.0
-    return Gradients(weights=grads_w, biases=grads_b)
+    return out
 
 
 def backward(
@@ -306,6 +357,7 @@ def backward(
     targets: np.ndarray,
     temperature=1.0,
     scale=1.0,
+    out: Gradients | None = None,
 ) -> tuple[np.ndarray, Gradients]:
     """Softened probabilities q = softmax_t(logits, T) [B, C] and the gradients
     of `scale * T` times the mean cross-entropy (equally, KL) of q against
@@ -315,13 +367,32 @@ def backward(
     T = 1 trains plain cross-entropy, scale alpha * T the guidance branch's
     alpha * T^2 * KL. For a stack, q is [K, B, C], `batch` may be per slice
     ([K, B, d]), `temperature` and `scale` per slice ([K]) and `targets`
-    [K, B, C] or shared [B, C].
+    [K, B, C] or shared [B, C]. The gradients are written into `out`, a
+    Gradients in the layout of `params` that a training loop reuses, or
+    into new zeros; q is the forward pass's own logits array, softened in
+    place.
     """
+    if out is None:
+        out = Gradients.zeros(params)
+    elif out.layout != params.layout:
+        raise ShapeError(f"gradient buffer shapes {out.layout} != parameter shapes "
+                         f"{params.layout}")
     pre, acts = _forward_cached(params, batch)
-    q = softmax_t(acts[-1], temperature)
+    z = _checked_logits(acts[-1], temperature)
+    for name, value in (("temperature", temperature), ("scale", scale)):
+        if not _is_number(value) and np.shape(value) not in ((), z.shape[:-2]):
+            raise ShapeError(f"per-slice {name} {np.shape(value)} needs a stack of as many "
+                             f"models, got logits {z.shape}")
+    if not _is_one(temperature):
+        z /= _per_slice(temperature)
+    q = _normalized(z)
     t = np.asarray(targets, dtype=np.float64)
     _check_targets(t, q, "targets shape {targets} != probabilities shape {pred}")
-    return q, _backprop(params, pre, acts, _per_slice(scale) * (q - t) / q.shape[-2])
+    dlogits = q - t
+    if not _is_one(scale):
+        dlogits *= _per_slice(scale)
+    dlogits /= q.shape[-2]
+    return q, _backprop(params, pre, acts, dlogits, out)
 
 
 def sgd_step(
@@ -331,25 +402,26 @@ def sgd_step(
     lr: float,
     momentum: float,
     weight_decay: float,
+    scratch: np.ndarray | None = None,
 ) -> None:
     """One SGD step with momentum, in place: v <- momentum*v + (grad + wd*param),
-    then param <- param - lr*v, updating the arrays of `params` and of the
-    momentum buffers `velocity` (a Gradients of zeros before the first step).
-    Elementwise, so a stack updates every slice at once."""
-    if len(grads.weights) != len(params.weights):
-        raise ShapeError("gradient layer count != parameter layer count")
-    arrays = params.weights + params.biases
-    steps = grads.weights + grads.biases
-    for W, g in zip(arrays, steps):
-        if g.shape != W.shape:
-            raise ShapeError(f"gradient shape {g.shape} != parameter shape {W.shape}")
-    for W, g, v in zip(arrays, steps, velocity.weights + velocity.biases):
-        # momentum*v + (g + wd*W), operation for operation: the same bits
-        t = weight_decay * W
-        t += g
-        v *= momentum
-        v += t
-        W -= lr * v
+    then param <- param - lr*v, updating `params` and the momentum buffers
+    `velocity` (a Gradients of zeros before the first step).
+
+    Six operations on the whole `flat` buffers, whatever the layer count;
+    `scratch`, a float64 array of the parameters' size, holds the
+    intermediate terms, so that a training loop allocates nothing per step.
+    Elementwise, so a stack updates every slice at once.
+    """
+    if grads.layout != params.layout:
+        raise ShapeError(f"gradient shapes {grads.layout} != parameter shapes {params.layout}")
+    W, v = params.flat, velocity.flat
+    # momentum*v + (g + wd*W), operation for operation: the same bits
+    t = np.multiply(W, weight_decay, out=scratch)
+    t += grads.flat
+    v *= momentum
+    v += t
+    W -= np.multiply(v, lr, out=t)
 
 
 def checkpoint_dict(params: ModelParams) -> dict:

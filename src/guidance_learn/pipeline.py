@@ -11,16 +11,16 @@ K models as one stack, slice k on its own dataset and seed (`data.Slices`).
 """
 from __future__ import annotations
 
+import itertools
 import time
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import guidance, nn
 from .data import CLEAN_TRAIN, NOISY_TRAIN, TEST, Dataset, Slices
-from .errors import (ConfigurationError, ConsistencyError, DivergenceError, InputError,
-                     ParameterError, ShapeError)
+from .errors import ConfigurationError, DivergenceError, InputError, ParameterError, ShapeError
 from .serialize import from_document, to_document
 
 BASELINE_VARIANTS = ("noisy_only", "clean_only", "mixed", "guidance", "guidance_finetuned")
@@ -32,6 +32,12 @@ Schedule = tuple[tuple[int, float], ...]
 # train fine at these values with the default architecture below.
 DEFAULT_TEACHER_SCHEDULE: Schedule = ((0, 1e-3), (10, 1e-4), (15, 1e-5), (20, 1e-6))
 DEFAULT_STUDENT_SCHEDULE: Schedule = ((0, 1e-4), (5, 1e-5), (8, 1e-6))
+
+# `_train` runs an epoch's steps in blocks of consecutive batches holding at
+# most this many (noisy or only) batch rows over all slices, and at least
+# one batch: a desk-scale epoch is one block, a 6-slice stack's about ten
+# steps. The block's targets, probabilities and losses are held at once.
+BLOCK_ROWS = 4096
 
 
 def _check_schedule(name: str, schedule: Schedule) -> None:
@@ -214,10 +220,32 @@ def _init_for(stack: _Stack) -> nn.ModelParams:
     return nn.stack([nn.init_params(dims, c.seed) for c in stack.configs])
 
 
-def _epoch_mean(values) -> float | list[float]:
-    """Mean over an epoch's step losses, per slice for a stack; each slice is
-    summed exactly as a single model's losses would be."""
+def _epoch_mean(values: np.ndarray) -> float | list[float]:
+    """Mean over an epoch's step losses [S] (per slice for a stack: [S, K]);
+    each slice is summed exactly as a single model's losses would be."""
     return np.ascontiguousarray(np.transpose(values)).mean(axis=-1).tolist()
+
+
+def _split(targets: np.ndarray, batches: list[np.ndarray]) -> list[np.ndarray]:
+    """Each batch's rows (views) of a block's targets [..., n, C], which
+    hold the batches' rows end to end."""
+    return np.split(targets, np.cumsum([b.shape[-1] for b in batches[:-1]]), axis=-2)
+
+
+def _per_step(loss: Callable, probs: list[np.ndarray], targets: np.ndarray) -> np.ndarray:
+    """`loss(probs[i], targets of step i)` for each step i of a block, [S]
+    or per slice [S, K], from one call per run of equal-size batches (the
+    short last batch of an epoch is a run of its own): the losses reduce
+    each leading index on its own, so step i's value has the bits of a
+    call on its batch alone."""
+    out, start = [], 0
+    for size, run in itertools.groupby(probs, key=lambda q: q.shape[-2]):
+        run = np.stack(list(run), axis=-3)
+        stop = start + run.shape[-3] * size
+        rows = targets[..., start:stop, :]
+        out.append(loss(run, rows.reshape(*rows.shape[:-2], -1, size, rows.shape[-1])).T)
+        start = stop
+    return np.concatenate(out)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -228,46 +256,57 @@ def _train(
     epochs: int,
     stage: str,
     batches: Callable[[int], Iterable],
-    step: Callable,
+    block: Callable[[nn.ModelParams, list, list], Iterator[nn.Gradients]],
 ) -> tuple[nn.ModelParams, RunReport]:
     """The epoch/step loop every stage shares.
 
-    `params` is trained in place with one set of momentum buffers.
-    `batches(epoch)` yields the epoch's batches; `step(params, batch)` returns
-    ((L_total, L_g, L_c), gradients) of one batch from a single pass. Each
-    epoch records its mean losses and test accuracy; the last epoch's
-    accuracy is the final one. The report carries no fingerprints. Non-finite
-    logits or parameters (the inputs are finite, so training diverged) are a
-    DivergenceError naming the stage, epoch, step (from 0) and learning rate:
-    the logits are checked at every step, the parameters after each epoch's
-    last step, which is the step named when only they are non-finite. Those
-    checks are the detector, so numpy's overflow and invalid-value warnings
-    on the way there are not printed.
+    `params` is trained in place with one momentum buffer. `batches(epoch)`
+    yields the epoch's batches, which are trained in blocks of consecutive
+    batches (`BLOCK_ROWS`). `block(params, batches, losses)` does a block's
+    work: what does not depend on the parameters (targets from labels and
+    the guidance cache) once, then for each batch the forward and backward
+    pass, yielding its gradients, on which `_train` takes the SGD step;
+    after the last step it appends the block's per-step (L_total, L_g, L_c)
+    to `losses`, each [S] or per slice [S, K]. Each epoch records its mean
+    losses and test accuracy; the last epoch's accuracy is the final one.
+    The report carries no fingerprints. Non-finite logits or parameters (the
+    inputs are finite, so training diverged) are a DivergenceError naming
+    the stage, epoch, step (from 0) and learning rate: the logits are
+    checked at every step, the parameters after each epoch's last step,
+    which is the step named when only they are non-finite. Those checks are
+    the detector, so numpy's overflow and invalid-value warnings on the way
+    there are not printed, and a block that diverges computes no losses.
     """
     t0 = time.perf_counter()
     config = stack.config
-    velocity = nn.Gradients(weights=[np.zeros_like(W) for W in params.weights],
-                            biases=[np.zeros_like(b) for b in params.biases])
+    velocity = nn.Gradients.zeros(params)
+    scratch = np.empty_like(params.flat)
+    slices = len(stack.configs) if stack.configs is not None else 1
+    steps_per_block = max(1, BLOCK_ROWS // (config.batch_size * slices))
     report = RunReport(stage=stage, config=stack.report_config())
     try:
         for epoch in range(epochs):
             lr = lr_at(schedule, epoch)
-            losses = []
-            for batch in batches(epoch):
-                loss, grads = step(params, batch)
-                nn.sgd_step(params, grads, velocity, lr, config.momentum, config.weight_decay)
-                losses.append(loss)
+            losses: list[tuple[np.ndarray, ...]] = []
+            steps = 0
+            epoch_batches = iter(batches(epoch))
+            while blocked := list(itertools.islice(epoch_batches, steps_per_block)):
+                for grads in block(params, blocked, losses):
+                    nn.sgd_step(params, grads, velocity, lr, config.momentum,
+                                config.weight_decay, scratch)
+                    steps += 1
             try:
                 nn._check_finite(params)
             except InputError as exc:
-                raise DivergenceError(stage, epoch, len(losses) - 1, lr, exc) from exc
-            total, guide, clean = (_epoch_mean(column) for column in zip(*losses))
+                raise DivergenceError(stage, epoch, steps - 1, lr, exc) from exc
+            total, guide, clean = (_epoch_mean(np.concatenate(column))
+                                   for column in zip(*losses))
             report.epochs.append(EpochRecord(
                 epoch=epoch, lr=lr, loss_total=total, loss_guidance=guide,
                 loss_clean=clean, test_accuracy=_test_accuracy(params, stack.data),
             ))
     except InputError as exc:
-        raise DivergenceError(stage, epoch, len(losses), lr, exc) from exc
+        raise DivergenceError(stage, epoch, steps, lr, exc) from exc
     report.final_test_accuracy = (report.epochs[-1].test_accuracy if report.epochs
                                   else _test_accuracy(params, stack.data))
     report.wall_time_sec = time.perf_counter() - t0
@@ -296,16 +335,21 @@ def _train_cross_entropy(
     if data.indices(*tags).size == 0:
         raise ConfigurationError(f"{stage}: training subset is empty")
     X, y, C = data.features, data.labels, data.num_classes
+    buffer = nn.Gradients.zeros(params)
 
-    def step(params, batch):
-        targets = nn.one_hot(data.rows(y, batch), C)
-        probs, grads = nn.backward(params, data.rows(X, batch), targets)
-        loss = nn.cross_entropy(probs, targets)
-        return (loss, 0.0 * loss, loss), grads
+    def block(params, batches, losses):
+        targets = nn.one_hot(data.rows(y, np.concatenate(batches, axis=-1)), C)
+        probs = []
+        for batch, batch_targets in zip(batches, _split(targets, batches)):
+            q, grads = nn.backward(params, data.rows(X, batch), batch_targets, out=buffer)
+            probs.append(q)
+            yield grads
+        loss = _per_step(nn.cross_entropy, probs, targets)
+        losses.append((loss, 0.0 * loss, loss))
 
     return _fingerprinted(*_train(
         params, stack, schedule, epochs, stage,
-        lambda epoch: data.batches(tags, stack.config.batch_size, epoch), step,
+        lambda epoch: data.batches(tags, stack.config.batch_size, epoch), block,
     ))
 
 
@@ -333,15 +377,15 @@ def train_student(
 
     `cache` holds the soft targets of this `teacher` at the configured
     temperature (`guidance.compute_teacher_soft_targets`) on this data; a
-    cache built from another model or on other samples is a
-    ConsistencyError. The teacher's fingerprint goes into the report.
-    Given K configs that differ only in alpha, beta, temperature and seed,
-    one dataset or K, and a cache built at their K temperatures on that
-    data, the K students train as one [K, ...] stack. They start from K
-    copies of the teacher or, on per-slice data, from a stack of one teacher
-    per source (`data.Slices.source`). Slice k equals the student of config
-    k trained alone, and the report holds per-slice values and no student
-    fingerprint.
+    cache built from another model, on other samples or at another
+    temperature is a ConsistencyError (`guidance.check_cache`). The
+    teacher's fingerprint goes into the report. Given K configs that differ
+    only in alpha, beta, temperature and seed, one dataset or K, and a cache
+    built at their K temperatures on that data, the K students train as one
+    [K, ...] stack. They start from K copies of the teacher or, on per-slice
+    data, from a stack of one teacher per source (`data.Slices.source`).
+    Slice k equals the student of config k trained alone, and the report
+    holds per-slice values and no student fingerprint.
     """
     stack = _stack(dataset, config)
     data, config = stack.data, stack.config
@@ -354,15 +398,6 @@ def train_student(
     noisy_idx = data.indices(NOISY_TRAIN)
     if noisy_idx.size == 0:
         raise ConfigurationError("student training needs a noisy subset")
-    teacher_fingerprint = nn.fingerprint(teacher)
-    if cache.teacher_fingerprint != teacher_fingerprint:
-        raise ConsistencyError(
-            f"guidance cache was built from teacher {cache.teacher_fingerprint[:12]}..., "
-            f"not from the given teacher {teacher_fingerprint[:12]}..."
-        )
-    if not np.array_equal(cache.indices, noisy_idx):
-        raise ConsistencyError("guidance cache does not hold the noisy samples of the data")
-
     if stack.configs is None:
         student = teacher.copy()
         alpha, beta, temperature = config.alpha, config.beta, config.temperature
@@ -376,19 +411,32 @@ def train_student(
                              f"data of {data.num_sources} sources")
         alpha, beta, temperature = (np.array([getattr(c, name) for c in stack.configs])
                                     for name in ("alpha", "beta", "temperature"))
-    X, y = data.features, data.labels
+    teacher_fingerprint = nn.fingerprint(teacher)
+    X, y, C = data.features, data.labels, data.num_classes
+    guidance.check_cache(cache, teacher_fingerprint, noisy_idx, temperature, C)
+    buffers = nn.Gradients.zeros(student), nn.Gradients.zeros(student)
 
-    def step(student, batch):
-        noisy, clean = batch
-        return guidance.student_batch_loss(
-            student, data.rows(X, noisy), data.rows(y, noisy), noisy, cache,
-            data.rows(X, clean), data.rows(y, clean),
-            alpha=alpha, beta=beta, temperature=temperature,
-        )
+    def block(student, batches, losses):
+        noisy, clean = (list(stream) for stream in zip(*batches))
+        block_idx = np.concatenate(noisy, axis=-1)
+        targets = guidance.guidance_targets(cache, block_idx, data.rows(y, block_idx), beta, C)
+        clean_targets = nn.one_hot(data.rows(y, np.concatenate(clean, axis=-1)), C)
+        qs, ps = [], []
+        for noisy_batch, clean_batch, g, t in zip(noisy, clean, _split(targets, noisy),
+                                                  _split(clean_targets, clean)):
+            q, p, grads = guidance.student_backward(
+                student, data.rows(X, noisy_batch), g, data.rows(X, clean_batch), t,
+                alpha=alpha, temperature=temperature, out=buffers)
+            qs.append(q)
+            ps.append(p)
+            yield grads
+        loss_g = _per_step(lambda q, g: nn.kl_div(g, q), qs, targets)
+        loss_c = _per_step(nn.cross_entropy, ps, clean_targets)
+        losses.append((guidance.total_loss(loss_g, loss_c, alpha, temperature), loss_g, loss_c))
 
     student, report = _train(
         student, stack, config.student_lr_schedule, config.student_epochs, "student",
-        lambda epoch: data.mixed_batches(config.batch_size, epoch), step,
+        lambda epoch: data.mixed_batches(config.batch_size, epoch), block,
     )
     report.checkpoint_fingerprints["teacher"] = teacher_fingerprint
     return _fingerprinted(student, report, "student")
@@ -401,8 +449,10 @@ def finetune_clean(
 ) -> tuple[nn.ModelParams, RunReport]:
     """Cross-entropy pass over the clean subset only, at a reduced LR, on a
     copy of `model`; `model` may be a stack, and K configs (and one dataset
-    or K) fine-tune slice k on its own data and seed."""
+    or K) fine-tune slice k on its own data and seed. A model that does not
+    fit the data (`check_fits`) is a ShapeError."""
     stack = _stack(dataset, config)
+    check_fits(model, stack.data, "model")
     if stack.data.indices(CLEAN_TRAIN).size == 0:
         raise ConfigurationError("fine-tuning needs a nonempty clean subset")
     return _train_cross_entropy(

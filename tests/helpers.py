@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 
-from guidance_learn import guidance, nn, pipeline
+from guidance_learn import data, guidance, nn, pipeline
 
 
 def fd_gradients(params: nn.ModelParams, loss_fn, step: float = 1e-5) -> nn.Gradients:
@@ -88,10 +88,47 @@ def read_cache(path) -> guidance.GuidanceCache:
     )
 
 
-def zero_velocity(params: nn.ModelParams) -> nn.Gradients:
-    """SGD momentum buffers before the first `nn.sgd_step` on `params`."""
-    return nn.Gradients(weights=[np.zeros_like(W) for W in params.weights],
-                        biases=[np.zeros_like(b) for b in params.biases])
+def reference_student(teacher: nn.ModelParams, dataset, config, cache):
+    """(student, [(L_total, L_g, L_c) per epoch]) of `pipeline.train_student`,
+    recomputed one batch at a time: each step fuses its own guidance
+    targets, one-hot labels its clean batch, sums the two branches' gradients
+    layer by layer, steps, and computes its own losses; each epoch's losses
+    are the mean of its steps'. `config` is one config or a list of them, a
+    stack trained on `dataset` with a teacher per source as `train_student`
+    takes it."""
+    if isinstance(config, pipeline.TrainConfig):
+        slices = data.Slices(dataset, config.seed)
+        student = teacher.copy()
+        alpha, beta, T = config.alpha, config.beta, config.temperature
+    else:
+        slices = data.Slices(dataset, [c.seed for c in config])
+        student = nn.take(teacher, slices.source)
+        alpha, beta, T = (np.array([getattr(c, name) for c in config])
+                          for name in ("alpha", "beta", "temperature"))
+        config = config[0]
+    X, y, C = slices.features, slices.labels, slices.num_classes
+    alpha_zero = np.asarray(alpha) == 0.0
+    velocity = nn.Gradients.zeros(student)
+    records = []
+    for epoch in range(config.student_epochs):
+        lr = pipeline.lr_at(config.student_lr_schedule, epoch)
+        losses = []
+        for noisy, clean in slices.mixed_batches(config.batch_size, epoch):
+            g = guidance.guidance_targets(cache, noisy, slices.rows(y, noisy), beta, C)
+            clean_targets = nn.one_hot(slices.rows(y, clean), C)
+            q, grads = nn.backward(student, slices.rows(X, noisy), g, T, alpha * T)
+            p, clean_grads = nn.backward(student, slices.rows(X, clean), clean_targets)
+            for total, branch in zip(grads.weights + grads.biases,
+                                     clean_grads.weights + clean_grads.biases):
+                total += branch
+                if alpha_zero.any():
+                    total[alpha_zero] = branch[alpha_zero]
+            nn.sgd_step(student, grads, velocity, lr, config.momentum, config.weight_decay)
+            loss_g, loss_c = nn.kl_div(g, q), nn.cross_entropy(p, clean_targets)
+            losses.append((guidance.total_loss(loss_g, loss_c, alpha, T), loss_g, loss_c))
+        records.append(tuple(np.ascontiguousarray(np.transpose(column)).mean(axis=-1).tolist()
+                             for column in zip(*losses)))
+    return student, records
 
 
 def params_bytes(params: nn.ModelParams) -> bytes:

@@ -18,7 +18,7 @@ import scipy.stats
 from guidance_learn import data, evaluation, guidance, nn, pipeline
 from guidance_learn.serialize import canonical_json
 from helpers import (fd_gradients, fuse, max_rel_error, params_bytes, random_probs, read_cache,
-                     train_student, zero_velocity)
+                     train_student)
 
 DESK_RECIPE = data.DataRecipe(
     classes=10, per_class=500, dim=20, sigma=0.1,
@@ -69,12 +69,20 @@ def test_criterion_1_gradient_correctness():
             cache = guidance.GuidanceCache(indices=np.arange(B), targets=targets,
                                            temperature=T_total, teacher_fingerprint="")
 
-            def student_step(p):
-                return guidance.student_batch_loss(
-                    p, batch, noisy_labels, np.arange(B), cache, clean_batch,
-                    clean_labels, alpha=alpha, beta=beta, temperature=T_total)
+            fused = guidance.guidance_targets(cache, np.arange(B), noisy_labels, beta, C)
+            clean_targets = nn.one_hot(clean_labels, C)
 
-            cases.append((lambda p: student_step(p)[1], lambda p: student_step(p)[0][0]))
+            def student_step(p):
+                return guidance.student_backward(p, batch, fused, clean_batch, clean_targets,
+                                                 alpha=alpha, temperature=T_total)
+
+            def student_loss(p):
+                q, p_clean, _ = student_step(p)
+                return guidance.total_loss(nn.kl_div(fused, q),
+                                           nn.cross_entropy(p_clean, clean_targets),
+                                           alpha, T_total)
+
+            cases.append((lambda p: student_step(p)[2], student_loss))
             for grad_fn, loss_fn in cases:
                 worst = max(worst, max_rel_error(grad_fn(params),
                                                  fd_gradients(params, loss_fn)))
@@ -253,7 +261,7 @@ def test_criterion_7_branch_isolation():
 
         # independent clean-only loop from teacher init, same streams
         reference = teacher.copy()
-        velocity = zero_velocity(reference)
+        velocity = nn.Gradients.zeros(reference)
         X, y, C = dataset.features, dataset.labels, dataset.num_classes
         epoch_bytes = []
         for epoch in range(config.student_epochs):

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from guidance_learn import cli, data, evaluation, nn, serialize
+from guidance_learn import cli, data, evaluation, nn, pipeline, serialize
 from guidance_learn.serialize import write_canonical_json
 from helpers import read_cache
 
@@ -410,6 +410,53 @@ def test_train_student_builds_no_model_per_step(tmp_path, monkeypatch):
                          "--out", str(tmp_path / f"s{epochs}")]) == 0
         counts.append(len(built))
     assert counts[0] == counts[1], counts
+
+
+def test_training_calls_keep_the_shape_the_benchmark_trace_reads(tmp_path, monkeypatch):
+    """perfbench's span reader takes `nn.backward`'s params, batch and
+    targets from its positional arguments, and counts the `nn.sgd_step`
+    calls under `pipeline.train_student` as the student's steps. In a
+    train-student and a sweep job, every backward call passes those three
+    positionally, and each train_student call steps once per batch pair."""
+    positional, students = [], []
+    backward, sgd_step = nn.backward, nn.sgd_step
+    train_student, mixed_batches = pipeline.train_student, data.Slices.mixed_batches
+
+    def traced_backward(*args, **kwargs):
+        positional.append(len(args))
+        return backward(*args, **kwargs)
+
+    def traced_sgd_step(*args, **kwargs):
+        if students and students[-1]["open"]:
+            students[-1]["steps"] += 1
+        return sgd_step(*args, **kwargs)
+
+    def traced_train_student(*args, **kwargs):
+        students.append({"open": True, "steps": 0, "batches": 0})
+        try:
+            return train_student(*args, **kwargs)
+        finally:
+            students[-1]["open"] = False
+
+    def counted_mixed_batches(self, *args, **kwargs):
+        for pair in mixed_batches(self, *args, **kwargs):
+            students[-1]["batches"] += 1
+            yield pair
+
+    monkeypatch.setattr(nn, "backward", traced_backward)
+    monkeypatch.setattr(nn, "sgd_step", traced_sgd_step)
+    for module in (cli, evaluation, pipeline):
+        monkeypatch.setattr(module, "train_student", traced_train_student)
+    monkeypatch.setattr(data.Slices, "mixed_batches", counted_mixed_batches)
+    path = tmp_path / "c.json"
+    write_canonical_json(path, small_config_doc(teacher_epochs=1))
+    assert cli.main(["train-student", "--config", str(path), "--out", str(tmp_path / "s")]) == 0
+    assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "sweep"),
+                     "--axis", "beta", "--values", "0.0,0.3", "--seeds", "1,2"]) == 0
+    assert positional and min(positional) >= 3, sorted(set(positional))
+    assert len(students) == 2
+    for student in students:
+        assert student["steps"] == student["batches"] > 0, students
 
 
 class _FullDisk(io.FileIO):

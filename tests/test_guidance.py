@@ -185,25 +185,33 @@ def _student_setup(seed=0, n=12, d=4, classes=3):
     return dataset, teacher, cache
 
 
+def _student_batch(student, dataset, cache, noisy_idx, clean_idx, *, alpha, beta, T):
+    """((L_total, L_g, L_c), gradients) of `guidance.student_backward` on one
+    paired batch, its targets built as the training loop builds them."""
+    C = dataset.num_classes
+    g = guidance.guidance_targets(cache, noisy_idx, dataset.labels[noisy_idx], beta, C)
+    clean_targets = nn.one_hot(dataset.labels[clean_idx], C)
+    q, p, grads = guidance.student_backward(
+        student, dataset.features[noisy_idx], g, dataset.features[clean_idx], clean_targets,
+        alpha=alpha, temperature=T,
+    )
+    loss_g, loss_c = nn.kl_div(g, q), nn.cross_entropy(p, clean_targets)
+    return (guidance.total_loss(loss_g, loss_c, alpha, T), loss_g, loss_c), grads
+
+
 def test_student_batch_loss_self_distillation_fixed_point():
     dataset, teacher, cache = _student_setup()
     idx = np.arange(4)
-    (_, loss_g, _), _ = guidance.student_batch_loss(
-        teacher, dataset.features[idx], dataset.labels[idx], idx, cache,
-        dataset.features[idx], dataset.labels[idx],
-        alpha=0.1, beta=0.0, temperature=5.0,
-    )
+    (_, loss_g, _), _ = _student_batch(teacher, dataset, cache, idx, idx,
+                                       alpha=0.1, beta=0.0, T=5.0)
     assert loss_g == 0.0
 
 
 def test_student_batch_loss_alpha_zero_isolates_clean_branch():
     dataset, teacher, cache = _student_setup(seed=1)
     idx = np.arange(5)
-    (total, _, clean), _ = guidance.student_batch_loss(
-        teacher, dataset.features[idx], dataset.labels[idx], idx, cache,
-        dataset.features[idx + 5], dataset.labels[idx + 5],
-        alpha=0.0, beta=0.3, temperature=5.0,
-    )
+    (total, _, clean), _ = _student_batch(teacher, dataset, cache, idx, idx + 5,
+                                          alpha=0.0, beta=0.3, T=5.0)
     assert total == clean
 
 
@@ -213,11 +221,8 @@ def test_student_batch_loss_matches_composition_oracle():
     noisy_idx = np.arange(6)
     clean_idx = np.arange(6, 12)
     alpha, beta, T = 0.1, 0.3, 5.0
-    (total, loss_g, loss_c), _ = guidance.student_batch_loss(
-        student, dataset.features[noisy_idx], dataset.labels[noisy_idx], noisy_idx,
-        cache, dataset.features[clean_idx], dataset.labels[clean_idx],
-        alpha=alpha, beta=beta, temperature=T,
-    )
+    (total, loss_g, loss_c), _ = _student_batch(student, dataset, cache, noisy_idx, clean_idx,
+                                                alpha=alpha, beta=beta, T=T)
     # straight-line recomposition from the primitive operations
     kls, ces = [], []
     for i in noisy_idx:
@@ -243,22 +248,20 @@ def test_student_batch_loss_cache_miss_names_index():
                     targets=np.delete(cache.targets, 7, axis=0))
     idx = np.arange(4, 10)
     with pytest.raises(ConsistencyError, match="sample index 7"):
-        guidance.student_batch_loss(
-            teacher, dataset.features[idx], dataset.labels[idx], idx, cache,
-            dataset.features[:3], dataset.labels[:3],
-            alpha=0.1, beta=0.3, temperature=5.0,
-        )
+        _student_batch(teacher, dataset, cache, idx, np.arange(3), alpha=0.1, beta=0.3, T=5.0)
 
 
 def test_student_batch_loss_temperature_mismatch():
     dataset, teacher, cache = _student_setup(seed=4)
-    idx = np.arange(3)
+    fingerprint, indices = nn.fingerprint(teacher), np.arange(12)
+    guidance.check_cache(cache, fingerprint, indices, 5.0, 3)
     with pytest.raises(ConsistencyError, match="temperature"):
-        guidance.student_batch_loss(
-            teacher, dataset.features[idx], dataset.labels[idx], idx, cache,
-            dataset.features[idx], dataset.labels[idx],
-            alpha=0.1, beta=0.3, temperature=4.0,
-        )
+        guidance.check_cache(cache, fingerprint, indices, 4.0, 3)
+    # soft targets over other classes, or of one slice for a stack of two
+    for temperature, classes in ((5.0, 4), (np.array([5.0, 5.0]), 3)):
+        with pytest.raises(ConsistencyError, match=r"cache targets shape \(12, 3\)"):
+            guidance.check_cache(replace(cache, temperature=temperature), fingerprint,
+                                 indices, temperature, classes)
 
 
 def test_cache_roundtrip_and_validation(tmp_path):
@@ -279,11 +282,7 @@ def test_cache_roundtrip_and_validation(tmp_path):
 def test_student_batch_loss_alpha_zero_gradients_are_the_clean_branch():
     dataset, teacher, cache = _student_setup(seed=6)
     idx = np.arange(5)
-    _, grads = guidance.student_batch_loss(
-        teacher, dataset.features[idx], dataset.labels[idx], idx, cache,
-        dataset.features[idx + 5], dataset.labels[idx + 5],
-        alpha=0.0, beta=0.3, temperature=5.0,
-    )
+    _, grads = _student_batch(teacher, dataset, cache, idx, idx + 5, alpha=0.0, beta=0.3, T=5.0)
     _, clean = nn.backward(teacher, dataset.features[idx + 5],
                            nn.one_hot(dataset.labels[idx + 5], 3))
     for got, want in zip(grads.weights + grads.biases, clean.weights + clean.biases):
@@ -347,17 +346,13 @@ def test_student_batch_loss_stack_slices_equal_single_calls():
     cache = guidance.compute_teacher_soft_targets(teacher, dataset, T)
     assert cache.targets.shape == (3, 12, 3)
     noisy, clean = np.arange(5), np.arange(5, 10)
-    losses, grads = guidance.student_batch_loss(
-        stack(students), X[noisy], y[noisy], noisy, cache, X[clean], y[clean],
-        alpha=alpha, beta=beta, temperature=T,
-    )
+    losses, grads = _student_batch(stack(students), dataset, cache, noisy, clean,
+                                   alpha=alpha, beta=beta, T=T)
     for k, student in enumerate(students):
         single = guidance.compute_teacher_soft_targets(teacher, dataset, T[k])
         assert cache.targets[k].tobytes() == single.targets.tobytes()
-        want_losses, want = guidance.student_batch_loss(
-            student, X[noisy], y[noisy], noisy, single, X[clean], y[clean],
-            alpha=alpha[k], beta=beta[k], temperature=T[k],
-        )
+        want_losses, want = _student_batch(student, dataset, single, noisy, clean,
+                                           alpha=alpha[k], beta=beta[k], T=T[k])
         assert [loss[k] for loss in losses] == list(want_losses)
         for got, w in zip(grads.weights + grads.biases, want.weights + want.biases):
             assert got[k].tobytes() == w.tobytes()

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from guidance_learn import nn
 from guidance_learn.errors import InputError, ParameterError, ShapeError
-from helpers import fd_gradients, max_rel_error, random_net, random_probs, stack, zero_velocity
+from helpers import fd_gradients, max_rel_error, random_net, random_probs, stack
 
 
 def test_forward_zero_params_gives_zero_logits():
@@ -276,20 +276,20 @@ def test_backward_rejects_bad_targets_and_temperature():
 
 def test_sgd_zero_gradient_is_fixed_point():
     params = nn.init_params([3, 4, 2], seed=1)
-    grads = nn.Gradients(weights=[np.zeros_like(W) for W in params.weights],
-                         biases=[np.zeros_like(b) for b in params.biases])
     updated = params.copy()
-    nn.sgd_step(updated, grads, zero_velocity(updated), lr=0.5, momentum=0.9, weight_decay=0.0)
-    assert all(np.array_equal(a, b) for a, b in zip(updated.weights, params.weights))
+    nn.sgd_step(updated, nn.Gradients.zeros(params), nn.Gradients.zeros(updated),
+                lr=0.5, momentum=0.9, weight_decay=0.0, scratch=np.empty_like(updated.flat))
+    assert np.array_equal(updated.flat, params.flat)
 
 
 def test_sgd_single_step_arithmetic():
     params = nn.ModelParams(weights=[np.array([[1.0]])], biases=[np.array([0.0])])
     grads = nn.Gradients(weights=[np.array([[1.0]])], biases=[np.array([0.0])])
-    updated, velocity = params, zero_velocity(params)
-    nn.sgd_step(updated, grads, velocity, lr=0.1, momentum=0.9, weight_decay=0.0)
-    assert updated.weights[0][0, 0] == pytest.approx(0.9, abs=1e-15)
-    assert velocity.weights[0][0, 0] == pytest.approx(1.0, abs=1e-15)
+    velocity = nn.Gradients.zeros(params)
+    nn.sgd_step(params, grads, velocity, lr=0.1, momentum=0.9, weight_decay=0.0)
+    assert params.flat[0] == pytest.approx(0.9, abs=1e-15)
+    assert velocity.flat[0] == pytest.approx(1.0, abs=1e-15)
+    assert params.weights[0][0, 0] == params.flat[0]  # a view of the buffer
 
 
 def test_sgd_three_step_trajectory_matches_hand_oracle():
@@ -297,12 +297,14 @@ def test_sgd_three_step_trajectory_matches_hand_oracle():
     # weight_decay=1e-3, gradient sequence (1.0, 0.5, -0.25)
     expected = [(1.001, 0.8999), (1.4017999, 0.75972001), (1.01237963001, 0.658482046999)]
     params = nn.ModelParams(weights=[np.array([[1.0]])], biases=[np.array([0.0])])
-    velocity = zero_velocity(params)
+    velocity = nn.Gradients.zeros(params)
+    scratch = np.empty_like(params.flat)
     for grad, (v_want, p_want) in zip((1.0, 0.5, -0.25), expected):
         grads = nn.Gradients(weights=[np.array([[grad]])], biases=[np.array([0.0])])
-        nn.sgd_step(params, grads, velocity, lr=0.1, momentum=0.9, weight_decay=1e-3)
-        assert velocity.weights[0][0, 0] == pytest.approx(v_want, abs=1e-12)
-        assert params.weights[0][0, 0] == pytest.approx(p_want, abs=1e-12)
+        nn.sgd_step(params, grads, velocity, lr=0.1, momentum=0.9, weight_decay=1e-3,
+                    scratch=scratch)
+        assert velocity.flat[0] == pytest.approx(v_want, abs=1e-12)
+        assert params.flat[0] == pytest.approx(p_want, abs=1e-12)
 
 
 def test_sgd_without_momentum_is_vanilla_gradient_descent():
@@ -311,16 +313,50 @@ def test_sgd_without_momentum_is_vanilla_gradient_descent():
     grads = nn.Gradients(weights=[rng.normal(size=W.shape) for W in params.weights],
                          biases=[rng.normal(size=b.shape) for b in params.biases])
     updated = params.copy()
-    nn.sgd_step(updated, grads, zero_velocity(updated), lr=0.05, momentum=0.0, weight_decay=0.0)
-    for W, gW, W2 in zip(params.weights, grads.weights, updated.weights):
-        assert np.array_equal(W2, W - 0.05 * gW)
+    nn.sgd_step(updated, grads, nn.Gradients.zeros(updated), lr=0.05, momentum=0.0,
+                weight_decay=0.0)
+    assert np.array_equal(updated.flat, params.flat - 0.05 * grads.flat)
 
 
 def test_sgd_shape_mismatch():
     params = nn.init_params([2, 3], seed=0)
-    grads = nn.Gradients(weights=[np.zeros((4, 2))], biases=[np.zeros(4)])
-    with pytest.raises(ShapeError):
-        nn.sgd_step(params, grads, zero_velocity(params), 0.1, 0.9, 0.0)
+    # more entries, and as many entries in other shapes
+    for grads in (nn.Gradients(weights=[np.zeros((4, 2))], biases=[np.zeros(4)]),
+                  nn.Gradients(weights=[np.zeros((2, 3))], biases=[np.zeros(3)])):
+        with pytest.raises(ShapeError, match="gradient shapes"):
+            nn.sgd_step(params, grads, nn.Gradients.zeros(params), 0.1, 0.9, 0.0)
+
+
+def test_arrays_are_views_of_one_buffer_each():
+    """A model's and a Gradients' arrays are copied into one buffer, weights
+    then biases; `copy` and `backward(..., out=)` keep to that layout, and a
+    step with a scratch buffer has the bits of one without."""
+    rng = np.random.default_rng(25)
+    W0, b0 = rng.normal(size=(4, 3)), rng.normal(size=4)
+    params = nn.ModelParams(weights=[W0, rng.normal(size=(2, 4))], biases=[b0, np.zeros(2)])
+    W0[0, 0] = 99.0  # the model holds a copy
+    assert params.weights[0][0, 0] != 99.0
+    assert np.array_equal(params.flat, np.concatenate(
+        [a.ravel() for a in params.weights + params.biases]))
+    assert params.layout == ((4, 3), (2, 4), (4,), (2,))
+    for a in params.weights + params.biases:
+        assert np.shares_memory(a, params.flat)
+    copied = params.copy()
+    assert not np.shares_memory(copied.flat, params.flat)
+    assert copied.flat.tobytes() == params.flat.tobytes()
+
+    batch, targets = rng.normal(size=(5, 3)), random_probs(rng, (5, 2))
+    _, fresh = nn.backward(params, batch, targets)
+    buffer = nn.Gradients.zeros(params)
+    _, written = nn.backward(params, batch, targets, out=buffer)
+    assert written is buffer and buffer.flat.tobytes() == fresh.flat.tobytes()
+    with pytest.raises(ShapeError, match="gradient buffer shapes"):
+        nn.backward(params, batch, targets, out=nn.Gradients.zeros(nn.init_params([3, 2], 0)))
+
+    velocity, scratch = nn.Gradients.zeros(params), np.empty_like(params.flat)
+    nn.sgd_step(params, fresh, velocity, 0.1, 0.9, 1e-3, scratch)
+    nn.sgd_step(copied, fresh, nn.Gradients.zeros(copied), 0.1, 0.9, 1e-3)
+    assert params.flat.tobytes() == copied.flat.tobytes()
 
 
 def test_t2_compensated_gradient_converges_with_temperature():
@@ -405,13 +441,13 @@ def test_stacked_passes_equal_each_single_model_bitwise():
     for targets in (random_probs(rng, (3, 9, 4)), random_probs(rng, (9, 4))):
         q, grads = nn.backward(stacked, batch, targets, T, scale)
         stepped = stacked.copy()
-        nn.sgd_step(stepped, grads, zero_velocity(stepped), 0.1, 0.9, 1e-3)
+        nn.sgd_step(stepped, grads, nn.Gradients.zeros(stepped), 0.1, 0.9, 1e-3)
         kl, ce = nn.kl_div(targets, q), nn.cross_entropy(q, targets)
         for k, model in enumerate(models):
             t_k = targets[k] if targets.ndim == 3 else targets
             q_k, g_k = nn.backward(model, batch, t_k, T[k], scale[k])
             s_k = model.copy()
-            nn.sgd_step(s_k, g_k, zero_velocity(s_k), 0.1, 0.9, 1e-3)
+            nn.sgd_step(s_k, g_k, nn.Gradients.zeros(s_k), 0.1, 0.9, 1e-3)
             assert q[k].tobytes() == q_k.tobytes()
             for got, want in zip(grads.weights + grads.biases + stepped.weights + stepped.biases,
                                  g_k.weights + g_k.biases + s_k.weights + s_k.biases):
@@ -451,3 +487,6 @@ def test_per_slice_inputs_need_a_stack_of_as_many_models():
         nn.forward(single, np.zeros((2, 5, 4)))
     with pytest.raises(ShapeError, match="per-slice batch"):
         nn.backward(stack([single, single]), np.zeros((3, 5, 4)), np.zeros((5, 2)))
+    for per_slice in ({"temperature": np.array([1.0, 2.0])}, {"scale": np.array([1.0, 2.0])}):
+        with pytest.raises(ShapeError, match="needs a stack of as many models"):
+            nn.backward(single, np.zeros((5, 4)), np.full((5, 2), 0.5), **per_slice)

@@ -1,17 +1,19 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from guidance_learn import data, guidance, nn, pipeline
+from guidance_learn import data, evaluation, guidance, nn, pipeline
 from guidance_learn.errors import (
     ConfigurationError,
     ConsistencyError,
     DivergenceError,
     ParameterError,
+    ShapeError,
 )
 from guidance_learn.serialize import canonical_json
-from helpers import params_bytes, train_student, zero_velocity
+from helpers import params_bytes, reference_student, train_student
 
 
 def small_config(**overrides):
@@ -147,7 +149,7 @@ def test_student_alpha_zero_matches_clean_only_training_bitwise():
     # straight-line clean-only reference: same init, same clean batch
     # stream, cross-entropy only
     params = teacher.copy()
-    velocity = zero_velocity(params)
+    velocity = nn.Gradients.zeros(params)
     X, y, C = dataset.features, dataset.labels, dataset.num_classes
     for epoch in range(config.student_epochs):
         lr = pipeline.lr_at(config.student_lr_schedule, epoch)
@@ -330,3 +332,85 @@ def test_divergent_learning_rate_names_stage_epoch_step_and_lr():
     with pytest.raises(DivergenceError, match="student diverged at epoch 1, step ") as exc:
         train_student(teacher, dataset, config)
     assert (exc.value.epoch, exc.value.lr) == (1, 1e100)
+
+
+@pytest.mark.parametrize("layer_dims, message", [
+    ([8, 5, 4], "model has 4 outputs, dataset has 6 classes"),
+    ([5, 5, 6], "model input dim 5 != dataset feature dim 8"),
+], ids=["classes", "input-dim"])
+@pytest.mark.parametrize("run", [
+    lambda model, dataset: evaluation.accuracy(model, dataset, "test"),
+    lambda model, dataset: pipeline.finetune_clean(model, dataset, small_config()),
+], ids=["accuracy", "finetune"])
+def test_model_that_does_not_fit_the_data_is_a_shape_error_naming_both(run, layer_dims,
+                                                                       message):
+    dataset = data.split(data.make_blobs(6, 20, 8, 0.3, seed=0), 0.2, 0.2, seed=0)
+    with pytest.raises(ShapeError, match=f"^{message}$"):
+        run(nn.init_params(layer_dims, seed=0), dataset)
+
+
+def _blocked_runs(monkeypatch, batches_per_block, train):
+    """`train()` with blocks of 1 and 3 batches and of the default size."""
+    runs = []
+    for rows in batches_per_block + [pipeline.BLOCK_ROWS]:
+        monkeypatch.setattr(pipeline, "BLOCK_ROWS", rows)
+        runs.append(train())
+    return runs
+
+
+def _losses(report):
+    return [repr((r.loss_total, r.loss_guidance, r.loss_clean)) for r in report.epochs]
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
+def test_block_size_changes_no_bit(monkeypatch, stacked):
+    """Blocks of one batch, of three and of the default size train the same
+    teacher and student bits with the same epoch losses, and the student
+    equals the per-step reference loop. The data has a short last noisy
+    batch (126 noisy samples, batches of 16); the stack has per-slice seeds
+    (so per-slice batches) and an alpha = 0 slice."""
+    dataset = small_dataset(seed=14)
+    assert data.Slices(dataset).indices(data.NOISY_TRAIN).size % 16 != 0
+    config = small_config(seed=14)
+    if stacked:
+        config = [replace(config, alpha=alpha, beta=beta, temperature=T, seed=seed)
+                  for alpha, beta, T, seed in ((0.0, 0.3, 5.0, 14), (0.1, 0.0, 2.0, 15),
+                                               (1.0, 1.0, 5.0, 16))]
+        slices, temperature = 3, [c.temperature for c in config]
+        source = data.Slices(dataset, [c.seed for c in config])
+    else:
+        slices, temperature, source = 1, config.temperature, dataset
+    rows = [16 * slices, 3 * 16 * slices]
+
+    teachers = _blocked_runs(monkeypatch, rows, lambda: pipeline.train_teacher(dataset, config))
+    teacher = teachers[0][0]
+    for model, report in teachers:
+        assert params_bytes(model) == params_bytes(teacher)
+        assert _losses(report) == _losses(teachers[0][1])
+
+    cache = guidance.compute_teacher_soft_targets(teacher, source, temperature)
+    want, want_losses = reference_student(teacher, dataset, config, cache)
+    for student, report in _blocked_runs(
+            monkeypatch, rows, lambda: pipeline.train_student(teacher, dataset, config, cache)):
+        assert params_bytes(student) == params_bytes(want)
+        assert _losses(report) == [repr(losses) for losses in want_losses]
+
+
+@pytest.mark.parametrize("batches_per_block", [None, 4], ids=["default", "4-batch-blocks"])
+def test_divergence_inside_a_block_names_the_step(monkeypatch, batches_per_block):
+    """Logits that turn non-finite at step 6 of 9 (teacher) and of 8
+    (student), inside a block, name that step, and the block's losses are
+    not computed: no numpy warning is raised on the way."""
+    if batches_per_block is not None:
+        monkeypatch.setattr(pipeline, "BLOCK_ROWS", 16 * batches_per_block)
+    dataset = small_dataset()
+    teacher, _ = pipeline.train_teacher(dataset, small_config())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError, match="logits") as exc:
+            pipeline.train_teacher(dataset, small_config(teacher_lr_schedule=((0, 1e30),)))
+        assert (exc.value.stage, exc.value.epoch, exc.value.step) == ("teacher", 0, 6)
+        config = small_config(student_lr_schedule=((0, 1e-3), (1, 1e30)))
+        with pytest.raises(DivergenceError, match="logits") as exc:
+            train_student(teacher, dataset, config)
+        assert (exc.value.stage, exc.value.epoch, exc.value.step) == ("student", 1, 6)
