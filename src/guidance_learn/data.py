@@ -14,7 +14,8 @@ from __future__ import annotations
 import copy
 import csv
 import io
-from collections.abc import Iterable, Sequence
+import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -290,17 +291,20 @@ class Slices:
 
     Slices with the same dataset (by identity) and seed share a source;
     `source[k]` numbers slice k's in order of first appearance, and each
-    source's batches are drawn once. With one source (a single model, or a
-    stack on shared data) index batches are [B] and `rows` gathers [B, ...]
-    rows shared by the stack. Otherwise index batches are [K, B], row k
-    from slice k's own stream, and `rows` gathers [K, B, ...] from each
-    slice's own dataset. All datasets must share one `layout`, so that the
-    slices' batches align.
+    source's batches are drawn once. `features`, `labels` and `truth` hold
+    the sources' arrays end to end, and indices name rows of them: sample i
+    of source s is row s * N + i. Index batches are [K, B], row k from slice
+    k's own stream, and `rows` gathers [K, B, ...]. One dataset with one int
+    seed is data without a slice axis, for a single model: `source` is then
+    a 0-d array, index batches are [B] and rows [B, ...], by the same code.
+    All datasets must share one `layout`, so that the slices' batches align.
     """
 
     def __init__(self, datasets: Dataset | Sequence[Dataset], seeds: int | Sequence[int] = 0):
+        one_seed = isinstance(seeds, (int, np.integer))
+        axis = () if one_seed and isinstance(datasets, Dataset) else (-1,)
         datasets = [datasets] if isinstance(datasets, Dataset) else list(datasets)
-        seeds = [seeds] if isinstance(seeds, (int, np.integer)) else list(seeds)
+        seeds = [seeds] if one_seed else list(seeds)
         if len(datasets) == 1:
             datasets = datasets * len(seeds)
         if len(seeds) == 1:
@@ -311,13 +315,13 @@ class Slices:
         sources = dict(zip(keys, zip(datasets, seeds)))
         order = {key: j for j, key in enumerate(sources)}
         self._sources = list(sources.values())
-        self._map(np.array([order[key] for key in keys]))
+        self.source = np.array([order[key] for key in keys]).reshape(axis)
+        self._starts = np.arange(len(self._sources))[:, None] * len(datasets[0])
         layouts = {layout(ds) for ds, _ in self._sources}
         if len(layouts) > 1:
             raise ShapeError(f"the datasets of a stack's slices must share their feature "
                              f"shape, class count and split sizes; got {sorted(layouts)}")
         self.num_sources = len(self._sources)
-        self.shared = self.num_sources == 1
         self.num_classes = datasets[0].num_classes
         self.features = self._joined(lambda ds: ds.features)
         self.labels = self._joined(lambda ds: ds.labels)
@@ -325,19 +329,15 @@ class Slices:
                                   else ds.true_labels)
         self._subsets: dict[tuple[str, ...], list[np.ndarray]] = {}
 
-    def _map(self, source: np.ndarray) -> None:
-        """Slice k draws on source[k]: in the sources' arrays joined end to
-        end, its sample i is row i + _offset[k]."""
-        self.source = source
-        self._offset = source[:, None] * len(self._sources[0][0])
-
     def _joined(self, array_of) -> np.ndarray:
+        """The sources' arrays end to end; one source's is not copied."""
         arrays = [array_of(ds) for ds, _ in self._sources]
-        return arrays[0] if self.shared else np.concatenate(arrays)
+        return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
-    def _per_slice(self, per_source: Sequence[np.ndarray]) -> np.ndarray:
-        """The one source's array, or slice k's source's array as row k."""
-        return per_source[0] if self.shared else np.array(per_source)[self.source]
+    def _sliced(self, per_source: Sequence[np.ndarray]) -> np.ndarray:
+        """Row k: the sample indices of slice k's source, as rows of the
+        joined arrays."""
+        return (np.array(per_source) + self._starts)[self.source]
 
     def _subset(self, tags: tuple[str, ...]) -> list[np.ndarray]:
         """Per source, the ascending indices of its samples with any of `tags`."""
@@ -346,41 +346,40 @@ class Slices:
                                    for ds, _ in self._sources]
         return self._subsets[tags]
 
-    def _zipped(self, iterators: list) -> Iterable:
-        """The one source's batches, or the sources' batches as per-slice rows."""
-        if self.shared:
-            return iterators[0]
-        return (self._per_slice(items) if isinstance(items[0], np.ndarray)
-                else tuple(map(self._per_slice, zip(*items)))
-                for items in zip(*iterators))
+    def _epoch(self, per_source: list[list[np.ndarray]]) -> list[np.ndarray]:
+        """The sources' index batches of an epoch as per-slice batches,
+        sliced from one [K, n] array: row k of batch j is batch j of slice
+        k's source."""
+        joined = self._sliced([np.concatenate(batches) for batches in per_source])
+        ends = itertools.accumulate(b.size for b in per_source[0])
+        return [joined[..., end - b.size:end] for b, end in zip(per_source[0], ends)]
 
     def per_source(self) -> "Slices":
         """One slice per source, in `source` order, sharing these arrays."""
         view = copy.copy(self)
-        view._map(np.arange(self.num_sources))
+        view.source = np.arange(self.num_sources)
         return view
 
     def rows(self, array: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        """The rows `indices` of `features`, `labels` or `truth`, each slice's
-        from its own dataset."""
-        if self.shared:
-            return array.take(indices, axis=0)
-        return array.take(indices + self._offset, axis=0)
+        """The rows `indices` of `features`, `labels` or `truth`."""
+        return array.take(indices, axis=0)
 
     def indices(self, *tags: str) -> np.ndarray:
-        """Ascending indices of the samples with any of `tags`: [n], or
-        [K, n] per slice."""
-        return self._per_slice(self._subset(tags))
+        """The rows of the samples with any of `tags`, ascending: [K, n] per
+        slice, or [n] without a slice axis."""
+        return self._sliced(self._subset(tags))
 
-    def batches(self, tags: tuple[str, ...], batch_size: int, epoch: int) -> Iterable:
-        """`batch_indices` over the samples with `tags`, per source."""
-        return self._zipped([batch_indices(idx, batch_size, seed, epoch)
-                             for idx, (_, seed) in zip(self._subset(tags), self._sources)])
+    def batches(self, tags: tuple[str, ...], batch_size: int, epoch: int) -> list[np.ndarray]:
+        """`batch_indices` over the samples with `tags`, per source: the
+        epoch's batches."""
+        return self._epoch([list(batch_indices(idx, batch_size, seed, epoch))
+                            for idx, (_, seed) in zip(self._subset(tags), self._sources)])
 
-    def mixed_batches(self, batch_size: int, epoch: int) -> Iterable:
-        """`mixed_batch_iterator` pairs, per source."""
-        return self._zipped([mixed_batch_iterator(ds, batch_size, seed, epoch)
-                             for ds, seed in self._sources])
+    def mixed_batches(self, batch_size: int, epoch: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        """`mixed_batch_iterator` pairs, per source: the epoch's pairs."""
+        pairs = [list(zip(*mixed_batch_iterator(ds, batch_size, seed, epoch)))
+                 for ds, seed in self._sources]
+        return list(zip(*(self._epoch(stream) for stream in zip(*pairs))))
 
 
 def save_csv(dataset: Dataset, path) -> None:

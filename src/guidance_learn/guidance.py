@@ -6,10 +6,12 @@ supervised by the fusion g = (p + beta*y) / (1 + beta) of its cached soft
 target p and its (possibly wrong) one-hot label y, via a KL objective
 evaluated at the same temperature; clean samples get plain cross-entropy.
 
-alpha, beta and T may each be one value or [K] per-slice values that train
-a [K, ...] stack of students (see `nn`) in one pass; a cache built with [K]
-temperatures holds [K, N, C] soft targets, and one built on per-slice data
-(`data.Slices`) also holds each slice's own noisy indices [K, N].
+Training works on a [K, ...] stack of students (see `nn`), a single run
+being a stack of one: alpha, beta and T are [K] per-slice values, and the
+cache the student reads has a leading slice axis, [K, N] indices and
+[K, N, C] soft targets, row k slice k's. The functions here take one model
+and one value as well, by the same code; a cache of one dataset at one
+temperature, as the command line writes it, has no slice axis.
 """
 from __future__ import annotations
 
@@ -30,39 +32,51 @@ class GuidanceCache:
     """Teacher soft targets of the noisy samples, plus provenance.
 
     Row k of `targets` [N, C] is the soft target of dataset sample
-    `indices[k]`; `indices` [N] ascends. A cache for a stack holds one
-    temperature per slice ([K]) and `targets` [K, N, C]; on per-slice data
-    `indices` is [K, N], row k slice k's ascending indices.
+    `indices[k]`; `indices` [N] ascends. A cache for a stack holds [K, N]
+    indices and [K, N, C] targets, row k slice k's, at one temperature or
+    at K, one per slice.
     """
 
     indices: np.ndarray
     targets: np.ndarray
-    temperature: float | np.ndarray
+    temperature: float | list[float]
     teacher_fingerprint: str
 
     def __post_init__(self) -> None:
+        if self.indices.shape != self.targets.shape[:-1]:
+            raise ShapeError(f"cache indices {self.indices.shape} do not index its targets "
+                             f"{self.targets.shape}")
         # `guidance_targets` looks rows up in a table: entry i + _offset[k] is
         # the row of slice k's sample i in `targets` flattened over slices,
-        # or -1 where slice k has no sample i
+        # or -1 where slice k has no sample i; slice k's entries run from its
+        # lowest index to its highest
         keys = np.atleast_2d(self.indices)
-        span = int(keys.max(initial=0)) + 1
-        offsets = np.arange(len(keys))[:, None] * span
-        self._offset = offsets if self.indices.ndim == 2 else 0
+        low = keys.min(axis=-1, keepdims=True, initial=keys.max(initial=0))
+        span = int((keys - low).max(initial=0)) + 1
+        offsets = np.arange(len(keys))[:, None] * span - low
+        self._offset = offsets.reshape(*self.indices.shape[:-1], 1)
         self._table = np.full(len(keys) * span, -1)
         self._table[keys + offsets] = np.arange(keys.size).reshape(keys.shape)
+
+
+def _stacked(cache: GuidanceCache) -> GuidanceCache:
+    """`cache` with a leading slice axis: a cache of one dataset at one
+    temperature becomes that of a stack of one."""
+    return GuidanceCache(indices=np.atleast_2d(cache.indices),
+                         targets=cache.targets.reshape(-1, *cache.targets.shape[-2:]),
+                         temperature=np.reshape(cache.temperature, -1).tolist(),
+                         teacher_fingerprint=cache.teacher_fingerprint)
 
 
 def compute_teacher_soft_targets(
     teacher: nn.ModelParams, dataset: Dataset | Slices, temperature
 ) -> GuidanceCache:
     """softmax_t(forward(teacher, x_i), T) for every noisy-train sample, at
-    one temperature or at each of [K] (one teacher forward pass either way).
-    On per-slice data (see `data.Slices`) the teacher is a stack of one
-    model per source, and slice k's targets are those of its source's
-    teacher on its own noisy samples."""
-    if not (nn._lowest(temperature) > 0):
-        raise ParameterError(f"temperature must be > 0, got {temperature}")
-    temperature = np.asarray(temperature, dtype=np.float64)
+    one temperature or at each of [K], from one teacher forward pass. On
+    data with a slice axis (see `data.Slices`) the teacher is one model or
+    a stack of one per source, and slice k's targets are those of its
+    source's teacher on its own noisy samples; the cache has a slice axis
+    when the data or the temperatures have one."""
     data = dataset if isinstance(dataset, Slices) else Slices(dataset)
     noisy_idx = data.indices(NOISY_TRAIN)
     if noisy_idx.size == 0:
@@ -73,12 +87,14 @@ def compute_teacher_soft_targets(
             f"{data.features.shape[-1]} features"
         )
     sources = data.per_source()
-    logits = nn.forward(teacher, sources.rows(sources.features, sources.indices(NOISY_TRAIN)))
-    probs = nn.softmax_t(logits if data.shared else logits[data.source], temperature)
+    logits = nn.forward(nn._stacked(teacher, data.num_sources),
+                        sources.rows(sources.features, sources.indices(NOISY_TRAIN)))
+    slices = np.broadcast_shapes(np.shape(temperature), data.source.shape)
     return GuidanceCache(
-        indices=noisy_idx,
-        targets=probs,
-        temperature=temperature if temperature.ndim else float(temperature),
+        indices=np.broadcast_to(noisy_idx, slices + noisy_idx.shape[-1:]).copy(),
+        targets=nn.softmax_t(np.broadcast_to(logits[data.source], slices + logits.shape[-2:]),
+                             temperature),
+        temperature=np.asarray(temperature, dtype=np.float64).tolist(),
         teacher_fingerprint=nn.fingerprint(teacher),
     )
 
@@ -86,9 +102,9 @@ def compute_teacher_soft_targets(
 def total_loss(loss_guidance, loss_clean, alpha, temperature):
     """alpha * T^2 * L_g + L_c; T^2 offsets the softening's gradient shrink.
     Any argument may be [K] per-slice values."""
-    if nn._lowest(alpha) < 0:
+    if np.min(alpha) < 0:
         raise ParameterError(f"alpha must be >= 0, got {alpha}")
-    if not (nn._lowest(temperature) > 0):
+    if not np.min(temperature) > 0:
         raise ParameterError(f"temperature must be > 0, got {temperature}")
     return alpha * temperature**2 * loss_guidance + loss_clean
 
@@ -100,26 +116,24 @@ def guidance_targets(
     beta,
     num_classes: int,
 ) -> np.ndarray:
-    """Fused guidance matrix [B, C] for a noisy batch given by dataset indices;
-    [K, B, C] for [K] betas or a stacked cache. A cache on per-slice data
-    takes per-slice [K, B] indices and labels, row k looked up in slice k."""
-    if nn._lowest(beta) < 0:
-        raise ParameterError(f"beta must be >= 0, got {beta}")
+    """Fused guidance matrix [B, C] for a noisy batch given by dataset
+    indices [B]; [K, B, C] for per-slice [K, B] indices and labels, or a
+    cache with a slice axis, row k looked up in slice k. beta is one value,
+    or [K] per slice."""
     indices = np.asarray(indices)
     rows = np.take(cache._table, indices + cache._offset, mode="clip")
     # a clipped or shifted query lands on another sample's row, or on none
     found = (rows >= 0) & (np.take(cache.indices, rows) == indices)
-    targets = cache.targets
-    if cache.indices.ndim == 2:
-        targets = targets.reshape(-1, targets.shape[-1])
     if not found.all():
         raise ConsistencyError(
             "guidance cache has no entry for sample index "
             f"{int(np.broadcast_to(indices, found.shape)[~found][0])}"
         )
-    y = nn.one_hot(np.asarray(noisy_labels), num_classes)
-    beta = nn._per_slice(beta)
-    return (targets[..., rows, :] + beta * y) / (1.0 + beta)
+    targets = np.take(cache.targets.reshape(-1, cache.targets.shape[-1]), rows, axis=0)
+    b = nn._slicewise("beta", beta, targets)
+    if b.min() < 0:
+        raise ParameterError(f"beta must be >= 0, got {beta}")
+    return (targets + b * nn.one_hot(noisy_labels, num_classes)) / (1.0 + b)
 
 
 def check_cache(cache: GuidanceCache, teacher_fingerprint: str, indices: np.ndarray,
@@ -174,10 +188,10 @@ def student_backward(
                            out=noisy_out)
     p, clean = nn.backward(student, clean_batch, clean_targets, out=clean_out)
     grads.flat += clean.flat
-    if nn._lowest(alpha) == 0.0:
+    if 0.0 in np.ravel(alpha).tolist():
         # alpha == 0 (the model, or those slices of a stack) keeps the clean
         # gradient bit for bit: adding the zero branch could turn -0.0 into +0.0
-        alpha_zero = np.asarray(alpha) == 0.0
+        alpha_zero = np.equal(alpha, 0.0)
         for total, branch in zip(grads.weights + grads.biases, clean.weights + clean.biases):
             total[alpha_zero] = branch[alpha_zero]
     return q, p, grads

@@ -8,15 +8,17 @@ callers compute their loss with `cross_entropy` or `kl_div`) and the
 gradients of a scaled cross-entropy/KL against fixed targets. Losses come
 in per-sample (1-D) and batch (2-D, mean over rows) variants.
 
-Every array may carry a leading stack axis: a stack is K networks of one
-shape held as a single model whose weights are [K, out, in] and biases
-[K, out] (`stack` builds one, `take` picks slices of one). A
-stack maps a shared input batch [B, d], or per-slice inputs [K, B, d]
-(slice k's own rows), to logits [K, B, C]; temperatures, gradient scales
-and targets may be given per slice ([K], [K, B, C]), and batch losses come
-back as [K] per-slice means. Slice k of every result is bit-identical to
-running the k-th network on its own rows, because the stacked matmuls and
-reductions perform the same floating-point operations in the same order.
+A stack is K networks of one shape held as one model whose weights are
+[K, out, in] and biases [K, out] (`stack` builds one, `take` picks slices
+of one); the training recipes train nothing else, a single run being a
+stack of one. Every function here takes a single model or a stack by the
+same code, by numpy broadcasting over the leading axis: a stack maps a
+shared input batch [B, d], or per-slice inputs [K, B, d] (slice k's own
+rows), to logits [K, B, C]; temperatures, gradient scales and targets may
+be given per slice ([K], [K, B, C]), and batch losses come back as [K]
+per-slice means. Slice k of every result is bit-identical to running the
+k-th network on its own rows, because the stacked matmuls and reductions
+perform the same floating-point operations in the same order.
 
 A model's weights and biases are views of one contiguous float64 buffer,
 its `flat` array, and so are a `Gradients`' arrays, laid out alike. So a
@@ -94,9 +96,6 @@ class ModelParams:
     def num_classes(self) -> int:
         return self.weights[-1].shape[-2]
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(weights=self.weights, biases=self.biases, rng_seed=self.rng_seed)
-
 
 def _check_finite(params: ModelParams) -> None:
     """InputError naming the first layer with a non-finite weight or bias."""
@@ -168,7 +167,8 @@ def stack(models: list[ModelParams]) -> ModelParams:
 
 
 def take(params: ModelParams, slices) -> ModelParams:
-    """The stack whose slice j is slice `slices[j]` of the stack `params`."""
+    """The stack whose slice j is slice `slices[j]` of the stack `params`;
+    one index gives that slice as a single model."""
     slices = np.asarray(slices)
     return ModelParams(
         weights=[W[slices] for W in params.weights],
@@ -177,43 +177,24 @@ def take(params: ModelParams, slices) -> ModelParams:
     )
 
 
-def _is_number(value) -> bool:
-    """One value rather than [K] per-slice values."""
-    return isinstance(value, (int, float, np.floating))
-
-
-def _per_slice(value):
-    """A number as it is, or per-slice values [K] shaped [K, 1, 1] so they
-    broadcast against a stack's [K, B, C] arrays."""
-    if _is_number(value):
-        return value
-    value = np.asarray(value, dtype=np.float64)
-    return value[:, None, None] if value.ndim else value
-
-
-def _lowest(value) -> float:
-    """A number, or the lowest of [K] per-slice values, for range checks; NaN
-    (which fails every comparison) when `value` is neither."""
-    if _is_number(value):
-        return value
-    value = np.asarray(value)
-    if value.dtype.kind not in "iuf" or value.ndim > 1 or value.size == 0:
-        return np.nan
-    return value.min()
-
-
-def _as_batch(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    return x[None, :] if x.ndim == 1 else x
+def _stacked(params: ModelParams, count: int) -> ModelParams:
+    """A stack of `count` models from `params`: a stack of that many, or
+    one model (single, or a stack of one) repeated; a copy either way."""
+    if params.weights[0].shape[:-2] not in ((), (1,), (count,)):
+        raise ShapeError(f"a stack of {params.weights[0].shape[0]} models where one or "
+                         f"{count} are needed")
+    return ModelParams(
+        weights=[np.broadcast_to(W, (count, *W.shape[-2:])) for W in params.weights],
+        biases=[np.broadcast_to(b, (count, b.shape[-1])) for b in params.biases],
+        rng_seed=params.rng_seed)
 
 
 def _checked_batch(params: ModelParams, batch: np.ndarray) -> np.ndarray:
-    X = _as_batch(batch)
-    if X.ndim == 3 and X.shape[:1] != params.weights[0].shape[:-2]:
+    X = np.asarray(batch, dtype=np.float64)
+    X = X[None, :] if X.ndim == 1 else X
+    if X.shape[:-2] not in ((), params.weights[0].shape[:-2]):
         raise ShapeError(f"per-slice batch {X.shape} needs a stack of {X.shape[0]} models, "
                          f"got weights {params.weights[0].shape}")
-    if X.ndim not in (2, 3):
-        raise ShapeError(f"batch must be 1-D, 2-D or per-slice 3-D, got ndim={X.ndim}")
     if X.shape[-1] != params.weights[0].shape[-1]:
         raise ShapeError(
             f"layer 0 expects input dim {params.weights[0].shape[-1]}, "
@@ -240,23 +221,16 @@ def _forward_cached(params: ModelParams, batch: np.ndarray):
 def forward(params: ModelParams, batch: np.ndarray) -> np.ndarray:
     """Logits [B, C] for a batch [B, d] (a single 1-D sample gives [C]); a
     stack gives [K, B, C] ([K, C]) for a shared batch or per-slice [K, B, d]."""
-    squeeze = np.asarray(batch).ndim == 1
-    X = _checked_batch(params, batch)
-    if X.ndim == 3:
-        # one slice at a time: a forward over per-slice splits then holds one
-        # model's layer outputs, not the whole stack's
-        return np.stack([_logits([W[k] for W in params.weights],
-                                 [b[k] for b in params.biases], x) for k, x in enumerate(X)])
-    logits = _logits(params.weights, params.biases, X)
-    return logits[..., 0, :] if squeeze else logits
+    logits = _logits(params, _checked_batch(params, batch))
+    return logits[..., 0, :] if np.ndim(batch) == 1 else logits
 
 
-def _logits(weights: list[np.ndarray], biases: list[np.ndarray], X: np.ndarray) -> np.ndarray:
+def _logits(params: ModelParams, X: np.ndarray) -> np.ndarray:
     # Unlike the training pass, keep only the current layer (ReLU in place):
     # a forward over a whole split then holds two layers' outputs, not all.
     a = X
-    last = len(weights) - 1
-    for k, (W, b) in enumerate(zip(weights, biases)):
+    last = len(params.weights) - 1
+    for k, (W, b) in enumerate(zip(params.weights, params.biases)):
         a = a @ W.swapaxes(-1, -2)
         a += b[..., None, :]
         if k < last:
@@ -267,62 +241,68 @@ def _logits(weights: list[np.ndarray], biases: list[np.ndarray], X: np.ndarray) 
 def softmax_t(logits: np.ndarray, temperature=1.0) -> np.ndarray:
     """Temperature softmax exp(z_i/T) / sum_j exp(z_j/T), max-subtracted.
 
-    Per-slice temperatures [K] give [K, B, C] from stacked logits [K, B, C]
-    or from logits [B, C] shared by every slice.
+    Stacked logits [K, B, C] take one temperature or K, one per slice.
     """
-    z = _checked_logits(np.asarray(logits, dtype=np.float64), temperature)
-    return _normalized(z / _per_slice(temperature))
+    return _normalized(_softened(_checked_logits(np.asarray(logits, dtype=np.float64)),
+                                 temperature))
 
 
-def _checked_logits(z: np.ndarray, temperature) -> np.ndarray:
-    if not (_lowest(temperature) > 0):
-        raise ParameterError(f"temperature must be > 0, got {temperature!r}")
+def _slicewise(name: str, value, array: np.ndarray) -> np.ndarray:
+    """`value`, one number or [K] per-slice values for a stacked `array`
+    [K, ..., B, C], shaped [K, 1, ..., 1] to broadcast against it."""
+    value = np.asarray(value, dtype=np.float64)
+    if value.shape not in ((), array.shape[:-2]):
+        raise ShapeError(f"per-slice {name} {value.shape} needs a stack of as many models, "
+                         f"got {array.shape}")
+    return value.reshape((-1,) + (1,) * (array.ndim - 1))
+
+
+def _checked_logits(z: np.ndarray) -> np.ndarray:
     if not np.isfinite(z).all():
         raise InputError("logits contain non-finite entries")
     return z
 
 
+def _softened(z: np.ndarray, temperature, out: np.ndarray | None = None) -> np.ndarray:
+    """z / T, into `out`, for T > 0 (`_slicewise`)."""
+    T = _slicewise("temperature", temperature, z)
+    if not all(t > 0 for t in T.flat):
+        raise ParameterError(f"temperature must be > 0, got {temperature!r}")
+    return np.divide(z, T, out=out)
+
+
 def _normalized(z: np.ndarray) -> np.ndarray:
     """exp(z - max z) / sum exp(z - max z) along the last axis, in place."""
-    z -= z.max(axis=-1, keepdims=True)
+    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
     np.exp(z, out=z)
     z /= z.sum(axis=-1, keepdims=True)
     return z
 
 
-def _is_one(value) -> bool:
-    """The number 1, by which dividing or multiplying changes no bit."""
-    return _is_number(value) and value == 1.0
-
-
 def _check_targets(targets: np.ndarray, pred: np.ndarray, message: str) -> None:
-    """Targets match the predictions, or are shared by every slice of
-    stacked predictions [K, B, C] (or [K, S, B, C], S batches of a block);
-    `message` names the shapes as {targets} and {pred}."""
-    if targets.shape != pred.shape and not (pred.ndim >= 3 and targets.shape == pred.shape[1:]):
-        raise ShapeError(message.format(targets=targets.shape, pred=pred.shape))
+    """Targets match the predictions' last axes: all of them, or those after
+    a stack's leading [K] (targets shared by every slice); `message` names
+    the shapes as {targets} and {pred}."""
+    shape = np.shape(targets)
+    if shape != pred.shape[pred.ndim - len(shape):]:
+        raise ShapeError(message.format(targets=shape, pred=pred.shape))
 
 
 def _row_mean(per_sample: np.ndarray) -> np.ndarray:
     return per_sample.mean(axis=-1) if per_sample.ndim else per_sample
 
 
-def _per_batch(value: np.ndarray) -> float | np.ndarray:
-    """A float for one batch, or the [K] per-slice values of a stack."""
-    return value if value.ndim else float(value)
-
-
-def cross_entropy(pred: np.ndarray, target: np.ndarray) -> float | np.ndarray:
+def cross_entropy(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
     """-sum_i target_i * log(pred_i); mean over rows for 2-D inputs, per
     slice ([K]) for stacked ones. Every leading index is reduced on its own:
     the means of S batches stacked [..., S, B, C] have the bits of S calls."""
     p = np.asarray(pred, dtype=np.float64)
     t = np.asarray(target, dtype=np.float64)
     _check_targets(t, p, "pred shape {pred} != target shape {targets}")
-    return _per_batch(_row_mean(-(t * np.log(np.maximum(p, PROB_CLAMP))).sum(axis=-1)))
+    return _row_mean(-(t * np.log(np.maximum(p, PROB_CLAMP))).sum(axis=-1))
 
 
-def kl_div(target: np.ndarray, pred: np.ndarray) -> float | np.ndarray:
+def kl_div(target: np.ndarray, pred: np.ndarray) -> np.ndarray:
     """sum_i target_i * log(target_i / pred_i); mean over rows for 2-D, per
     slice ([K]) for stacked inputs.
 
@@ -333,7 +313,7 @@ def kl_div(target: np.ndarray, pred: np.ndarray) -> float | np.ndarray:
     _check_targets(g, q, "target shape {targets} != pred shape {pred}")
     ratio = np.where(g > 0.0, g, 1.0) / np.maximum(q, PROB_CLAMP)
     per_sample = np.where(g > 0.0, g * np.log(ratio), 0.0).sum(axis=-1)
-    return _per_batch(np.maximum(_row_mean(per_sample), 0.0))
+    return np.maximum(_row_mean(per_sample), 0.0)
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -355,19 +335,21 @@ def backward(
     params: ModelParams,
     batch: np.ndarray,
     targets: np.ndarray,
-    temperature=1.0,
-    scale=1.0,
+    temperature=None,
+    scale=None,
     out: Gradients | None = None,
 ) -> tuple[np.ndarray, Gradients]:
     """Softened probabilities q = softmax_t(logits, T) [B, C] and the gradients
     of `scale * T` times the mean cross-entropy (equally, KL) of q against
     `targets` [B, C], from one forward pass.
 
-    The gradient w.r.t. the logits is scale * (q - targets) / B: scale 1 at
-    T = 1 trains plain cross-entropy, scale alpha * T the guidance branch's
-    alpha * T^2 * KL. For a stack, q is [K, B, C], `batch` may be per slice
-    ([K, B, d]), `temperature` and `scale` per slice ([K]) and `targets`
-    [K, B, C] or shared [B, C]. The gradients are written into `out`, a
+    The gradient w.r.t. the logits is scale * (q - targets) / B: no
+    temperature and no scale (T = 1, scale 1) train plain cross-entropy,
+    scale alpha * T the guidance branch's alpha * T^2 * KL. For a stack, q
+    is [K, B, C], `batch` may be per slice ([K, B, d]), `temperature` and
+    `scale` per slice ([K]) and `targets` [K, B, C] or shared [B, C]. Only
+    checks of O(1) cost run per call, besides the finite-logit check that
+    detects divergence. The gradients are written into `out`, a
     Gradients in the layout of `params` that a training loop reuses, or
     into new zeros; q is the forward pass's own logits array, softened in
     place.
@@ -378,19 +360,14 @@ def backward(
         raise ShapeError(f"gradient buffer shapes {out.layout} != parameter shapes "
                          f"{params.layout}")
     pre, acts = _forward_cached(params, batch)
-    z = _checked_logits(acts[-1], temperature)
-    for name, value in (("temperature", temperature), ("scale", scale)):
-        if not _is_number(value) and np.shape(value) not in ((), z.shape[:-2]):
-            raise ShapeError(f"per-slice {name} {np.shape(value)} needs a stack of as many "
-                             f"models, got logits {z.shape}")
-    if not _is_one(temperature):
-        z /= _per_slice(temperature)
+    z = _checked_logits(acts[-1])
+    if temperature is not None:
+        _softened(z, temperature, out=z)
     q = _normalized(z)
-    t = np.asarray(targets, dtype=np.float64)
-    _check_targets(t, q, "targets shape {targets} != probabilities shape {pred}")
-    dlogits = q - t
-    if not _is_one(scale):
-        dlogits *= _per_slice(scale)
+    _check_targets(targets, q, "targets shape {targets} != probabilities shape {pred}")
+    dlogits = q - targets
+    if scale is not None:
+        dlogits *= _slicewise("scale", scale, dlogits)
     dlogits /= q.shape[-2]
     return q, _backprop(params, pre, acts, dlogits, out)
 
@@ -464,7 +441,11 @@ def fingerprint(params: ModelParams) -> str:
 
 def save_checkpoint(params: ModelParams, path) -> None:
     """Write the canonical checkpoint atomically; afterwards only its sha256
-    stays on `params`, not the bytes."""
+    stays on `params`, not the bytes. A checkpoint holds one model: a stack
+    is a ShapeError, and nothing is written."""
+    if params.weights[0].ndim != 2:
+        raise ShapeError(f"a checkpoint holds one model, not a stack of "
+                         f"{params.weights[0].shape[0]}")
     state, sha, data = _encoded(params, need_bytes=True)
     _write_atomic(path, data)
     params._encoding = (state, sha, None)

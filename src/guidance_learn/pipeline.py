@@ -3,11 +3,12 @@ and the cross-comparable baseline variants.
 
 All runs are driven by a TrainConfig and are bit-reproducible from
 (dataset, config): every shuffle and init draws from seed-derived streams.
-The training loop is indifferent to whether it carries one model or a
-[K, ...] stack (see `nn`); for a stack, every loss and accuracy in the
-report is a list of K per-slice values. Given K configs, which may differ
-in alpha, beta, temperature and seed, and one dataset or K, a stage trains
-K models as one stack, slice k on its own dataset and seed (`data.Slices`).
+A stage always trains a [K, ...] stack (see `nn`), and every loss and
+accuracy in its report is a list of K per-slice values. Given K configs,
+which may differ in alpha, beta, temperature and seed, and one dataset or
+K, slice k trains on its own dataset and seed (`data.Slices`). One config
+and one dataset train a stack of one, which leaves the stage as the single
+model it holds, with scalar report fields and the model's fingerprint.
 """
 from __future__ import annotations
 
@@ -135,6 +136,8 @@ class EpochRecord:
 class RunReport:
     """Per-epoch training record plus final test accuracy, serializable.
 
+    A stage records each loss and accuracy as a list of per-slice values;
+    the report of a single model (`_returned`) holds that slice's numbers.
     wall_time_sec is informational only and deliberately left out of the
     JSON form so reruns with the same seed serialize byte-identically.
     """
@@ -159,29 +162,32 @@ _PER_SLICE = ("alpha", "beta", "temperature", "seed")
 
 @dataclass(frozen=True)
 class _Stack:
-    """What a stage trains on: the slices' data, the config they share and,
-    for a stack given per-slice configs, each slice's config."""
+    """What a stage trains on: the data and config of each of its K slices,
+    which share `config` but for `_PER_SLICE`. `single` marks the inputs of
+    one model, whose stack of one the stage returns as that model
+    (`_returned`)."""
 
     data: Slices
     config: TrainConfig
-    configs: list[TrainConfig] | None
+    configs: list[TrainConfig]
+    single: bool
 
     def report_config(self) -> dict:
-        """The config of a report; a stack of configs lists per-slice values."""
-        doc = self.config.to_dict()
-        if self.configs is not None:
-            doc.update({name: [getattr(c, name) for c in self.configs] for name in _PER_SLICE})
-        return doc
+        """The config of a report, with each slice's `_PER_SLICE` values."""
+        return {**self.config.to_dict(),
+                **{name: [getattr(c, name) for c in self.configs] for name in _PER_SLICE}}
 
 
-def _stack(dataset: Dataset | Sequence[Dataset],
-           config: TrainConfig | Sequence[TrainConfig]) -> _Stack:
-    """One config and one dataset, or K configs that differ only in
-    `_PER_SLICE` with one dataset or K."""
-    if isinstance(config, TrainConfig):
+def _stack(dataset: Dataset | Sequence[Dataset], config: TrainConfig | Sequence[TrainConfig],
+           start: tuple[int, ...] = ()) -> _Stack:
+    """K configs that differ only in `_PER_SLICE`, with one dataset or K; or
+    one config and one dataset, for the one model or the [K] stack `start`
+    (a stack shape) that the stage starts from."""
+    one_config = isinstance(config, TrainConfig)
+    if one_config:
         if not isinstance(dataset, Dataset):
             raise ConfigurationError("per-slice datasets need per-slice configs")
-        return _Stack(Slices(dataset, config.seed), config, None)
+        config = [config] * int(np.prod(start))
     configs = list(config)
     if not configs:
         raise ConfigurationError("a stack needs at least one config")
@@ -190,7 +196,8 @@ def _stack(dataset: Dataset | Sequence[Dataset],
     if any(c != configs[0] for c in shared):
         raise ConfigurationError(
             f"the configs of a stack may differ only in {', '.join(_PER_SLICE)}")
-    return _Stack(Slices(dataset, [c.seed for c in configs]), configs[0], configs)
+    return _Stack(Slices(dataset, [c.seed for c in configs]), configs[0], configs,
+                  one_config and start == ())
 
 
 def check_fits(model: nn.ModelParams, dataset: Dataset | Slices, name: str) -> None:
@@ -204,7 +211,7 @@ def check_fits(model: nn.ModelParams, dataset: Dataset | Slices, name: str) -> N
                          f"{dataset.num_classes} classes")
 
 
-def _test_accuracy(params: nn.ModelParams, data: Slices) -> float | list[float] | None:
+def _test_accuracy(params: nn.ModelParams, data: Slices) -> list[float] | None:
     from .evaluation import accuracy
 
     if data.indices(TEST).size == 0:
@@ -213,28 +220,27 @@ def _test_accuracy(params: nn.ModelParams, data: Slices) -> float | list[float] 
 
 
 def _init_for(stack: _Stack) -> nn.ModelParams:
-    """The seeded initial model, or a stack of each slice's."""
+    """The stack of each slice's seeded initial model."""
     dims = [stack.data.features.shape[-1], *stack.config.hidden_dims, stack.data.num_classes]
-    if stack.configs is None:
-        return nn.init_params(dims, stack.config.seed)
     return nn.stack([nn.init_params(dims, c.seed) for c in stack.configs])
 
 
-def _epoch_mean(values: np.ndarray) -> float | list[float]:
-    """Mean over an epoch's step losses [S] (per slice for a stack: [S, K]);
-    each slice is summed exactly as a single model's losses would be."""
+def _epoch_mean(values: np.ndarray) -> list[float]:
+    """Mean over an epoch's step losses [S, K], per slice; each slice is
+    summed exactly as a single model's losses would be."""
     return np.ascontiguousarray(np.transpose(values)).mean(axis=-1).tolist()
 
 
 def _split(targets: np.ndarray, batches: list[np.ndarray]) -> list[np.ndarray]:
     """Each batch's rows (views) of a block's targets [..., n, C], which
     hold the batches' rows end to end."""
-    return np.split(targets, np.cumsum([b.shape[-1] for b in batches[:-1]]), axis=-2)
+    ends = itertools.accumulate(b.shape[-1] for b in batches)
+    return [targets[..., end - b.shape[-1]:end, :] for b, end in zip(batches, ends)]
 
 
 def _per_step(loss: Callable, probs: list[np.ndarray], targets: np.ndarray) -> np.ndarray:
-    """`loss(probs[i], targets of step i)` for each step i of a block, [S]
-    or per slice [S, K], from one call per run of equal-size batches (the
+    """`loss(probs[i], targets of step i)` for each step i of a block, per
+    slice [S, K], from one call per run of equal-size batches (the
     short last batch of an epoch is a run of its own): the losses reduce
     each leading index on its own, so step i's value has the bits of a
     call on its batch alone."""
@@ -267,7 +273,7 @@ def _train(
     the guidance cache) once, then for each batch the forward and backward
     pass, yielding its gradients, on which `_train` takes the SGD step;
     after the last step it appends the block's per-step (L_total, L_g, L_c)
-    to `losses`, each [S] or per slice [S, K]. Each epoch records its mean
+    to `losses`, each per slice [S, K]. Each epoch records its mean
     losses and test accuracy; the last epoch's accuracy is the final one.
     The report carries no fingerprints. Non-finite logits or parameters (the
     inputs are finite, so training diverged) are a DivergenceError naming
@@ -281,8 +287,7 @@ def _train(
     config = stack.config
     velocity = nn.Gradients.zeros(params)
     scratch = np.empty_like(params.flat)
-    slices = len(stack.configs) if stack.configs is not None else 1
-    steps_per_block = max(1, BLOCK_ROWS // (config.batch_size * slices))
+    steps_per_block = max(1, BLOCK_ROWS // (config.batch_size * len(stack.configs)))
     report = RunReport(stage=stage, config=stack.report_config())
     try:
         for epoch in range(epochs):
@@ -313,13 +318,24 @@ def _train(
     return params, report
 
 
-def _fingerprinted(
-    params: nn.ModelParams, report: RunReport, role: str = "model"
-) -> tuple[nn.ModelParams, RunReport]:
-    """Record the fingerprint of a single model; a stack has no checkpoint."""
-    if params.weights[0].ndim == 2:
+def _returned(stack: _Stack, params: nn.ModelParams, report: RunReport,
+              role: str = "model") -> tuple[nn.ModelParams, RunReport]:
+    """The trained stack and its report, or for the inputs of one model
+    (`_Stack.single`) that model with its fingerprint under `role`, its
+    config and the slice's scalar report values; a stack has no checkpoint."""
+    if stack.single:
+        params = nn.take(params, 0)
+        report.config = stack.config.to_dict()
+        for record in report.epochs:
+            for name in ("loss_total", "loss_guidance", "loss_clean", "test_accuracy"):
+                setattr(record, name, _first(getattr(record, name)))
+        report.final_test_accuracy = _first(report.final_test_accuracy)
         report.checkpoint_fingerprints[role] = nn.fingerprint(params)
     return params, report
+
+
+def _first(values: list[float] | None) -> float | None:
+    return None if values is None else values[0]
 
 
 def _train_cross_entropy(
@@ -347,10 +363,8 @@ def _train_cross_entropy(
         loss = _per_step(nn.cross_entropy, probs, targets)
         losses.append((loss, 0.0 * loss, loss))
 
-    return _fingerprinted(*_train(
-        params, stack, schedule, epochs, stage,
-        lambda epoch: data.batches(tags, stack.config.batch_size, epoch), block,
-    ))
+    return _train(params, stack, schedule, epochs, stage,
+                  lambda epoch: data.batches(tags, stack.config.batch_size, epoch), block)
 
 
 def train_teacher(
@@ -362,9 +376,9 @@ def train_teacher(
     stack = _stack(dataset, config)
     if stack.data.indices(CLEAN_TRAIN, NOISY_TRAIN).size == 0:
         raise ConfigurationError("teacher training needs a nonempty train set")
-    return _train_cross_entropy(stack, (CLEAN_TRAIN, NOISY_TRAIN), _init_for(stack),
-                                stack.config.teacher_lr_schedule,
-                                stack.config.teacher_epochs, stage="teacher")
+    return _returned(stack, *_train_cross_entropy(
+        stack, (CLEAN_TRAIN, NOISY_TRAIN), _init_for(stack), stack.config.teacher_lr_schedule,
+        stack.config.teacher_epochs, stage="teacher"))
 
 
 def train_student(
@@ -398,21 +412,12 @@ def train_student(
     noisy_idx = data.indices(NOISY_TRAIN)
     if noisy_idx.size == 0:
         raise ConfigurationError("student training needs a noisy subset")
-    if stack.configs is None:
-        student = teacher.copy()
-        alpha, beta, temperature = config.alpha, config.beta, config.temperature
-    else:
-        if teacher.weights[0].ndim == 2:
-            student = nn.take(nn.stack([teacher]), [0] * len(stack.configs))
-        elif teacher.weights[0].shape[0] == data.num_sources:
-            student = nn.take(teacher, data.source)
-        else:
-            raise ShapeError(f"a stack of {teacher.weights[0].shape[0]} teachers for "
-                             f"data of {data.num_sources} sources")
-        alpha, beta, temperature = (np.array([getattr(c, name) for c in stack.configs])
-                                    for name in ("alpha", "beta", "temperature"))
+    student = nn.take(nn._stacked(teacher, data.num_sources), data.source)
+    alpha, beta, temperature = (np.array([getattr(c, name) for c in stack.configs])
+                                for name in ("alpha", "beta", "temperature"))
     teacher_fingerprint = nn.fingerprint(teacher)
     X, y, C = data.features, data.labels, data.num_classes
+    cache = guidance._stacked(cache)
     guidance.check_cache(cache, teacher_fingerprint, noisy_idx, temperature, C)
     buffers = nn.Gradients.zeros(student), nn.Gradients.zeros(student)
 
@@ -439,7 +444,7 @@ def train_student(
         lambda epoch: data.mixed_batches(config.batch_size, epoch), block,
     )
     report.checkpoint_fingerprints["teacher"] = teacher_fingerprint
-    return _fingerprinted(student, report, "student")
+    return _returned(stack, student, report, "student")
 
 
 def finetune_clean(
@@ -448,17 +453,18 @@ def finetune_clean(
     config: TrainConfig | Sequence[TrainConfig],
 ) -> tuple[nn.ModelParams, RunReport]:
     """Cross-entropy pass over the clean subset only, at a reduced LR, on a
-    copy of `model`; `model` may be a stack, and K configs (and one dataset
-    or K) fine-tune slice k on its own data and seed. A model that does not
+    copy of `model`. K configs (and one dataset or K) fine-tune slice k of
+    a stack of K, or K copies of one model, on its own data and seed; one
+    config fine-tunes each model of a given stack. A model that does not
     fit the data (`check_fits`) is a ShapeError."""
-    stack = _stack(dataset, config)
+    stack = _stack(dataset, config, model.weights[0].shape[:-2])
     check_fits(model, stack.data, "model")
     if stack.data.indices(CLEAN_TRAIN).size == 0:
         raise ConfigurationError("fine-tuning needs a nonempty clean subset")
-    return _train_cross_entropy(
-        stack, (CLEAN_TRAIN,), model.copy(), stack.config.effective_finetune_schedule(),
-        stack.config.finetune_epochs, stage="finetune",
-    )
+    return _returned(stack, *_train_cross_entropy(
+        stack, (CLEAN_TRAIN,), nn._stacked(model, len(stack.configs)),
+        stack.config.effective_finetune_schedule(), stack.config.finetune_epochs,
+        stage="finetune"))
 
 
 def run_baseline(
@@ -469,11 +475,10 @@ def run_baseline(
     of one dataset and config differ only in their variant field."""
     if variant in ("noisy_only", "clean_only"):
         stack = _stack(dataset, config)
-        params, report = _train_cross_entropy(
+        params, report = _returned(stack, *_train_cross_entropy(
             stack, (NOISY_TRAIN if variant == "noisy_only" else CLEAN_TRAIN,),
             _init_for(stack), config.teacher_lr_schedule, config.teacher_epochs,
-            stage="teacher",
-        )
+            stage="teacher"))
         models = {"model": params}
     elif variant == "mixed":
         params, report = train_teacher(dataset, config)

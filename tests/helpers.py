@@ -46,6 +46,11 @@ def random_net(rng: np.random.Generator, max_dim: int = 8, max_classes: int = 5)
     return nn.init_params([d, hidden, C], seed=int(rng.integers(0, 2**31)))
 
 
+def copy(params: nn.ModelParams) -> nn.ModelParams:
+    """A copy of `params`, one model or a stack."""
+    return nn.ModelParams(weights=params.weights, biases=params.biases, rng_seed=params.rng_seed)
+
+
 def random_probs(rng: np.random.Generator, shape) -> np.ndarray:
     raw = rng.random(shape) + 1e-3
     return raw / raw.sum(axis=-1, keepdims=True)
@@ -98,7 +103,7 @@ def reference_student(teacher: nn.ModelParams, dataset, config, cache):
     takes it."""
     if isinstance(config, pipeline.TrainConfig):
         slices = data.Slices(dataset, config.seed)
-        student = teacher.copy()
+        student = copy(teacher)
         alpha, beta, T = config.alpha, config.beta, config.temperature
     else:
         slices = data.Slices(dataset, [c.seed for c in config])

@@ -17,8 +17,8 @@ import scipy.stats
 
 from guidance_learn import data, evaluation, guidance, nn, pipeline
 from guidance_learn.serialize import canonical_json
-from helpers import (fd_gradients, fuse, max_rel_error, params_bytes, random_probs, read_cache,
-                     train_student)
+from helpers import (copy, fd_gradients, fuse, max_rel_error, params_bytes, random_probs,
+                     read_cache, train_student)
 
 DESK_RECIPE = data.DataRecipe(
     classes=10, per_class=500, dim=20, sigma=0.1,
@@ -260,7 +260,7 @@ def test_criterion_7_branch_isolation():
         teacher, _ = pipeline.train_teacher(dataset, config)
 
         # independent clean-only loop from teacher init, same streams
-        reference = teacher.copy()
+        reference = copy(teacher)
         velocity = nn.Gradients.zeros(reference)
         X, y, C = dataset.features, dataset.labels, dataset.num_classes
         epoch_bytes = []

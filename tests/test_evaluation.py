@@ -4,7 +4,7 @@ import pytest
 from guidance_learn import data, evaluation, nn, pipeline
 from guidance_learn.errors import InputError, ParameterError
 from guidance_learn.serialize import canonical_json
-from helpers import train_student
+from helpers import copy, train_student
 
 
 def _tagged_blobs(classes=2, per_class=30, seed=0, test_fraction=0.5):
@@ -137,7 +137,7 @@ def _model_slices(params):
     """Copies of the single models in `params`: itself, or each slice of a
     [K, ...] stack (copies, as training goes on updating `params` in place)."""
     if params.weights[0].ndim == 2:
-        return [params.copy()]
+        return [copy(params)]
     return [nn.ModelParams(weights=[W[k].copy() for W in params.weights],
                            biases=[b[k].copy() for b in params.biases])
             for k in range(params.weights[0].shape[0])]

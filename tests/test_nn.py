@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from guidance_learn import nn
 from guidance_learn.errors import InputError, ParameterError, ShapeError
-from helpers import fd_gradients, max_rel_error, random_net, random_probs, stack
+from helpers import copy, fd_gradients, max_rel_error, random_net, random_probs, stack
 
 
 def test_forward_zero_params_gives_zero_logits():
@@ -276,7 +276,7 @@ def test_backward_rejects_bad_targets_and_temperature():
 
 def test_sgd_zero_gradient_is_fixed_point():
     params = nn.init_params([3, 4, 2], seed=1)
-    updated = params.copy()
+    updated = copy(params)
     nn.sgd_step(updated, nn.Gradients.zeros(params), nn.Gradients.zeros(updated),
                 lr=0.5, momentum=0.9, weight_decay=0.0, scratch=np.empty_like(updated.flat))
     assert np.array_equal(updated.flat, params.flat)
@@ -312,7 +312,7 @@ def test_sgd_without_momentum_is_vanilla_gradient_descent():
     params = random_net(rng)
     grads = nn.Gradients(weights=[rng.normal(size=W.shape) for W in params.weights],
                          biases=[rng.normal(size=b.shape) for b in params.biases])
-    updated = params.copy()
+    updated = copy(params)
     nn.sgd_step(updated, grads, nn.Gradients.zeros(updated), lr=0.05, momentum=0.0,
                 weight_decay=0.0)
     assert np.array_equal(updated.flat, params.flat - 0.05 * grads.flat)
@@ -341,7 +341,7 @@ def test_arrays_are_views_of_one_buffer_each():
     assert params.layout == ((4, 3), (2, 4), (4,), (2,))
     for a in params.weights + params.biases:
         assert np.shares_memory(a, params.flat)
-    copied = params.copy()
+    copied = copy(params)
     assert not np.shares_memory(copied.flat, params.flat)
     assert copied.flat.tobytes() == params.flat.tobytes()
 
@@ -385,6 +385,14 @@ def test_checkpoint_roundtrip_is_byte_exact(tmp_path):
     assert nn.fingerprint(params) == nn.fingerprint(loaded)
 
 
+def test_checkpoint_of_a_stack_is_refused_before_writing(tmp_path):
+    single = nn.init_params([5, 7, 4], seed=13)
+    path = tmp_path / "stack.ckpt"
+    with pytest.raises(ShapeError, match="not a stack of 2"):
+        nn.save_checkpoint(stack([single, single]), path)
+    assert not path.exists() and not list(tmp_path.iterdir())
+
+
 def test_checkpoint_rejects_bad_documents(tmp_path):
     from guidance_learn.errors import FormatError
 
@@ -399,7 +407,7 @@ def test_checkpoint_rejects_bad_documents(tmp_path):
 
 def test_fingerprint_tracks_parameter_changes():
     params = nn.init_params([3, 4, 2], seed=5)
-    other = params.copy()
+    other = copy(params)
     other.weights[0][0, 0] += 1e-9
     assert nn.fingerprint(params) != nn.fingerprint(other)
 
@@ -413,7 +421,7 @@ def test_fingerprint_and_save_follow_in_place_changes(tmp_path):
     params.biases[0][1] = -0.0
     after = nn.fingerprint(params)
     assert after != before
-    assert after == nn.fingerprint(params.copy())
+    assert after == nn.fingerprint(copy(params))
     path = tmp_path / "model.ckpt"
     nn.save_checkpoint(params, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == after
@@ -421,8 +429,8 @@ def test_fingerprint_and_save_follow_in_place_changes(tmp_path):
 
     params.weights[0][0, 0] = 2.0  # changed after its save: encoded again
     nn.save_checkpoint(params, path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == nn.fingerprint(params.copy())
-    assert nn.fingerprint(params) == nn.fingerprint(params.copy()) != after
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == nn.fingerprint(copy(params))
+    assert nn.fingerprint(params) == nn.fingerprint(copy(params)) != after
 
 
 def test_stacked_passes_equal_each_single_model_bitwise():
@@ -440,13 +448,13 @@ def test_stacked_passes_equal_each_single_model_bitwise():
         assert logits[k].tobytes() == nn.forward(model, batch[0]).tobytes()
     for targets in (random_probs(rng, (3, 9, 4)), random_probs(rng, (9, 4))):
         q, grads = nn.backward(stacked, batch, targets, T, scale)
-        stepped = stacked.copy()
+        stepped = copy(stacked)
         nn.sgd_step(stepped, grads, nn.Gradients.zeros(stepped), 0.1, 0.9, 1e-3)
         kl, ce = nn.kl_div(targets, q), nn.cross_entropy(q, targets)
         for k, model in enumerate(models):
             t_k = targets[k] if targets.ndim == 3 else targets
             q_k, g_k = nn.backward(model, batch, t_k, T[k], scale[k])
-            s_k = model.copy()
+            s_k = copy(model)
             nn.sgd_step(s_k, g_k, nn.Gradients.zeros(s_k), 0.1, 0.9, 1e-3)
             assert q[k].tobytes() == q_k.tobytes()
             for got, want in zip(grads.weights + grads.biases + stepped.weights + stepped.biases,

@@ -13,7 +13,7 @@ from guidance_learn.errors import (
     ShapeError,
 )
 from guidance_learn.serialize import canonical_json
-from helpers import params_bytes, reference_student, train_student
+from helpers import copy, params_bytes, reference_student, train_student
 
 
 def small_config(**overrides):
@@ -148,7 +148,7 @@ def test_student_alpha_zero_matches_clean_only_training_bitwise():
 
     # straight-line clean-only reference: same init, same clean batch
     # stream, cross-entropy only
-    params = teacher.copy()
+    params = copy(teacher)
     velocity = nn.Gradients.zeros(params)
     X, y, C = dataset.features, dataset.labels, dataset.num_classes
     for epoch in range(config.student_epochs):
@@ -362,24 +362,28 @@ def _losses(report):
     return [repr((r.loss_total, r.loss_guidance, r.loss_clean)) for r in report.epochs]
 
 
-@pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
+@pytest.mark.parametrize("stacked", ["single", "one-config", "stack"])
 def test_block_size_changes_no_bit(monkeypatch, stacked):
     """Blocks of one batch, of three and of the default size train the same
     teacher and student bits with the same epoch losses, and the student
     equals the per-step reference loop. The data has a short last noisy
     batch (126 noisy samples, batches of 16); the stack has per-slice seeds
-    (so per-slice batches) and an alpha = 0 slice."""
+    (so per-slice batches) and an alpha = 0 slice, and a one-config list
+    trains a stack of one."""
     dataset = small_dataset(seed=14)
     assert data.Slices(dataset).indices(data.NOISY_TRAIN).size % 16 != 0
     config = small_config(seed=14)
-    if stacked:
+    if stacked == "one-config":
+        config = [config]
+    if stacked == "stack":
         config = [replace(config, alpha=alpha, beta=beta, temperature=T, seed=seed)
                   for alpha, beta, T, seed in ((0.0, 0.3, 5.0, 14), (0.1, 0.0, 2.0, 15),
                                                (1.0, 1.0, 5.0, 16))]
-        slices, temperature = 3, [c.temperature for c in config]
-        source = data.Slices(dataset, [c.seed for c in config])
-    else:
+    if stacked == "single":
         slices, temperature, source = 1, config.temperature, dataset
+    else:
+        slices, temperature = len(config), [c.temperature for c in config]
+        source = data.Slices(dataset, [c.seed for c in config])
     rows = [16 * slices, 3 * 16 * slices]
 
     teachers = _blocked_runs(monkeypatch, rows, lambda: pipeline.train_teacher(dataset, config))
@@ -394,6 +398,33 @@ def test_block_size_changes_no_bit(monkeypatch, stacked):
             monkeypatch, rows, lambda: pipeline.train_student(teacher, dataset, config, cache)):
         assert params_bytes(student) == params_bytes(want)
         assert _losses(report) == [repr(losses) for losses in want_losses]
+
+
+def test_one_config_list_trains_the_single_run_as_a_stack_of_one():
+    """Each stage given [config] returns a stack of one whose slice 0 has
+    the bits of the bare-config run, and a report whose per-slice values
+    are that run's scalars."""
+    dataset = small_dataset(seed=15)
+    config = small_config(seed=15)
+    teacher, teacher_report = pipeline.train_teacher(dataset, config)
+    teachers, teachers_report = pipeline.train_teacher(dataset, [config])
+    student, student_report = train_student(teacher, dataset, config)
+    cache = guidance.compute_teacher_soft_targets(
+        teachers, data.Slices(dataset, [config.seed]), [config.temperature])
+    students, students_report = pipeline.train_student(teachers, dataset, [config], cache)
+    tuned, tuned_report = pipeline.finetune_clean(student, dataset, config)
+    tuneds, tuneds_report = pipeline.finetune_clean(students, dataset, [config])
+    for single, report, stack, stack_report in (
+            (teacher, teacher_report, teachers, teachers_report),
+            (student, student_report, students, students_report),
+            (tuned, tuned_report, tuneds, tuneds_report)):
+        assert stack.weights[0].shape[0] == 1 and single.weights[0].ndim == 2
+        assert params_bytes(nn.take(stack, 0)) == params_bytes(single)
+        assert stack_report.final_test_accuracy == [report.final_test_accuracy]
+        assert len(stack_report.epochs) == len(report.epochs) > 0
+        for got, want in zip(stack_report.epochs, report.epochs):
+            assert (got.loss_total, got.loss_guidance, got.loss_clean, got.test_accuracy) == (
+                [want.loss_total], [want.loss_guidance], [want.loss_clean], [want.test_accuracy])
 
 
 @pytest.mark.parametrize("batches_per_block", [None, 4], ids=["default", "4-batch-blocks"])
