@@ -87,6 +87,9 @@ class ModelParams:
                 )
         _check_finite(self)
         _pack(self)
+        # views of `flat` that every forward pass takes, made once
+        self._transposed = [W.swapaxes(-1, -2) for W in self.weights]
+        self._bias_rows = [b[..., None, :] for b in self.biases]
 
     @property
     def layer_dims(self) -> list[int]:
@@ -209,9 +212,9 @@ def _forward_cached(params: ModelParams, batch: np.ndarray):
     pre, acts = [], [X]
     a = X
     last = len(params.weights) - 1
-    for k, (W, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ W.swapaxes(-1, -2)
-        z += b[..., None, :]
+    for k, (Wt, b) in enumerate(zip(params._transposed, params._bias_rows)):
+        z = a @ Wt
+        z += b
         pre.append(z)
         a = np.maximum(z, 0.0) if k < last else z
         acts.append(a)
@@ -230,9 +233,9 @@ def _logits(params: ModelParams, X: np.ndarray) -> np.ndarray:
     # a forward over a whole split then holds two layers' outputs, not all.
     a = X
     last = len(params.weights) - 1
-    for k, (W, b) in enumerate(zip(params.weights, params.biases)):
-        a = a @ W.swapaxes(-1, -2)
-        a += b[..., None, :]
+    for k, (Wt, b) in enumerate(zip(params._transposed, params._bias_rows)):
+        a = a @ Wt
+        a += b
         if k < last:
             np.maximum(a, 0.0, out=a)
     return a
