@@ -347,9 +347,8 @@ class Slices:
         return self._subsets[tags]
 
     def _epoch(self, per_source: list[list[np.ndarray]]) -> list[np.ndarray]:
-        """The sources' index batches of an epoch as per-slice batches,
-        sliced from one [K, n] array: row k of batch j is batch j of slice
-        k's source."""
+        """The sources' index batches of an epoch as views of one [K, n]
+        array: row k of batch j is batch j of slice k's source."""
         joined = self._sliced([np.concatenate(batches) for batches in per_source])
         ends = itertools.accumulate(b.size for b in per_source[0])
         return [joined[..., end - b.size:end] for b, end in zip(per_source[0], ends)]

@@ -81,11 +81,6 @@ def compute_teacher_soft_targets(
     noisy_idx = data.indices(NOISY_TRAIN)
     if noisy_idx.size == 0:
         raise InputError("noisy subset is empty; nothing to cache")
-    if data.features.shape[-1] != teacher.layer_dims[0]:
-        raise ShapeError(
-            f"teacher expects input dim {teacher.layer_dims[0]}, dataset has "
-            f"{data.features.shape[-1]} features"
-        )
     sources = data.per_source()
     logits = nn.forward(nn._stacked(teacher, data.num_sources),
                         sources.rows(sources.features, sources.indices(NOISY_TRAIN)))

@@ -129,7 +129,7 @@ class EpochRecord:
     loss_total: float | list[float]
     loss_guidance: float | list[float]
     loss_clean: float | list[float]
-    test_accuracy: float | list[float] | None
+    test_accuracy: float | list[float | None] | None
 
 
 @dataclass
@@ -145,7 +145,7 @@ class RunReport:
     stage: str
     config: dict
     epochs: list[EpochRecord] = field(default_factory=list)
-    final_test_accuracy: float | list[float] | None = None
+    final_test_accuracy: float | list[float | None] | None = None
     checkpoint_fingerprints: dict[str, str] = field(default_factory=dict)
     variant: str | None = None
     wall_time_sec: float = 0.0
@@ -211,11 +211,12 @@ def check_fits(model: nn.ModelParams, dataset: Dataset | Slices, name: str) -> N
                          f"{dataset.num_classes} classes")
 
 
-def _test_accuracy(params: nn.ModelParams, data: Slices) -> list[float] | None:
+def _test_accuracy(params: nn.ModelParams, data: Slices) -> list[float | None]:
+    """Each slice's test accuracy, None for an empty test split."""
     from .evaluation import accuracy
 
     if data.indices(TEST).size == 0:
-        return None
+        return [None] * len(data.source)
     return accuracy(params, data, TEST)
 
 
@@ -328,14 +329,10 @@ def _returned(stack: _Stack, params: nn.ModelParams, report: RunReport,
         report.config = stack.config.to_dict()
         for record in report.epochs:
             for name in ("loss_total", "loss_guidance", "loss_clean", "test_accuracy"):
-                setattr(record, name, _first(getattr(record, name)))
-        report.final_test_accuracy = _first(report.final_test_accuracy)
+                setattr(record, name, getattr(record, name)[0])
+        report.final_test_accuracy = report.final_test_accuracy[0]
         report.checkpoint_fingerprints[role] = nn.fingerprint(params)
     return params, report
-
-
-def _first(values: list[float] | None) -> float | None:
-    return None if values is None else values[0]
 
 
 def _train_cross_entropy(
