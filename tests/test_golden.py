@@ -50,10 +50,21 @@ JOBS = {
                               "--seeds", "1,2"]),
     "sweep_clean_fraction": ({}, ["sweep", "--axis", "clean_fraction", "--values",
                                   "0.1,0.2", "--seeds", "1,2"]),
+    "baseline_noisy_only": ({}, ["baseline", "--variant", "noisy_only"]),
+    "baseline_clean_only": ({}, ["baseline", "--variant", "clean_only"]),
+    "baseline_mixed": ({}, ["baseline", "--variant", "mixed"]),
     "baseline_guidance_finetuned": ({}, ["baseline", "--variant", "guidance_finetuned"]),
 }
 
 GOLDEN = {
+    "baseline_clean_only": {
+        "config.json":
+            "852e0d96b107d05884f13e04b4ec6cb2eec84a63c72225309599d3f3326e44f0",
+        "model.ckpt":
+            "1ebfb3ba4db9cf5857169921294f6cea5890914a0d040ee7e613bcb0d9850c5a",
+        "report.json":
+            "342b3480c082dc2aa049c54ef5c3fd6e81d14f2ac6aac967508c53710b32b79b",
+    },
     "baseline_guidance_finetuned": {
         "config.json":
             "852e0d96b107d05884f13e04b4ec6cb2eec84a63c72225309599d3f3326e44f0",
@@ -65,6 +76,22 @@ GOLDEN = {
             "a377642342bdfe00e2a74fb56a0f88ec7ac6d6da3446ae4ea70604af3d717fad",
         "teacher.ckpt":
             "7ef75106b351d9c384e6c3e3877597a13c16dd91397115cd1b4a9547f6e0ee4f",
+    },
+    "baseline_mixed": {
+        "config.json":
+            "852e0d96b107d05884f13e04b4ec6cb2eec84a63c72225309599d3f3326e44f0",
+        "model.ckpt":
+            "7ef75106b351d9c384e6c3e3877597a13c16dd91397115cd1b4a9547f6e0ee4f",
+        "report.json":
+            "d72fdc81bf907e50961195028a61c529762cc63844602f6a02078dc5aff9e007",
+    },
+    "baseline_noisy_only": {
+        "config.json":
+            "852e0d96b107d05884f13e04b4ec6cb2eec84a63c72225309599d3f3326e44f0",
+        "model.ckpt":
+            "48ac76f45e614876f1a5cfe21a096079a9f223cda6c18c0903baa310d5ceab88",
+        "report.json":
+            "ff6ad88d6952083bb8296d691a695bc57760010078c1f2162fbdee4ab4640014",
     },
     "student": {
         "config.json":
