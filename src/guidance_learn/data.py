@@ -191,14 +191,7 @@ def split(dataset: Dataset, clean_fraction: float, test_fraction: float, seed: i
     sets are nested as the fraction grows. Test samples get their true
     labels back (the test set is verified by construction).
     """
-    for name, frac in (("clean_fraction", clean_fraction), ("test_fraction", test_fraction)):
-        if not (0.0 <= frac < 1.0):
-            raise ParameterError(f"{name} must be in [0, 1), got {frac}")
-    if clean_fraction + test_fraction >= 1.0:
-        raise ParameterError(
-            f"clean_fraction + test_fraction must be < 1, got "
-            f"{clean_fraction + test_fraction}"
-        )
+    DataRecipe(clean_fraction=clean_fraction, test_fraction=test_fraction)  # checks them
     strat = dataset.true_labels if dataset.true_labels is not None else dataset.labels
     rng = np.random.default_rng(np.random.SeedSequence([seed, STREAM_SPLIT]))
     tags = np.full(len(dataset), NOISY_TRAIN)
@@ -486,7 +479,8 @@ def save_noise_manifest(path, dataset: Dataset, spec: NoiseSpec, mask: FlipMask)
 
 @dataclass(frozen=True)
 class DataRecipe:
-    """Everything needed to regenerate a dataset deterministically from a seed."""
+    """Everything needed to regenerate a dataset deterministically from a
+    seed; split fractions or a noise spec out of range are a ParameterError."""
 
     kind: str = "blobs"
     classes: int = 10
@@ -505,8 +499,14 @@ class DataRecipe:
             raise ParameterError(f"unknown recipe kind {self.kind!r}")
         if self.kind == "csv" and not self.csv_path:
             raise ParameterError("csv recipe needs csv_path")
-        if self.noise_model not in ("none", "symmetric", "pair_flip"):
-            raise ParameterError(f"unknown noise model {self.noise_model!r}")
+        for name in ("clean_fraction", "test_fraction"):
+            if not (0.0 <= getattr(self, name) < 1.0):
+                raise ParameterError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if self.clean_fraction + self.test_fraction >= 1.0:
+            raise ParameterError(f"clean_fraction + test_fraction must be < 1, got "
+                                 f"{self.clean_fraction + self.test_fraction}")
+        if self.noise_model != "none":
+            NoiseSpec(self.noise_model, self.noise_rate, 0, self.pair_map)
 
     def build(self, seed: int) -> tuple[Dataset, FlipMask | None]:
         if self.kind == "blobs":

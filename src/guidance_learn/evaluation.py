@@ -1,4 +1,5 @@
-"""Metrics and single-axis hyperparameter sweeps over the full pipeline."""
+"""Metrics and single-axis hyperparameter sweeps over the full pipeline. A
+sweep axis sets one TrainConfig or DataRecipe field, which checks its values."""
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
@@ -11,8 +12,12 @@ from .errors import InputError, ParameterError
 from .pipeline import TrainConfig, check_fits, finetune_clean, train_student, train_teacher
 from .serialize import to_document
 
-SWEEP_AXES = ("alpha", "beta", "T", "clean_fraction", "noise_rate")
-_STAGE2_AXES = ("alpha", "beta", "T")
+# sweep axis -> the TrainConfig or DataRecipe field it sets
+SWEEP_AXES = {"alpha": (TrainConfig, "alpha"), "beta": (TrainConfig, "beta"),
+              "T": (TrainConfig, "temperature"), "noise_rate": (DataRecipe, "noise_rate"),
+              "clean_fraction": (DataRecipe, "clean_fraction")}
+# with no test split and a noise model, a sweep value fails here only out of range
+_ANY_RECIPE = DataRecipe(test_fraction=0.0, noise_model="symmetric")
 
 
 def accuracy(params: nn.ModelParams, dataset: Dataset | Slices, tag: str) -> float | list[float]:
@@ -43,7 +48,8 @@ class SweepGrid:
 
     def __post_init__(self) -> None:
         if self.axis not in SWEEP_AXES:
-            raise ParameterError(f"unknown sweep axis {self.axis!r}; expected one of {SWEEP_AXES}")
+            raise ParameterError(f"unknown sweep axis {self.axis!r}; "
+                                 f"expected one of {tuple(SWEEP_AXES)}")
         if not self.values:
             raise ParameterError("sweep needs at least one axis value")
         if not all(np.isfinite(v) for v in self.values):
@@ -56,16 +62,8 @@ class SweepGrid:
             repeated = [x for i, x in enumerate(items) if x in items[:i]]
             if repeated:
                 raise ParameterError(f"sweep {name} {repeated[0]!r} is repeated")
-        for v in self.values:
-            self._validate_value(v)
-
-    def _validate_value(self, value: float) -> None:
-        if self.axis in ("alpha", "beta") and value < 0:
-            raise ParameterError(f"{self.axis} must be >= 0, got {value}")
-        if self.axis == "T" and not (value > 0):
-            raise ParameterError(f"T must be > 0, got {value}")
-        if self.axis in ("clean_fraction", "noise_rate") and not (0.0 <= value < 1.0):
-            raise ParameterError(f"{self.axis} must be in [0, 1), got {value}")
+        for value in self.values:
+            _cell(self, value, self.seeds[0], _ANY_RECIPE)
 
 
 @dataclass(frozen=True)
@@ -86,11 +84,7 @@ class SweepResult:
     def aggregates(self) -> list[dict]:
         """Per-value mean/min/max for each recorded accuracy."""
         out = []
-        seen: list[float] = []
-        for row in self.rows:
-            if row.value not in seen:
-                seen.append(row.value)
-        for value in seen:
+        for value in dict.fromkeys(row.value for row in self.rows):
             cells = [r for r in self.rows if r.value == value]
             entry: dict = {"value": value}
             for metric in ("acc_teacher", "acc_student", "acc_finetuned"):
@@ -127,23 +121,14 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
-def _cell_config(grid: SweepGrid, value: float, seed: int) -> TrainConfig:
-    cfg = replace(grid.base_config, seed=seed)
-    if grid.axis == "alpha":
-        return replace(cfg, alpha=value)
-    if grid.axis == "beta":
-        return replace(cfg, beta=value)
-    if grid.axis == "T":
-        return replace(cfg, temperature=value)
-    return cfg
-
-
-def _cell_recipe(grid: SweepGrid, recipe: DataRecipe, value: float) -> DataRecipe:
-    if grid.axis == "clean_fraction":
-        return replace(recipe, clean_fraction=value)
-    if grid.axis == "noise_rate":
-        return replace(recipe, noise_rate=value)
-    return recipe
+def _cell(grid: SweepGrid, value: float, seed: int,
+          recipe: DataRecipe) -> tuple[TrainConfig, DataRecipe]:
+    """The config at `seed` and the recipe of cell (value, seed), `value`
+    set in the one that owns the axis's field, which checks its range."""
+    owner, name = SWEEP_AXES[grid.axis]
+    parts = {TrainConfig: replace(grid.base_config, seed=seed), DataRecipe: recipe}
+    parts[owner] = replace(parts[owner], **{name: value})
+    return parts[TrainConfig], parts[DataRecipe]
 
 
 def sweep(grid: SweepGrid, recipe: DataRecipe) -> SweepResult:
@@ -163,7 +148,7 @@ def sweep(grid: SweepGrid, recipe: DataRecipe) -> SweepResult:
         raise ParameterError("noise_rate sweep needs a recipe with a noise model")
 
     def data_key(value: float, seed: int) -> tuple:
-        return (None if grid.axis in _STAGE2_AXES else value, seed)
+        return (value if SWEEP_AXES[grid.axis][0] is DataRecipe else None, seed)
 
     cells = [(value, seed) for value in grid.values for seed in grid.seeds]
     datasets: dict[tuple, Dataset] = {}
@@ -171,7 +156,7 @@ def sweep(grid: SweepGrid, recipe: DataRecipe) -> SweepResult:
     for value, seed in cells:
         key = data_key(value, seed)
         if key not in datasets:
-            datasets[key], _ = _cell_recipe(grid, recipe, value).build(seed)
+            datasets[key], _ = _cell(grid, value, seed, recipe)[1].build(seed)
             if datasets[key].indices(TEST).size == 0:
                 raise InputError(f"split {TEST!r} is empty")
         groups.setdefault(layout(datasets[key]), []).append((value, seed))
@@ -185,7 +170,7 @@ def sweep(grid: SweepGrid, recipe: DataRecipe) -> SweepResult:
             teacher_data, [replace(grid.base_config, seed=seed) for _, seed in keys])
         acc_teacher = teacher_report.final_test_accuracy
         cell_data = [datasets[data_key(*cell)] for cell in group]
-        configs = [_cell_config(grid, value, seed) for value, seed in group]
+        configs = [_cell(grid, value, seed, recipe)[0] for value, seed in group]
         cache = guidance.compute_teacher_soft_targets(
             teachers, Slices(cell_data, [c.seed for c in configs]),
             [c.temperature for c in configs])

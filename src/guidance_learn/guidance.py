@@ -46,6 +46,8 @@ class GuidanceCache:
         if self.indices.shape != self.targets.shape[:-1]:
             raise ShapeError(f"cache indices {self.indices.shape} do not index its targets "
                              f"{self.targets.shape}")
+        if self.indices.size == 0:
+            raise InputError("a guidance cache needs at least one noisy sample")
         # `guidance_targets` looks rows up in a table: entry i + _offset[k] is
         # the row of slice k's sample i in `targets` flattened over slices,
         # or -1 where slice k has no sample i; slice k's entries run from its
@@ -72,17 +74,17 @@ def compute_teacher_soft_targets(
     teacher: nn.ModelParams, dataset: Dataset | Slices, temperature
 ) -> GuidanceCache:
     """softmax_t(forward(teacher, x_i), T) for every noisy-train sample, at
-    one temperature or at each of [K], from one teacher forward pass. On
-    data with a slice axis (see `data.Slices`) the teacher is one model or
-    a stack of one per source, and slice k's targets are those of its
-    source's teacher on its own noisy samples; the cache has a slice axis
-    when the data or the temperatures have one."""
+    one temperature or at each of [K], from one teacher forward pass. The
+    teacher is a stack of one model per source of the data (`data.Slices`),
+    a single model being a stack of one, and slice k's targets are those of
+    its source's teacher on its own noisy samples; the cache has a slice axis
+    when the data or the temperatures have one (InputError when empty)."""
     data = dataset if isinstance(dataset, Slices) else Slices(dataset)
     noisy_idx = data.indices(NOISY_TRAIN)
-    if noisy_idx.size == 0:
-        raise InputError("noisy subset is empty; nothing to cache")
     sources = data.per_source()
-    logits = nn.forward(nn._stacked(teacher, data.num_sources),
+    if teacher.weights[0].shape[:-2] not in ((), sources.source.shape):
+        raise ShapeError(f"{len(teacher.weights[0])} teachers for {data.num_sources} sources")
+    logits = nn.forward(nn.take(teacher, sources.source),
                         sources.rows(sources.features, sources.indices(NOISY_TRAIN)))
     slices = np.broadcast_shapes(np.shape(temperature), data.source.shape)
     return GuidanceCache(

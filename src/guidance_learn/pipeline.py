@@ -1,5 +1,6 @@
 """Training recipes: stage-1 teacher, stage-2 guidance student, fine-tuning,
-and the cross-comparable baseline variants.
+and the cross-comparable baseline variants, of which noisy_only, clean_only
+and mixed train from scratch as the teacher does, on their own subsets.
 
 All runs are driven by a TrainConfig and are bit-reproducible from
 (dataset, config): every shuffle and init draws from seed-derived streams.
@@ -8,7 +9,8 @@ accuracy in its report is a list of K per-slice values. Given K configs,
 which may differ in alpha, beta, temperature and seed, and one dataset or
 K, slice k trains on its own dataset and seed (`data.Slices`). One config
 and one dataset train a stack of one, which leaves the stage as the single
-model it holds, with scalar report fields and the model's fingerprint.
+model it holds, with scalar report fields and the model's fingerprint. A
+stage that starts from given models picks each slice's with `nn.take`.
 """
 from __future__ import annotations
 
@@ -163,9 +165,8 @@ _PER_SLICE = ("alpha", "beta", "temperature", "seed")
 @dataclass(frozen=True)
 class _Stack:
     """What a stage trains on: the data and config of each of its K slices,
-    which share `config` but for `_PER_SLICE`. `single` marks the inputs of
-    one model, whose stack of one the stage returns as that model
-    (`_returned`)."""
+    which share `config` but for `_PER_SLICE`. `single` marks one config and
+    one dataset, whose stack of one the stage returns as one model."""
 
     data: Slices
     config: TrainConfig
@@ -178,16 +179,15 @@ class _Stack:
                 **{name: [getattr(c, name) for c in self.configs] for name in _PER_SLICE}}
 
 
-def _stack(dataset: Dataset | Sequence[Dataset], config: TrainConfig | Sequence[TrainConfig],
-           start: tuple[int, ...] = ()) -> _Stack:
+def _stack(dataset: Dataset | Sequence[Dataset],
+           config: TrainConfig | Sequence[TrainConfig]) -> _Stack:
     """K configs that differ only in `_PER_SLICE`, with one dataset or K; or
-    one config and one dataset, for the one model or the [K] stack `start`
-    (a stack shape) that the stage starts from."""
+    one config and one dataset."""
     one_config = isinstance(config, TrainConfig)
     if one_config:
         if not isinstance(dataset, Dataset):
             raise ConfigurationError("per-slice datasets need per-slice configs")
-        config = [config] * int(np.prod(start))
+        config = [config]
     configs = list(config)
     if not configs:
         raise ConfigurationError("a stack needs at least one config")
@@ -196,8 +196,7 @@ def _stack(dataset: Dataset | Sequence[Dataset], config: TrainConfig | Sequence[
     if any(c != configs[0] for c in shared):
         raise ConfigurationError(
             f"the configs of a stack may differ only in {', '.join(_PER_SLICE)}")
-    return _Stack(Slices(dataset, [c.seed for c in configs]), configs[0], configs,
-                  one_config and start == ())
+    return _Stack(Slices(dataset, [c.seed for c in configs]), configs[0], configs, one_config)
 
 
 def check_fits(model: nn.ModelParams, dataset: Dataset | Slices, name: str) -> None:
@@ -218,12 +217,6 @@ def _test_accuracy(params: nn.ModelParams, data: Slices) -> list[float | None]:
     if data.indices(TEST).size == 0:
         return [None] * len(data.source)
     return accuracy(params, data, TEST)
-
-
-def _init_for(stack: _Stack) -> nn.ModelParams:
-    """The stack of each slice's seeded initial model."""
-    dims = [stack.data.features.shape[-1], *stack.config.hidden_dims, stack.data.num_classes]
-    return nn.stack([nn.init_params(dims, c.seed) for c in stack.configs])
 
 
 def _epoch_mean(values: np.ndarray) -> list[float]:
@@ -364,18 +357,27 @@ def _train_cross_entropy(
                   lambda epoch: data.batches(tags, stack.config.batch_size, epoch), block)
 
 
+def _from_scratch(dataset: Dataset | Sequence[Dataset],
+                  config: TrainConfig | Sequence[TrainConfig],
+                  tags: tuple[str, ...]) -> tuple[nn.ModelParams, RunReport]:
+    """Cross-entropy over the samples with `tags` on the teacher schedule,
+    slice k initialised and batched from its own seed: the teacher and the
+    single-set baselines."""
+    stack = _stack(dataset, config)
+    dims = [stack.data.features.shape[-1], *stack.config.hidden_dims, stack.data.num_classes]
+    init = nn.stack([nn.init_params(dims, c.seed) for c in stack.configs])
+    return _returned(stack, *_train_cross_entropy(
+        stack, tags, init, stack.config.teacher_lr_schedule, stack.config.teacher_epochs,
+        stage="teacher"))
+
+
 def train_teacher(
     dataset: Dataset | Sequence[Dataset], config: TrainConfig | Sequence[TrainConfig]
 ) -> tuple[nn.ModelParams, RunReport]:
     """Stage 1: plain cross-entropy over all training samples, clean + noisy.
     K configs (and one dataset or K) train a [K, ...] stack of teachers,
     slice k initialised and batched from its own seed."""
-    stack = _stack(dataset, config)
-    if stack.data.indices(CLEAN_TRAIN, NOISY_TRAIN).size == 0:
-        raise ConfigurationError("teacher training needs a nonempty train set")
-    return _returned(stack, *_train_cross_entropy(
-        stack, (CLEAN_TRAIN, NOISY_TRAIN), _init_for(stack), stack.config.teacher_lr_schedule,
-        stack.config.teacher_epochs, stage="teacher"))
+    return _from_scratch(dataset, config, (CLEAN_TRAIN, NOISY_TRAIN))
 
 
 def train_student(
@@ -393,8 +395,9 @@ def train_student(
     teacher's fingerprint goes into the report. Given K configs that differ
     only in alpha, beta, temperature and seed, one dataset or K, and a cache
     built at their K temperatures on that data, the K students train as one
-    [K, ...] stack. They start from K copies of the teacher or, on per-slice
-    data, from a stack of one teacher per source (`data.Slices.source`).
+    [K, ...] stack. The teacher is a stack of one model per source of the
+    data (`data.Slices.source`), a single model standing for one source, and
+    slice k starts from its source's teacher.
     Slice k equals the student of config k trained alone, and the report
     holds per-slice values and no student fingerprint.
     """
@@ -407,9 +410,7 @@ def train_student(
             "use run_baseline('noisy_only', ...)"
         )
     noisy_idx = data.indices(NOISY_TRAIN)
-    if noisy_idx.size == 0:
-        raise ConfigurationError("student training needs a noisy subset")
-    student = nn.take(nn._stacked(teacher, data.num_sources), data.source)
+    student = nn.take(teacher, data.source)
     alpha, beta, temperature = (np.array([getattr(c, name) for c in stack.configs])
                                 for name in ("alpha", "beta", "temperature"))
     teacher_fingerprint = nn.fingerprint(teacher)
@@ -451,15 +452,16 @@ def finetune_clean(
 ) -> tuple[nn.ModelParams, RunReport]:
     """Cross-entropy pass over the clean subset only, at a reduced LR, on a
     copy of `model`. K configs (and one dataset or K) fine-tune slice k of
-    a stack of K, or K copies of one model, on its own data and seed; one
-    config fine-tunes each model of a given stack. A model that does not
-    fit the data (`check_fits`) is a ShapeError."""
-    stack = _stack(dataset, config, model.weights[0].shape[:-2])
+    a stack of K on its own data and seed; one config fine-tunes one model.
+    A model that does not fit the data (`check_fits`) or the configs is a
+    ShapeError."""
+    stack = _stack(dataset, config)
     check_fits(model, stack.data, "model")
-    if stack.data.indices(CLEAN_TRAIN).size == 0:
-        raise ConfigurationError("fine-tuning needs a nonempty clean subset")
+    slices = np.arange(len(stack.configs))
+    if model.weights[0].shape[:-2] not in ((), slices.shape):
+        raise ShapeError(f"a stack of {len(model.weights[0])} models for {slices.size} configs")
     return _returned(stack, *_train_cross_entropy(
-        stack, (CLEAN_TRAIN,), nn._stacked(model, len(stack.configs)),
+        stack, (CLEAN_TRAIN,), nn.take(model, slices),
         stack.config.effective_finetune_schedule(), stack.config.finetune_epochs,
         stage="finetune"))
 
@@ -470,15 +472,10 @@ def run_baseline(
     """Run one comparison variant: its models by checkpoint name ("model";
     or "teacher" and "student", plus "finetuned") and its report. Reports
     of one dataset and config differ only in their variant field."""
-    if variant in ("noisy_only", "clean_only"):
-        stack = _stack(dataset, config)
-        params, report = _returned(stack, *_train_cross_entropy(
-            stack, (NOISY_TRAIN if variant == "noisy_only" else CLEAN_TRAIN,),
-            _init_for(stack), config.teacher_lr_schedule, config.teacher_epochs,
-            stage="teacher"))
-        models = {"model": params}
-    elif variant == "mixed":
-        params, report = train_teacher(dataset, config)
+    subsets = {"noisy_only": (NOISY_TRAIN,), "clean_only": (CLEAN_TRAIN,),
+               "mixed": (CLEAN_TRAIN, NOISY_TRAIN)}
+    if variant in subsets:
+        params, report = _from_scratch(dataset, config, subsets[variant])
         models = {"model": params}
     elif variant in ("guidance", "guidance_finetuned"):
         teacher, teacher_report = train_teacher(dataset, config)

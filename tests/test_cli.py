@@ -2,6 +2,7 @@ import errno
 import hashlib
 import io
 import json
+import re
 import warnings
 
 import numpy as np
@@ -317,6 +318,29 @@ def test_negative_seed_is_an_error_naming_its_source(tmp_path, capsys, argv, doc
     assert cli.main([*argv, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {named}: ") and "Traceback" not in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["train-teacher"],
+                                     ["sweep", "--axis", "beta", "--values", "0.1"]],
+                         ids=["train-teacher", "sweep"])
+@pytest.mark.parametrize("doc, message", [
+    ({"data_clean_fraction": 1.5}, r"clean_fraction must be in \[0, 1\), got 1.5"),
+    ({"noise_rate": 1.5}, r"noise rate must be in \[0, 1\), got 1.5"),
+    ({"data_clean_fraction": 0.5, "data_test_fraction": 0.5},
+     "clean_fraction \\+ test_fraction must be < 1, got 1.0"),
+    ({"data_clean_fraction": 0.3, "data_test_fraction": 0.8},
+     "clean_fraction \\+ test_fraction must be < 1, got 1.1"),
+], ids=["clean-fraction", "noise-rate", "fractions-sum-to-1", "fractions-sum-above-1"])
+def test_recipe_value_out_of_range_exits_1_naming_the_file_before_the_run_directory(
+        tmp_path, capsys, command, doc, message):
+    path = tmp_path / "c.json"
+    write_canonical_json(path, small_config_doc(**doc))
+    out = tmp_path / "out"
+    assert cli.main([command[0], "--config", str(path), "--out", str(out), *command[1:]]) == 1
+    err = capsys.readouterr().err
+    assert re.match(f"error: {re.escape(str(path))}: {message}", err), err
+    assert "Traceback" not in err
     assert not out.exists()
 
 

@@ -94,6 +94,11 @@ def test_sweep_grid_validates_before_training():
         evaluation.SweepGrid(axis="beta", values=(), base_config=config, seeds=(1,))
     with pytest.raises(ParameterError):
         evaluation.SweepGrid(axis="beta", values=(0.3,), base_config=config, seeds=())
+    for axis in ("clean_fraction", "noise_rate"):
+        for value in (1.0, 1.5, -0.1):
+            with pytest.raises(ParameterError, match=f"in \\[0, 1\\), got {value}"):
+                evaluation.SweepGrid(axis=axis, values=(0.1, value), base_config=config,
+                                     seeds=(1,))
 
 
 @pytest.mark.parametrize("values, seeds, message", [

@@ -251,6 +251,17 @@ def test_student_batch_loss_cache_miss_names_index():
         _student_batch(teacher, dataset, cache, idx, np.arange(3), alpha=0.1, beta=0.3, T=5.0)
 
 
+def test_guidance_cache_without_samples_is_an_input_error():
+    """An empty cache is refused when it is built, so that no lookup in it
+    fails with a raw numpy IndexError."""
+    for shape in ((0,), (2, 0)):
+        with pytest.raises(InputError, match="at least one noisy sample"):
+            cache = guidance.GuidanceCache(indices=np.zeros(shape, dtype=np.int64),
+                                           targets=np.zeros((*shape, 3)), temperature=5.0,
+                                           teacher_fingerprint="0" * 64)
+            guidance.guidance_targets(cache, np.array([0]), np.array([1]), 0.3, 3)
+
+
 def test_student_batch_loss_temperature_mismatch():
     dataset, teacher, cache = _student_setup(seed=4)
     fingerprint, indices = nn.fingerprint(teacher), np.arange(12)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from guidance_learn import nn
 from guidance_learn.errors import InputError, ParameterError, ShapeError
 from helpers import copy, fd_gradients, max_rel_error, random_net, random_probs, stack
+from helpers import params_bytes
 
 
 def test_forward_zero_params_gives_zero_logits():
@@ -391,6 +392,21 @@ def test_checkpoint_of_a_stack_is_refused_before_writing(tmp_path):
     with pytest.raises(ShapeError, match="not a stack of 2"):
         nn.save_checkpoint(stack([single, single]), path)
     assert not path.exists() and not list(tmp_path.iterdir())
+
+
+def test_take_treats_a_single_model_as_a_stack_of_one():
+    single = nn.init_params([5, 7, 4], seed=13)
+    models = [nn.init_params([5, 7, 4], seed=s) for s in range(3)]
+    stacked = stack(models)
+    assert params_bytes(nn.take(single, [0, 0])) == params_bytes(nn.stack([single, single]))
+    assert params_bytes(nn.take(single, 0)) == params_bytes(single)
+    assert nn.take(stacked, 0).weights[0].shape == (7, 5)
+    assert params_bytes(nn.take(stacked, 0)) == params_bytes(models[0])
+    assert params_bytes(nn.take(stacked, [2, 0])) == params_bytes(stack([models[2], models[0]]))
+    for model, count, index in ((single, 1, 1), (single, 1, [0, -1]), (stacked, 3, [0, 3]),
+                                (stacked, 3, -1), (stacked, 3, 4)):
+        with pytest.raises(ShapeError, match=f"of a stack of {count} models"):
+            nn.take(model, index)
 
 
 def test_checkpoint_rejects_bad_documents(tmp_path):

@@ -188,7 +188,7 @@ def test_student_stack_slices_and_reports_equal_single_runs():
     cache = guidance.compute_teacher_soft_targets(teacher, dataset,
                                                   [c.temperature for c in configs])
     students, report = pipeline.train_student(teacher, dataset, configs, cache)
-    tuned, tuned_report = pipeline.finetune_clean(students, dataset, configs[0])
+    tuned, tuned_report = pipeline.finetune_clean(students, dataset, configs)
     assert report.checkpoint_fingerprints == {"teacher": nn.fingerprint(teacher)}
     assert tuned_report.checkpoint_fingerprints == {}
     assert report.config["alpha"] == [0.0, 0.1, 1.0]
@@ -204,6 +204,27 @@ def test_student_stack_slices_and_reports_equal_single_runs():
                 assert (g.loss_total[k], g.loss_guidance[k], g.loss_clean[k],
                         g.test_accuracy[k]) == (w.loss_total, w.loss_guidance,
                                                 w.loss_clean, w.test_accuracy)
+
+
+def test_given_models_must_match_the_stack_they_start():
+    """A fine-tune stack takes one config per model, and soft targets one
+    teacher per (dataset, seed) source; a single model is a stack of one."""
+    dataset = small_dataset(seed=8)
+    config = small_config(seed=8)
+    models = nn.stack([nn.init_params([4, 16, 3], seed=s) for s in range(3)])
+    single = nn.take(models, 0)
+    for run, message in (
+            (lambda: pipeline.finetune_clean(models, dataset, config), "3 models for 1 configs"),
+            (lambda: pipeline.finetune_clean(models, dataset, [config] * 2),
+             "3 models for 2 configs"),
+            (lambda: pipeline.finetune_clean(single, dataset, [config] * 2),
+             r"slices \[0, 1\] of a stack of 1 models"),
+            (lambda: guidance.compute_teacher_soft_targets(
+                models, data.Slices(dataset, [1, 2]), 5.0), "3 teachers for 2 sources"),
+            (lambda: guidance.compute_teacher_soft_targets(
+                single, data.Slices(dataset, [1, 2]), 5.0), r"slices \[0, 1\] of a stack of 1")):
+        with pytest.raises(ShapeError, match=message):
+            run()
 
 
 def test_student_stack_configs_may_differ_only_in_stage2_values():
