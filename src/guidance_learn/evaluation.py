@@ -14,8 +14,8 @@ from .serialize import to_document
 
 # sweep axis -> the TrainConfig or DataRecipe field it sets
 SWEEP_AXES = {"alpha": (TrainConfig, "alpha"), "beta": (TrainConfig, "beta"),
-              "T": (TrainConfig, "temperature"), "noise_rate": (DataRecipe, "noise_rate"),
-              "clean_fraction": (DataRecipe, "clean_fraction")}
+              "T": (TrainConfig, "temperature"), "clean_fraction": (DataRecipe, "clean_fraction"),
+              "noise_rate": (DataRecipe, "noise_rate")}
 # with no test split and a noise model, a sweep value fails here only out of range
 _ANY_RECIPE = DataRecipe(test_fraction=0.0, noise_model="symmetric")
 
