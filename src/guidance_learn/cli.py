@@ -2,20 +2,28 @@
 
 One JSON config file drives everything: flat keys mirroring TrainConfig,
 `data_*`/`noise_*` keys for the dataset recipe, and optional `sweep_*`
-keys. Flags override config values. Every run directory gets a canonical
-config.json snapshot so any result can be replayed from the directory
-alone; failed runs leave an `.incomplete` marker behind.
+keys. Flags override config values.
+
+Every command runs in three steps: parse the flags, read and check every
+input (the config, the dataset its recipe builds, a checkpoint given
+against that dataset, a sweep's cells and datasets, a CSV and noise spec),
+then open the run directory with `_run_dir`. So a bad input exits 1 and
+creates nothing. The open directory gets a canonical config.json snapshot,
+so any result can be replayed from the directory alone, and an
+`.incomplete` marker that a run failing after that point leaves behind.
 """
 from __future__ import annotations
 
 import argparse
 import logging
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import guidance, nn
-from .data import DataRecipe, NoiseSpec, inject_noise, load_csv, make_blobs, save_csv, save_noise_manifest
+from .data import (DataRecipe, Dataset, NoiseSpec, inject_noise, load_csv, make_blobs, save_csv,
+                   save_noise_manifest)
 from .errors import ConfigurationError, GuidanceLearnError
 from .evaluation import SWEEP_AXES, SweepGrid, accuracy, sweep
 from .pipeline import (
@@ -54,32 +62,6 @@ _CONFIG_KEYS = {f.name for f in (*fields(TrainConfig), *fields(SweepKeys))} | se
     _RECIPE_KEYS.values())
 
 
-@dataclass
-class CliConfig:
-    """The parsed command line; each field is the `dest` of its flag."""
-
-    command: str
-    config_path: str | None = None
-    out_dir: str | None = None
-    seed: int | None = None
-    verbosity: int = 0
-    force: bool = False
-    variant: str | None = None
-    checkpoint: str | None = None
-    teacher: str | None = None
-    data_path: str | None = None
-    split: str = "test"
-    classes: int = DataRecipe.classes
-    per_class: int = DataRecipe.per_class
-    dim: int = DataRecipe.dim
-    sigma: float = DataRecipe.sigma
-    noise_model: str | None = None
-    noise_rate: float | None = None
-    sweep_axis: str | None = None
-    sweep_values: str | None = None
-    sweep_seeds: str | None = None
-
-
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="guidance-learn",
@@ -89,9 +71,8 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, help):
-        # a flag not given stays out of the namespace: CliConfig holds the defaults
-        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
-        p.add_argument("-v", "--verbose", dest="verbosity", action="count")
+        p = sub.add_parser(name, help=help)
+        p.add_argument("-v", "--verbose", dest="verbosity", action="count", default=0)
         return p
 
     def common(p):
@@ -104,11 +85,11 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = command("make-data", "generate a Gaussian-blob CSV dataset")
     p.add_argument("--out", dest="out_dir", required=True)
-    p.add_argument("--classes", type=int)
-    p.add_argument("--per-class", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--classes", type=int, default=DataRecipe.classes)
+    p.add_argument("--per-class", type=int, default=DataRecipe.per_class)
+    p.add_argument("--dim", type=int, default=DataRecipe.dim)
+    p.add_argument("--sigma", type=float, default=DataRecipe.sigma)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--force", action="store_true")
 
     p = command("inject-noise", "corrupt labels of a CSV dataset")
@@ -116,7 +97,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="out_dir", required=True)
     p.add_argument("--noise-model", required=True, choices=["symmetric", "pair_flip"])
     p.add_argument("--noise-rate", type=float, required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--force", action="store_true")
 
     common(command("train-teacher", "stage 1: cross-entropy on all training data"))
@@ -138,17 +119,17 @@ def make_parser() -> argparse.ArgumentParser:
     p = command("eval", "accuracy of a saved checkpoint on a split")
     p.add_argument("--config", dest="config_path", required=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--split", choices=["clean_train", "noisy_train", "test"])
+    p.add_argument("--split", default="test", choices=["clean_train", "noisy_train", "test"])
     p.add_argument("--seed", type=int)
 
     return parser
 
 
-def parse_args(argv: list[str]) -> CliConfig:
-    return CliConfig(**vars(make_parser().parse_args(argv)))
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    return make_parser().parse_args(argv)
 
 
-def _effective_config(cli: CliConfig) -> tuple[TrainConfig, DataRecipe, SweepKeys]:
+def _effective_config(cli: argparse.Namespace) -> tuple[TrainConfig, DataRecipe, SweepKeys]:
     """The training config, dataset recipe and sweep keys of the config file;
     a bad key or value is a ConfigurationError naming the file."""
     path = cli.config_path
@@ -179,7 +160,9 @@ def _parse_list(text: str, kind: type, flag: str) -> tuple:
         raise ConfigurationError(f"{flag}: not a list of {kind.__name__} values: {exc}") from None
 
 
-def _sweep_grid(cli: CliConfig, config: TrainConfig, keys: SweepKeys) -> tuple[SweepGrid, dict]:
+def _sweep_grid(cli: argparse.Namespace, config: TrainConfig, recipe: DataRecipe,
+                keys: SweepKeys) -> tuple[SweepGrid, dict]:
+    """The checked grid, its cells' datasets built, and its effective sweep keys."""
     axis = cli.sweep_axis or keys.sweep_axis
     if axis is None:
         raise ConfigurationError("sweep needs an axis (--axis or sweep_axis in the config)")
@@ -195,147 +178,132 @@ def _sweep_grid(cli: CliConfig, config: TrainConfig, keys: SweepKeys) -> tuple[S
         source = "sweep_seeds" if cli.sweep_seeds is None else "--seeds"
         raise ConfigurationError(f"{source}: seeds must be >= 0, got {list(seeds)}")
     effective = SweepKeys(sweep_axis=axis, sweep_values=values, sweep_seeds=seeds)
-    return (SweepGrid(axis=axis, values=values, base_config=config, seeds=seeds),
+    return (SweepGrid(axis=axis, values=values, base_config=config, seeds=seeds, recipe=recipe),
             to_document(effective))
 
 
-def _guard(path: Path, force: bool) -> None:
-    if path.exists() and not force:
+@contextmanager
+def _run_dir(cli: argparse.Namespace, primary: str, snapshot: dict | None = None):
+    """The run directory `--out`, opened once every input is read: an
+    existing `primary` artifact is kept unless --force, the config.json
+    `snapshot` (if any) is written, and `.incomplete` marks the run until
+    the block ends without error."""
+    path = Path(cli.out_dir)
+    if (path / primary).exists() and not cli.force:
         raise ConfigurationError(
-            f"refusing to overwrite existing {path}; pass --force to allow it"
-        )
+            f"refusing to overwrite existing {path / primary}; pass --force to allow it")
+    path.mkdir(parents=True, exist_ok=True)
+    marker = path / ".incomplete"
+    marker.write_text("run in progress\n", encoding="utf-8")
+    if snapshot is not None:
+        write_canonical_json(path / "config.json", snapshot)
+    yield path
+    marker.unlink(missing_ok=True)
 
 
-class _RunDir:
-    """Run-directory lifecycle: overwrite guard plus the .incomplete marker."""
-
-    def __init__(self, out_dir: str, primary_artifact: str, force: bool):
-        self.path = Path(out_dir)
-        self.path.mkdir(parents=True, exist_ok=True)
-        _guard(self.path / primary_artifact, force)
-        self.marker = self.path / ".incomplete"
-        self.marker.write_text("run in progress\n", encoding="utf-8")
-
-    def finish(self) -> None:
-        self.marker.unlink(missing_ok=True)
-
-
-def _start_run(cli: CliConfig):
-    """The effective config, the dataset, and a new run directory holding the
-    config.json snapshot (also returned, for the report)."""
+def _run_inputs(cli: argparse.Namespace) -> tuple[TrainConfig, Dataset, dict]:
+    """The effective config, the dataset its recipe builds, and the config.json snapshot."""
     config, recipe, _ = _effective_config(cli)
-    rundir = _RunDir(cli.out_dir, "report.json", cli.force)
-    snapshot = _snapshot(config, recipe)
-    write_canonical_json(rundir.path / "config.json", snapshot)
     dataset, _ = recipe.build(config.seed)
-    return config, dataset, rundir, snapshot
+    return config, dataset, _snapshot(config, recipe)
 
 
-def _finish_run(rundir: _RunDir, snapshot: dict, report, models: dict) -> int:
-    """Write `models` as `<name>.ckpt` and the report, which embeds the full
-    flat snapshot so it alone suffices to replay the run."""
-    for name, params in models.items():
-        nn.save_checkpoint(params, rundir.path / f"{name}.ckpt")
-    write_canonical_json(rundir.path / "report.json",
-                         {**report.to_json_dict(), "config": snapshot})
-    rundir.finish()
-    acc = report.final_test_accuracy
-    shown = "n/a" if acc is None else f"{acc:.4f}"
-    print(f"{report.stage}: final test accuracy {shown}")
-    return 0
-
-
-def _load_model(path: str, dataset) -> nn.ModelParams:
+def _load_model(path: str, dataset: Dataset) -> nn.ModelParams:
     """The checkpoint at `path`; one that does not fit `dataset` is a
     ShapeError naming the file and both sizes."""
     model = nn.load_checkpoint(path)
     check_fits(model, dataset, f"{path}: checkpoint")
+    log.info("loaded checkpoint %s", path)
     return model
 
 
-def _cmd_make_data(cli: CliConfig) -> int:
-    rundir = _RunDir(cli.out_dir, "dataset.csv", cli.force)
-    dataset = make_blobs(cli.classes, cli.per_class, cli.dim, cli.sigma, cli.seed or 0)
-    save_csv(dataset, rundir.path / "dataset.csv")
-    rundir.finish()
-    print(f"wrote {rundir.path / 'dataset.csv'} ({len(dataset)} samples, "
-          f"{dataset.num_classes} classes)")
-    return 0
+def _write_run(out: Path, snapshot: dict, report, models: dict) -> str:
+    """Write `models` as `<name>.ckpt` and the report, which embeds the full
+    flat snapshot so it alone suffices to replay the run; the summary line."""
+    for name, params in models.items():
+        nn.save_checkpoint(params, out / f"{name}.ckpt")
+    write_canonical_json(out / "report.json", {**report.to_json_dict(), "config": snapshot})
+    acc = report.final_test_accuracy
+    shown = "n/a" if acc is None else f"{acc:.4f}"
+    return f"{report.stage}: final test accuracy {shown}"
 
 
-def _cmd_inject_noise(cli: CliConfig) -> int:
-    rundir = _RunDir(cli.out_dir, "dataset.csv", cli.force)
+def _cmd_make_data(cli: argparse.Namespace) -> str:
+    dataset = make_blobs(cli.classes, cli.per_class, cli.dim, cli.sigma, cli.seed)
+    with _run_dir(cli, "dataset.csv") as out:
+        save_csv(dataset, out / "dataset.csv")
+    return (f"wrote {out / 'dataset.csv'} ({len(dataset)} samples, "
+            f"{dataset.num_classes} classes)")
+
+
+def _cmd_inject_noise(cli: argparse.Namespace) -> str:
+    spec = NoiseSpec(model=cli.noise_model, rate=cli.noise_rate, seed=cli.seed)
     dataset = load_csv(cli.data_path)
-    spec = NoiseSpec(model=cli.noise_model, rate=cli.noise_rate, seed=cli.seed or 0)
     corrupted, mask = inject_noise(dataset, spec)
-    save_csv(corrupted, rundir.path / "dataset.csv")
-    save_noise_manifest(rundir.path / "noise_manifest.json", corrupted, spec, mask)
-    rundir.finish()
+    with _run_dir(cli, "dataset.csv") as out:
+        save_csv(corrupted, out / "dataset.csv")
+        save_noise_manifest(out / "noise_manifest.json", corrupted, spec, mask)
     n_flipped = int(mask.corrupted.sum())
-    print(f"wrote {rundir.path / 'dataset.csv'} ({n_flipped}/{len(dataset)} labels corrupted)")
-    return 0
+    return f"wrote {out / 'dataset.csv'} ({n_flipped}/{len(dataset)} labels corrupted)"
 
 
-def _cmd_train_teacher(cli: CliConfig) -> int:
-    config, dataset, rundir, snapshot = _start_run(cli)
-    teacher, report = train_teacher(dataset, config)
-    return _finish_run(rundir, snapshot, report, {"teacher": teacher})
+def _cmd_train_teacher(cli: argparse.Namespace) -> str:
+    config, dataset, snapshot = _run_inputs(cli)
+    with _run_dir(cli, "report.json", snapshot) as out:
+        teacher, report = train_teacher(dataset, config)
+        return _write_run(out, snapshot, report, {"teacher": teacher})
 
 
-def _cmd_train_student(cli: CliConfig) -> int:
-    config, dataset, rundir, snapshot = _start_run(cli)
-    if cli.teacher is not None:
-        teacher = _load_model(cli.teacher, dataset)
-        log.info("loaded teacher from %s", cli.teacher)
-    else:
-        teacher, _teacher_report = train_teacher(dataset, config)
-        log.info("trained stage-1 teacher (test accuracy %s)",
-                 _teacher_report.final_test_accuracy)
-    nn.save_checkpoint(teacher, rundir.path / "teacher.ckpt")
-    cache = guidance.compute_teacher_soft_targets(teacher, dataset, config.temperature)
-    guidance.save_cache(cache, rundir.path / "guidance_cache.bin")
-    student, report = train_student(teacher, dataset, config, cache)
-    return _finish_run(rundir, snapshot, report, {"student": student})
+def _cmd_train_student(cli: argparse.Namespace) -> str:
+    config, dataset, snapshot = _run_inputs(cli)
+    teacher = None if cli.teacher is None else _load_model(cli.teacher, dataset)
+    with _run_dir(cli, "report.json", snapshot) as out:
+        if teacher is None:
+            teacher, teacher_report = train_teacher(dataset, config)
+            log.info("trained stage-1 teacher (test accuracy %s)",
+                     teacher_report.final_test_accuracy)
+        nn.save_checkpoint(teacher, out / "teacher.ckpt")
+        cache = guidance.compute_teacher_soft_targets(teacher, dataset, config.temperature)
+        guidance.save_cache(cache, out / "guidance_cache.bin")
+        student, report = train_student(teacher, dataset, config, cache)
+        return _write_run(out, snapshot, report, {"student": student})
 
 
-def _cmd_finetune(cli: CliConfig) -> int:
-    config, dataset, rundir, snapshot = _start_run(cli)
+def _cmd_finetune(cli: argparse.Namespace) -> str:
+    config, dataset, snapshot = _run_inputs(cli)
     model = _load_model(cli.checkpoint, dataset)
-    finetuned, report = finetune_clean(model, dataset, config)
-    return _finish_run(rundir, snapshot, report, {"finetuned": finetuned})
+    with _run_dir(cli, "report.json", snapshot) as out:
+        finetuned, report = finetune_clean(model, dataset, config)
+        return _write_run(out, snapshot, report, {"finetuned": finetuned})
 
 
-def _cmd_baseline(cli: CliConfig) -> int:
-    config, dataset, rundir, snapshot = _start_run(cli)
-    models, report = run_baseline(cli.variant, dataset, config)
-    return _finish_run(rundir, snapshot, report, models)
+def _cmd_baseline(cli: argparse.Namespace) -> str:
+    config, dataset, snapshot = _run_inputs(cli)
+    with _run_dir(cli, "report.json", snapshot) as out:
+        models, report = run_baseline(cli.variant, dataset, config)
+        return _write_run(out, snapshot, report, models)
 
 
-def _cmd_sweep(cli: CliConfig) -> int:
+def _cmd_sweep(cli: argparse.Namespace) -> str:
     config, recipe, sweep_keys = _effective_config(cli)
-    grid, effective = _sweep_grid(cli, config, sweep_keys)
-    rundir = _RunDir(cli.out_dir, "results.json", cli.force)
-    write_canonical_json(rundir.path / "config.json", _snapshot(config, recipe, effective))
-    result = sweep(grid, recipe)
-    _write_atomic(rundir.path / "results.csv", result.to_csv_text().encode("utf-8"))
-    write_canonical_json(rundir.path / "results.json", result.to_json_dict())
-    _write_atomic(rundir.path / "plotdata.txt", result.to_plotdata_text().encode("utf-8"))
-    rundir.finish()
+    grid, effective = _sweep_grid(cli, config, recipe, sweep_keys)
+    with _run_dir(cli, "results.json", _snapshot(config, recipe, effective)) as out:
+        result = sweep(grid)
+        _write_atomic(out / "results.csv", result.to_csv_text().encode("utf-8"))
+        write_canonical_json(out / "results.json", result.to_json_dict())
+        _write_atomic(out / "plotdata.txt", result.to_plotdata_text().encode("utf-8"))
     best = max(result.aggregates(), key=lambda e: e["acc_student"]["mean"])
-    print(f"sweep over {grid.axis}: best mean student accuracy "
-          f"{best['acc_student']['mean']:.4f} at {grid.axis}={best['value']}")
-    return 0
+    return (f"sweep over {grid.axis}: best mean student accuracy "
+            f"{best['acc_student']['mean']:.4f} at {grid.axis}={best['value']}")
 
 
-def _cmd_eval(cli: CliConfig) -> int:
-    config, recipe, _ = _effective_config(cli)
-    dataset, _ = recipe.build(config.seed)
-    params = _load_model(cli.checkpoint, dataset)
-    acc = accuracy(params, dataset, cli.split)
-    print(f"{cli.split} accuracy: {acc!r}")
-    return 0
+def _cmd_eval(cli: argparse.Namespace) -> str:
+    _, dataset, _ = _run_inputs(cli)
+    acc = accuracy(_load_model(cli.checkpoint, dataset), dataset, cli.split)
+    return f"{cli.split} accuracy: {acc!r}"
 
 
+# command -> its function, which returns the one-line summary printed on success
 _COMMANDS = {
     "make-data": _cmd_make_data,
     "inject-noise": _cmd_inject_noise,
@@ -348,18 +316,16 @@ _COMMANDS = {
 }
 
 
-def run(cli: CliConfig) -> int:
+def run(cli: argparse.Namespace) -> int:
     level = logging.WARNING if cli.verbosity == 0 else (
         logging.INFO if cli.verbosity == 1 else logging.DEBUG)
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     try:
         if cli.seed is not None and cli.seed < 0:
             raise ConfigurationError(f"--seed: must be >= 0, got {cli.seed}")
-        return _COMMANDS[cli.command](cli)
-    except GuidanceLearnError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        print(_COMMANDS[cli.command](cli))
+        return 0
+    except (GuidanceLearnError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -221,14 +221,13 @@ def split(dataset: Dataset, clean_fraction: float, test_fraction: float, seed: i
                    else dataset.true_labels.copy())
 
 
-def batch_indices(indices: np.ndarray, batch_size: int, seed: int, epoch: int,
-                  stream: int = STREAM_BATCH):
+def batch_indices(indices: np.ndarray, batch_size: int, seed: int, epoch: int):
     """One seeded shuffled pass over `indices`; the final short batch is kept."""
     if batch_size < 1:
         raise ParameterError(f"batch_size must be >= 1, got {batch_size}")
     if indices.size == 0:
         raise ConfigurationError("cannot iterate over an empty subset")
-    rng = np.random.default_rng(np.random.SeedSequence([seed, epoch, stream]))
+    rng = np.random.default_rng(np.random.SeedSequence([seed, epoch, STREAM_BATCH]))
     perm = rng.permutation(indices)
     for start in range(0, perm.size, batch_size):
         yield perm[start:start + batch_size]

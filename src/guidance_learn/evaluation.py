@@ -1,14 +1,15 @@
 """Metrics and single-axis hyperparameter sweeps over the full pipeline. A
-sweep axis sets one TrainConfig or DataRecipe field, which checks its values."""
+sweep axis sets one TrainConfig or DataRecipe field, which checks its values;
+a `SweepGrid` checks every cell and builds its datasets before any training."""
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import guidance, nn
 from .data import TEST, DataRecipe, Dataset, Slices, layout
-from .errors import InputError, ParameterError
+from .errors import GuidanceLearnError, InputError, ParameterError
 from .pipeline import TrainConfig, check_fits, finetune_clean, train_student, train_teacher
 from .serialize import to_document
 
@@ -16,8 +17,6 @@ from .serialize import to_document
 SWEEP_AXES = {"alpha": (TrainConfig, "alpha"), "beta": (TrainConfig, "beta"),
               "T": (TrainConfig, "temperature"), "clean_fraction": (DataRecipe, "clean_fraction"),
               "noise_rate": (DataRecipe, "noise_rate")}
-# with no test split and a noise model, a sweep value fails here only out of range
-_ANY_RECIPE = DataRecipe(test_fraction=0.0, noise_model="symmetric")
 
 
 def accuracy(params: nn.ModelParams, dataset: Dataset | Slices, tag: str) -> float | list[float]:
@@ -39,12 +38,18 @@ def accuracy(params: nn.ModelParams, dataset: Dataset | Slices, tag: str) -> flo
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """One axis, its values, the base config, and the replicate seeds."""
+    """One axis, its values, the base config, the replicate seeds and the
+    dataset recipe. Making a grid checks it whole, before any training: each
+    cell's config and recipe (an error names the cell), the noise model that
+    a noise_rate sweep needs, and each distinct dataset, built once into
+    `datasets` (by `data_key`), which must have a test split."""
 
     axis: str
     values: tuple[float, ...]
     base_config: TrainConfig
     seeds: tuple[int, ...]
+    recipe: DataRecipe
+    datasets: dict[tuple, Dataset] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.axis not in SWEEP_AXES:
@@ -62,8 +67,23 @@ class SweepGrid:
             repeated = [x for i, x in enumerate(items) if x in items[:i]]
             if repeated:
                 raise ParameterError(f"sweep {name} {repeated[0]!r} is repeated")
+        if self.axis == "noise_rate" and self.recipe.noise_model == "none":
+            raise ParameterError("noise_rate sweep needs a recipe with a noise model")
+        datasets: dict[tuple, Dataset] = {}
         for value in self.values:
-            _cell(self, value, self.seeds[0], _ANY_RECIPE)
+            for seed in self.seeds:
+                recipe = _cell(self, value, seed)[1]
+                key = self.data_key(value, seed)
+                if key not in datasets:
+                    datasets[key], _ = recipe.build(seed)
+                    if datasets[key].indices(TEST).size == 0:
+                        raise InputError(f"split {TEST!r} is empty")
+        object.__setattr__(self, "datasets", datasets)
+
+    def data_key(self, value: float, seed: int) -> tuple:
+        """Which dataset cell (value, seed) trains on: one per seed, and per
+        value on the axes that set the recipe."""
+        return (value if SWEEP_AXES[self.axis][0] is DataRecipe else None, seed)
 
 
 @dataclass(frozen=True)
@@ -121,18 +141,22 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
-def _cell(grid: SweepGrid, value: float, seed: int,
-          recipe: DataRecipe) -> tuple[TrainConfig, DataRecipe]:
+def _cell(grid: SweepGrid, value: float, seed: int) -> tuple[TrainConfig, DataRecipe]:
     """The config at `seed` and the recipe of cell (value, seed), `value`
-    set in the one that owns the axis's field, which checks its range."""
+    set in the one that owns the axis's field; a value it rejects is an
+    error of the same type naming the cell."""
     owner, name = SWEEP_AXES[grid.axis]
-    parts = {TrainConfig: replace(grid.base_config, seed=seed), DataRecipe: recipe}
-    parts[owner] = replace(parts[owner], **{name: value})
+    parts = {TrainConfig: replace(grid.base_config, seed=seed), DataRecipe: grid.recipe}
+    try:
+        parts[owner] = replace(parts[owner], **{name: value})
+    except GuidanceLearnError as exc:
+        raise type(exc)(f"sweep {grid.axis}={value!r}: {exc}") from None
     return parts[TrainConfig], parts[DataRecipe]
 
 
-def sweep(grid: SweepGrid, recipe: DataRecipe) -> SweepResult:
-    """Run the full two-stage pipeline for every (value, seed) cell.
+def sweep(grid: SweepGrid) -> SweepResult:
+    """Run the full two-stage pipeline for every (value, seed) cell, on the
+    datasets the grid built.
 
     Cells whose datasets share a `layout` train together: one [K, ...]
     stack of teachers, one per dataset (per seed; per seed and value on the
@@ -141,36 +165,23 @@ def sweep(grid: SweepGrid, recipe: DataRecipe) -> SweepResult:
     teacher. Every slice is bit-identical to its cell trained alone. The
     stratified split gives every seed and noise rate the same split sizes,
     so only clean_fraction values train apart. Each cell's teacher accuracy
-    is its teacher report's; a dataset with an empty test split is an
-    InputError before any training.
+    is its teacher report's.
     """
-    if grid.axis == "noise_rate" and recipe.noise_model == "none":
-        raise ParameterError("noise_rate sweep needs a recipe with a noise model")
-
-    def data_key(value: float, seed: int) -> tuple:
-        return (value if SWEEP_AXES[grid.axis][0] is DataRecipe else None, seed)
-
     cells = [(value, seed) for value in grid.values for seed in grid.seeds]
-    datasets: dict[tuple, Dataset] = {}
     groups: dict[tuple, list[tuple[float, int]]] = {}
-    for value, seed in cells:
-        key = data_key(value, seed)
-        if key not in datasets:
-            datasets[key], _ = _cell(grid, value, seed, recipe)[1].build(seed)
-            if datasets[key].indices(TEST).size == 0:
-                raise InputError(f"split {TEST!r} is empty")
-        groups.setdefault(layout(datasets[key]), []).append((value, seed))
+    for cell in cells:
+        groups.setdefault(layout(grid.datasets[grid.data_key(*cell)]), []).append(cell)
 
     results: dict[tuple[float, int], tuple[float, float, float]] = {}
     for group in groups.values():
         # one teacher per source: each distinct dataset (and so seed) of the cells
-        keys = list(dict.fromkeys(data_key(*cell) for cell in group))
-        teacher_data = [datasets[key] for key in keys]
+        keys = list(dict.fromkeys(grid.data_key(*cell) for cell in group))
         teachers, teacher_report = train_teacher(
-            teacher_data, [replace(grid.base_config, seed=seed) for _, seed in keys])
+            [grid.datasets[key] for key in keys],
+            [replace(grid.base_config, seed=seed) for _, seed in keys])
         acc_teacher = teacher_report.final_test_accuracy
-        cell_data = [datasets[data_key(*cell)] for cell in group]
-        configs = [_cell(grid, value, seed, recipe)[0] for value, seed in group]
+        cell_data = [grid.datasets[grid.data_key(*cell)] for cell in group]
+        configs = [_cell(grid, value, seed)[0] for value, seed in group]
         cache = guidance.compute_teacher_soft_targets(
             teachers, Slices(cell_data, [c.seed for c in configs]),
             [c.temperature for c in configs])
@@ -178,7 +189,8 @@ def sweep(grid: SweepGrid, recipe: DataRecipe) -> SweepResult:
         _, finetune_report = finetune_clean(students, cell_data, configs)
         for cell, acc_student, acc_finetuned in zip(
                 group, student_report.final_test_accuracy, finetune_report.final_test_accuracy):
-            results[cell] = (acc_teacher[keys.index(data_key(*cell))], acc_student, acc_finetuned)
+            results[cell] = (acc_teacher[keys.index(grid.data_key(*cell))], acc_student,
+                             acc_finetuned)
 
     rows = [SweepRow(grid.axis, value, seed, *results[(value, seed)]) for value, seed in cells]
     return SweepResult(axis=grid.axis, rows=rows)

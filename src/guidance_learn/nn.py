@@ -198,21 +198,6 @@ def _checked_batch(params: ModelParams, batch: np.ndarray) -> np.ndarray:
     return X
 
 
-def _forward_cached(params: ModelParams, batch: np.ndarray):
-    """Forward pass keeping pre-activations and activations for backprop."""
-    X = _checked_batch(params, batch)
-    pre, acts = [], [X]
-    a = X
-    last = len(params.weights) - 1
-    for k, (Wt, b) in enumerate(zip(params._transposed, params._bias_rows)):
-        z = a @ Wt
-        z += b
-        pre.append(z)
-        a = np.maximum(z, 0.0) if k < last else z
-        acts.append(a)
-    return pre, acts
-
-
 def forward(params: ModelParams, batch: np.ndarray) -> np.ndarray:
     """Logits [B, C] for a batch [B, d] (a single 1-D sample gives [C]); a
     stack gives [K, B, C] ([K, C]) for a shared batch or per-slice [K, B, d]."""
@@ -220,12 +205,15 @@ def forward(params: ModelParams, batch: np.ndarray) -> np.ndarray:
     return logits[..., 0, :] if np.ndim(batch) == 1 else logits
 
 
-def _logits(params: ModelParams, X: np.ndarray) -> np.ndarray:
-    # Unlike the training pass, keep only the current layer (ReLU in place):
-    # a forward over a whole split then holds two layers' outputs, not all.
+def _logits(params: ModelParams, X: np.ndarray, inputs: list | None = None) -> np.ndarray:
+    """Logits of the checked batch `X`, ReLU in place. Each layer's input is
+    appended to `inputs` when given, for backprop; else only the current
+    layer is held, so a forward over a whole split holds two layers, not all."""
     a = X
     last = len(params.weights) - 1
     for k, (Wt, b) in enumerate(zip(params._transposed, params._bias_rows)):
+        if inputs is not None:
+            inputs.append(a)
         a = a @ Wt
         a += b
         if k < last:
@@ -316,13 +304,13 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return np.take(np.eye(num_classes), np.asarray(labels), axis=0)
 
 
-def _backprop(params: ModelParams, pre, acts, delta: np.ndarray, out: Gradients) -> Gradients:
+def _backprop(params: ModelParams, acts, delta: np.ndarray, out: Gradients) -> Gradients:
     for k in range(len(params.weights) - 1, -1, -1):
         np.matmul(delta.swapaxes(-1, -2), acts[k], out=out.weights[k])
         np.add.reduce(delta, axis=-2, out=out.biases[k])
         if k > 0:
             delta = delta @ params.weights[k]
-            delta *= pre[k - 1] > 0.0
+            delta *= acts[k] > 0.0  # the ReLU mask, as acts[k] = max(pre, 0)
     return out
 
 
@@ -354,8 +342,8 @@ def backward(
     elif out.layout != params.layout:
         raise ShapeError(f"gradient buffer shapes {out.layout} != parameter shapes "
                          f"{params.layout}")
-    pre, acts = _forward_cached(params, batch)
-    z = _checked_logits(acts[-1])
+    acts: list[np.ndarray] = []
+    z = _checked_logits(_logits(params, _checked_batch(params, batch), acts))
     if temperature is not None:
         _softened(z, temperature, out=z)
     q = _normalized(z)
@@ -364,7 +352,7 @@ def backward(
     if scale is not None:
         dlogits *= _slicewise("scale", scale, dlogits)
     dlogits /= q.shape[-2]
-    return q, _backprop(params, pre, acts, dlogits, out)
+    return q, _backprop(params, acts, dlogits, out)
 
 
 def sgd_step(

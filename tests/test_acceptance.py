@@ -286,9 +286,9 @@ def test_criterion_7_branch_isolation():
 def clean_ratio_sweep():
     grid = evaluation.SweepGrid(
         axis="clean_fraction", values=(0.01, 0.05, 0.1, 0.2),
-        base_config=_desk_config(0), seeds=DESK_SEEDS,
+        base_config=_desk_config(0), seeds=DESK_SEEDS, recipe=DESK_RECIPE,
     )
-    return evaluation.sweep(grid, DESK_RECIPE)
+    return evaluation.sweep(grid)
 
 
 def test_criterion_8_clean_ratio_trend(clean_ratio_sweep):

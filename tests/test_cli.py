@@ -539,3 +539,59 @@ def test_inject_noise_bad_csv_names_the_file(tmp_path, capsys, content, message)
     assert err.startswith(f"error: {source}: ") and message in err, err
     assert "Traceback" not in err
     assert not (out / "dataset.csv").exists()
+
+
+@pytest.mark.parametrize("argv, doc, named", [
+    (["make-data", "--classes", "1"], None, "2 classes, got 1"),
+    (["inject-noise", "--data", "{inf_csv}", "--noise-model", "symmetric", "--noise-rate", "0.4"],
+     None, "{inf_csv}: row 2"),
+    (["inject-noise", "--data", "{csv}", "--noise-model", "symmetric", "--noise-rate", "1.5"],
+     None, "got 1.5"),
+    (["train-teacher"], {"data_kind": "csv", "data_csv": "{missing}"}, "{missing}"),
+    (["train-teacher"], {"data_per_class": 3, "data_clean_fraction": 0.1}, "clean_fraction=0.1"),
+    (["train-student", "--teacher", "{not_json}"], {}, "{not_json}: "),
+    (["train-student", "--teacher", "{wide}"], {}, "{wide}: "),
+    (["finetune", "--checkpoint", "{not_json}"], {}, "{not_json}: "),
+    (["sweep", "--axis", "clean_fraction", "--values", "0.1,0.9"], {},
+     "sweep clean_fraction=0.9: clean_fraction + test_fraction must be < 1, got 1.1"),
+    (["sweep", "--axis", "noise_rate", "--values", "0.1"],
+     {"noise_model": "none", "noise_rate": 0.0}, "noise_rate sweep"),
+    (["sweep", "--axis", "clean_fraction", "--values", "0.01,0.2"], {"data_per_class": 4},
+     "clean_fraction=0.01"),
+], ids=["make-data-classes", "inject-noise-inf", "inject-noise-rate", "missing-data-csv",
+        "class-too-small", "teacher-not-json", "teacher-wrong-dim", "checkpoint-not-json",
+        "sweep-fractions", "sweep-noise-model", "sweep-class-too-small"])
+def test_bad_input_exits_1_naming_it_and_creates_no_run_directory(tmp_path, capsys, argv,
+                                                                  doc, named):
+    files = {name: tmp_path / name for name in ("inf_csv", "csv", "missing", "not_json", "wide")}
+    files["inf_csv"].write_bytes(b"f0,label\n1e999,0\n0.5,1\n")
+    files["csv"].write_bytes(b"f0,f1,label\n0.0,0.0,0\n1.0,1.0,1\n")
+    files["not_json"].write_bytes(b"not a checkpoint\n")
+    nn.save_checkpoint(nn.init_params([5, 8, 3], seed=0), files["wide"])  # data_dim is 4
+
+    def filled(text):
+        return text.format(**files) if isinstance(text, str) else text
+
+    argv, named = [filled(a) for a in argv], filled(named)
+    if doc is not None:
+        path = tmp_path / "c.json"
+        write_canonical_json(path, small_config_doc(**{k: filled(v) for k, v in doc.items()}))
+        argv = [argv[0], "--config", str(path), *argv[1:]]
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert named in captured.err and "Traceback" not in captured.err, captured.err
+    assert not out.exists()
+
+
+def test_forced_rerun_with_a_bad_teacher_leaves_the_finished_run_as_it_was(tmp_path, capsys,
+                                                                           config_file):
+    out = tmp_path / "run"
+    assert cli.main(["train-student", "--config", str(config_file), "--out", str(out)]) == 0
+    finished = {p.name: p.read_bytes() for p in out.iterdir()}
+    teacher = tmp_path / "wide.ckpt"
+    nn.save_checkpoint(nn.init_params([5, 8, 3], seed=0), teacher)  # data_dim is 4
+    assert cli.main(["train-student", "--config", str(config_file), "--out", str(out),
+                     "--teacher", str(teacher), "--seed", "3", "--force"]) == 1
+    assert f"error: {teacher}: " in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == finished

@@ -83,22 +83,27 @@ def _sweep_inputs():
 
 
 def test_sweep_grid_validates_before_training():
-    _, config = _sweep_inputs()
+    recipe, config = _sweep_inputs()
     with pytest.raises(ParameterError):
-        evaluation.SweepGrid(axis="T", values=(5.0, 0.0), base_config=config, seeds=(1,))
+        evaluation.SweepGrid(axis="T", values=(5.0, 0.0), base_config=config, seeds=(1,),
+                             recipe=recipe)
     with pytest.raises(ParameterError):
-        evaluation.SweepGrid(axis="alpha", values=(-1.0,), base_config=config, seeds=(1,))
+        evaluation.SweepGrid(axis="alpha", values=(-1.0,), base_config=config, seeds=(1,),
+                             recipe=recipe)
     with pytest.raises(ParameterError):
-        evaluation.SweepGrid(axis="voltage", values=(1.0,), base_config=config, seeds=(1,))
+        evaluation.SweepGrid(axis="voltage", values=(1.0,), base_config=config, seeds=(1,),
+                             recipe=recipe)
     with pytest.raises(ParameterError):
-        evaluation.SweepGrid(axis="beta", values=(), base_config=config, seeds=(1,))
+        evaluation.SweepGrid(axis="beta", values=(), base_config=config, seeds=(1,),
+                             recipe=recipe)
     with pytest.raises(ParameterError):
-        evaluation.SweepGrid(axis="beta", values=(0.3,), base_config=config, seeds=())
+        evaluation.SweepGrid(axis="beta", values=(0.3,), base_config=config, seeds=(),
+                             recipe=recipe)
     for axis in ("clean_fraction", "noise_rate"):
         for value in (1.0, 1.5, -0.1):
             with pytest.raises(ParameterError, match=f"in \\[0, 1\\), got {value}"):
                 evaluation.SweepGrid(axis=axis, values=(0.1, value), base_config=config,
-                                     seeds=(1,))
+                                     seeds=(1,), recipe=recipe)
 
 
 @pytest.mark.parametrize("values, seeds, message", [
@@ -107,16 +112,17 @@ def test_sweep_grid_validates_before_training():
     ((0.1,), (1, -1), r"sweep seeds must be >= 0, got \[1, -1\]"),
 ], ids=["repeated-value", "repeated-seed", "negative-seed"])
 def test_sweep_grid_rejects_repeated_cells_and_negative_seeds(values, seeds, message):
-    _, config = _sweep_inputs()
+    recipe, config = _sweep_inputs()
     with pytest.raises(ParameterError, match=f"^{message}$"):
-        evaluation.SweepGrid(axis="beta", values=values, base_config=config, seeds=seeds)
+        evaluation.SweepGrid(axis="beta", values=values, base_config=config, seeds=seeds,
+                             recipe=recipe)
 
 
 def test_sweep_produces_one_row_per_cell():
     recipe, config = _sweep_inputs()
     grid = evaluation.SweepGrid(axis="beta", values=(0.0, 0.3, 1.0),
-                                base_config=config, seeds=(1, 2))
-    result = evaluation.sweep(grid, recipe)
+                                base_config=config, seeds=(1, 2), recipe=recipe)
+    result = evaluation.sweep(grid)
     assert len(result.rows) == 6
     assert [(r.value, r.seed) for r in result.rows] == [
         (0.0, 1), (0.0, 2), (0.3, 1), (0.3, 2), (1.0, 1), (1.0, 2)
@@ -126,8 +132,9 @@ def test_sweep_produces_one_row_per_cell():
 
 def test_sweep_beta_zero_cell_is_pure_distillation():
     recipe, config = _sweep_inputs()
-    grid = evaluation.SweepGrid(axis="beta", values=(0.0,), base_config=config, seeds=(3,))
-    result = evaluation.sweep(grid, recipe)
+    grid = evaluation.SweepGrid(axis="beta", values=(0.0,), base_config=config, seeds=(3,),
+                                recipe=recipe)
+    result = evaluation.sweep(grid)
 
     from dataclasses import replace
 
@@ -188,8 +195,9 @@ def test_sweep_cells_match_standalone_runs(monkeypatch, axis, values):
 
     monkeypatch.setattr(evaluation, "accuracy", recording_accuracy)
     seeds = (1, 2, 4)  # seeds at which the two cells of every axis differ
-    grid = evaluation.SweepGrid(axis=axis, values=values, base_config=config, seeds=seeds)
-    rows = evaluation.sweep(grid, recipe).rows
+    grid = evaluation.SweepGrid(axis=axis, values=values, base_config=config, seeds=seeds,
+                                recipe=recipe)
+    rows = evaluation.sweep(grid).rows
     monkeypatch.undo()
 
     assert len(rows) == 6
@@ -217,17 +225,17 @@ def test_sweep_cells_match_standalone_runs(monkeypatch, axis, values):
 def test_sweep_is_deterministic():
     recipe, config = _sweep_inputs()
     grid = evaluation.SweepGrid(axis="alpha", values=(0.0, 0.1), base_config=config,
-                                seeds=(4, 5))
-    a = evaluation.sweep(grid, recipe)
-    b = evaluation.sweep(grid, recipe)
+                                seeds=(4, 5), recipe=recipe)
+    a = evaluation.sweep(grid)
+    b = evaluation.sweep(grid)
     assert canonical_json(a.to_json_dict()) == canonical_json(b.to_json_dict())
 
 
 def test_sweep_stage1_axis_rebuilds_dataset():
     recipe, config = _sweep_inputs()
     grid = evaluation.SweepGrid(axis="clean_fraction", values=(0.1, 0.2),
-                                base_config=config, seeds=(6,))
-    result = evaluation.sweep(grid, recipe)
+                                base_config=config, seeds=(6,), recipe=recipe)
+    result = evaluation.sweep(grid)
     assert len(result.rows) == 2
     # the teacher itself changes when the split does
     assert result.rows[0].acc_teacher != result.rows[1].acc_teacher or \
@@ -238,17 +246,16 @@ def test_sweep_noise_rate_requires_noise_model():
     recipe, config = _sweep_inputs()
     from dataclasses import replace
 
-    grid = evaluation.SweepGrid(axis="noise_rate", values=(0.1,), base_config=config,
-                                seeds=(1,))
     with pytest.raises(ParameterError, match="noise model"):
-        evaluation.sweep(grid, replace(recipe, noise_model="none", noise_rate=0.0))
+        evaluation.SweepGrid(axis="noise_rate", values=(0.1,), base_config=config, seeds=(1,),
+                             recipe=replace(recipe, noise_model="none", noise_rate=0.0))
 
 
 def test_sweep_exports():
     recipe, config = _sweep_inputs()
     grid = evaluation.SweepGrid(axis="beta", values=(0.0, 0.5), base_config=config,
-                                seeds=(7, 8))
-    result = evaluation.sweep(grid, recipe)
+                                seeds=(7, 8), recipe=recipe)
+    result = evaluation.sweep(grid)
 
     csv_text = result.to_csv_text()
     lines = csv_text.strip().split("\n")

@@ -27,7 +27,8 @@ _CHECKPOINT = {"format_version": 1, "activation": "relu", "layer_dims": [2, 3, 2
 
 
 def _load_config(path):
-    return cli._effective_config(cli.CliConfig(command="train-teacher", config_path=str(path)))
+    return cli._effective_config(cli.parse_args(["train-teacher", "--config", str(path),
+                                                 "--out", "unused"]))
 
 
 def _documents(valid: dict):
