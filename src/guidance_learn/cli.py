@@ -202,9 +202,15 @@ def _run_dir(cli: argparse.Namespace, primary: str, snapshot: dict | None = None
 
 
 def _run_inputs(cli: argparse.Namespace) -> tuple[TrainConfig, Dataset, dict]:
-    """The effective config, the dataset its recipe builds, and the config.json snapshot."""
+    """The effective config, the dataset its recipe builds, and the config.json
+    snapshot; an error building the dataset names the config file."""
     config, recipe, _ = _effective_config(cli)
-    dataset, _ = recipe.build(config.seed)
+    try:
+        dataset, _ = recipe.build(config.seed)
+    except OSError as exc:
+        raise ConfigurationError(f"{cli.config_path}: data_csv: {exc}") from None
+    except GuidanceLearnError as exc:
+        raise type(exc)(f"{cli.config_path}: {exc}") from None
     return config, dataset, _snapshot(config, recipe)
 
 
@@ -222,7 +228,7 @@ def _write_run(out: Path, snapshot: dict, report, models: dict) -> str:
     flat snapshot so it alone suffices to replay the run; the summary line."""
     for name, params in models.items():
         nn.save_checkpoint(params, out / f"{name}.ckpt")
-    write_canonical_json(out / "report.json", {**report.to_json_dict(), "config": snapshot})
+    write_canonical_json(out / "report.json", {**to_document(report), "config": snapshot})
     acc = report.final_test_accuracy
     shown = "n/a" if acc is None else f"{acc:.4f}"
     return f"{report.stage}: final test accuracy {shown}"

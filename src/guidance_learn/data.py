@@ -57,7 +57,6 @@ class Dataset:
     tags: np.ndarray
     num_classes: int
     true_labels: np.ndarray | None = None
-    provenance: str = ""
 
     def __post_init__(self) -> None:
         n = self.features.shape[0]
@@ -146,8 +145,6 @@ def make_blobs(classes: int, per_class: int, dim: int, sigma: float, seed: int) 
         tags=np.full(labels.size, NOISY_TRAIN),
         num_classes=classes,
         true_labels=labels.copy(),
-        provenance=f"blobs(classes={classes}, per_class={per_class}, dim={dim}, "
-                   f"sigma={sigma}, seed={seed})",
     )
 
 
@@ -237,8 +234,9 @@ def mixed_batch_iterator(dataset: Dataset, batch_size: int, seed: int, epoch: in
     """Paired (noisy, clean) index batches for one multi-task epoch.
 
     An epoch is one shuffled pass over the noisy subset (short final batch
-    kept). The much smaller clean subset is cycled to supply a full-size
-    batch every step, reshuffling on each wrap.
+    kept). The much smaller clean subset supplies a full-size batch every
+    step: its stream is as many shuffled passes as the steps need, end to
+    end, cut at the noisy pass's offsets.
     """
     if batch_size < 1:
         raise ParameterError(f"batch_size must be >= 1, got {batch_size}")
@@ -252,21 +250,11 @@ def mixed_batch_iterator(dataset: Dataset, batch_size: int, seed: int, epoch: in
     rng_noisy = np.random.default_rng(np.random.SeedSequence([seed, epoch, STREAM_MIXED_NOISY]))
     rng_clean = np.random.default_rng(np.random.SeedSequence([seed, epoch, STREAM_MIXED_CLEAN]))
     noisy_perm = rng_noisy.permutation(noisy)
-    clean_perm = rng_clean.permutation(clean)
-    cursor = 0
+    rows = -(-noisy.size // batch_size) * batch_size
+    clean_stream = np.concatenate([rng_clean.permutation(clean)
+                                   for _ in range(-(-rows // clean.size))])
     for start in range(0, noisy_perm.size, batch_size):
-        noisy_batch = noisy_perm[start:start + batch_size]
-        picked: list[np.ndarray] = []
-        need = batch_size
-        while need > 0:
-            take = min(need, clean_perm.size - cursor)
-            picked.append(clean_perm[cursor:cursor + take])
-            cursor += take
-            need -= take
-            if cursor >= clean_perm.size:
-                clean_perm = rng_clean.permutation(clean)
-                cursor = 0
-        yield noisy_batch, np.concatenate(picked)
+        yield noisy_perm[start:start + batch_size], clean_stream[start:start + batch_size]
 
 
 def layout(dataset: Dataset) -> tuple:
@@ -391,7 +379,9 @@ def save_csv(dataset: Dataset, path) -> None:
     _write_atomic(path, text.getvalue().encode("utf-8"))
 
 
-def load_csv(path, num_classes: int | None = None) -> Dataset:
+def load_csv(path) -> Dataset:
+    """The all-noisy_train dataset of a CSV as `save_csv` writes it, with the
+    largest label + 1 classes; a bad row is an error naming `path` and row."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = _csv_records(fh, path)
         try:
@@ -419,13 +409,10 @@ def load_csv(path, num_classes: int | None = None) -> Dataset:
     if not labels:
         raise FormatError(f"{path}: no data rows")
     labels_arr = _int64_column(labels, "label", path)
-    C = num_classes if num_classes is not None else int(labels_arr.max()) + 1
-    bad = np.where((labels_arr < 0) | (labels_arr >= C))[0]
-    if bad.size:
-        raise DataError(
-            f"{path}: row {int(bad[0]) + 2}: label {int(labels_arr[bad[0]])} out of "
-            f"range [0, {C})"
-        )
+    negative = np.flatnonzero(labels_arr < 0)
+    if negative.size:
+        row = int(negative[0])
+        raise DataError(f"{path}: row {row + 2}: label {int(labels_arr[row])} is negative")
     features = np.asarray(feats, dtype=np.float64)
     finite = np.isfinite(features)
     if not finite.all():
@@ -436,9 +423,8 @@ def load_csv(path, num_classes: int | None = None) -> Dataset:
         features=features,
         labels=labels_arr,
         tags=np.full(labels_arr.size, NOISY_TRAIN),
-        num_classes=C,
+        num_classes=int(labels_arr.max()) + 1,
         true_labels=_int64_column(trues, "true_label", path) if trues else None,
-        provenance=f"csv({path})",
     )
 
 

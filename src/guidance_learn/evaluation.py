@@ -68,7 +68,7 @@ class SweepGrid:
             if repeated:
                 raise ParameterError(f"sweep {name} {repeated[0]!r} is repeated")
         if self.axis == "noise_rate" and self.recipe.noise_model == "none":
-            raise ParameterError("noise_rate sweep needs a recipe with a noise model")
+            raise ParameterError("noise_rate sweep needs a noise model (noise_model is 'none')")
         datasets: dict[tuple, Dataset] = {}
         for value in self.values:
             for seed in self.seeds:

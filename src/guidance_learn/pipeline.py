@@ -15,7 +15,6 @@ stage that starts from given models picks each slice's with `nn.take`.
 from __future__ import annotations
 
 import itertools
-import time
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 
@@ -140,22 +139,15 @@ class RunReport:
 
     A stage records each loss and accuracy as a list of per-slice values;
     the report of a single model (`_returned`) holds that slice's numbers.
-    wall_time_sec is informational only and deliberately left out of the
-    JSON form so reruns with the same seed serialize byte-identically.
+    It holds no config: the CLI writes the run's config snapshot beside
+    these fields in report.json.
     """
 
     stage: str
-    config: dict
     epochs: list[EpochRecord] = field(default_factory=list)
     final_test_accuracy: float | list[float | None] | None = None
     checkpoint_fingerprints: dict[str, str] = field(default_factory=dict)
     variant: str | None = None
-    wall_time_sec: float = 0.0
-
-    def to_json_dict(self) -> dict:
-        doc = to_document(self)
-        del doc["wall_time_sec"]
-        return doc
 
 
 # The config fields in which the slices of a stack may differ.
@@ -172,11 +164,6 @@ class _Stack:
     config: TrainConfig
     configs: list[TrainConfig]
     single: bool
-
-    def report_config(self) -> dict:
-        """The config of a report, with each slice's `_PER_SLICE` values."""
-        return {**self.config.to_dict(),
-                **{name: [getattr(c, name) for c in self.configs] for name in _PER_SLICE}}
 
 
 def _stack(dataset: Dataset | Sequence[Dataset],
@@ -277,12 +264,11 @@ def _train(
     the detector, so numpy's overflow and invalid-value warnings on the way
     there are not printed, and a block that diverges computes no losses.
     """
-    t0 = time.perf_counter()
     config = stack.config
     velocity = nn.Gradients.zeros(params)
     scratch = np.empty_like(params.flat)
     steps_per_block = max(1, BLOCK_ROWS // (config.batch_size * len(stack.configs)))
-    report = RunReport(stage=stage, config=stack.report_config())
+    report = RunReport(stage=stage)
     try:
         for epoch in range(epochs):
             lr = lr_at(schedule, epoch)
@@ -308,18 +294,16 @@ def _train(
         raise DivergenceError(stage, epoch, steps, lr, exc) from exc
     report.final_test_accuracy = (report.epochs[-1].test_accuracy if report.epochs
                                   else _test_accuracy(params, stack.data))
-    report.wall_time_sec = time.perf_counter() - t0
     return params, report
 
 
 def _returned(stack: _Stack, params: nn.ModelParams, report: RunReport,
               role: str = "model") -> tuple[nn.ModelParams, RunReport]:
     """The trained stack and its report, or for the inputs of one model
-    (`_Stack.single`) that model with its fingerprint under `role`, its
-    config and the slice's scalar report values; a stack has no checkpoint."""
+    (`_Stack.single`) that model with its fingerprint under `role` and the
+    slice's scalar report values; a stack has no checkpoint."""
     if stack.single:
         params = nn.take(params, 0)
-        report.config = stack.config.to_dict()
         for record in report.epochs:
             for name in ("loss_total", "loss_guidance", "loss_clean", "test_accuracy"):
                 setattr(record, name, getattr(record, name)[0])
@@ -478,11 +462,10 @@ def run_baseline(
         params, report = _from_scratch(dataset, config, subsets[variant])
         models = {"model": params}
     elif variant in ("guidance", "guidance_finetuned"):
-        teacher, teacher_report = train_teacher(dataset, config)
+        teacher, _ = train_teacher(dataset, config)
         cache = guidance.compute_teacher_soft_targets(teacher, dataset, config.temperature)
         student, report = train_student(teacher, dataset, config, cache)
         models = {"teacher": teacher, "student": student}
-        report.wall_time_sec += teacher_report.wall_time_sec
         if variant == "guidance_finetuned":
             student_report = report
             finetuned, report = finetune_clean(student, dataset, config)
@@ -491,7 +474,6 @@ def run_baseline(
                 **student_report.checkpoint_fingerprints,
                 "finetuned": report.checkpoint_fingerprints["model"],
             }
-            report.wall_time_sec += student_report.wall_time_sec
     else:
         raise ParameterError(
             f"unknown baseline variant {variant!r}; expected one of {BASELINE_VARIANTS}"

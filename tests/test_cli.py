@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import hashlib
 import io
@@ -131,6 +132,17 @@ def test_train_student_full_run_layout(tmp_path, config_file):
     assert cache.teacher_fingerprint == nn.fingerprint(teacher) == fp["teacher"]
     assert cache.temperature == 5.0
     assert len(cache.indices) > 0
+
+
+def test_report_json_holds_the_report_fields_and_the_config(tmp_path, config_file):
+    """Every report field is written, and nothing else but the config: a
+    field that report.json leaves out is state no artifact records."""
+    out = tmp_path / "run"
+    assert cli.main(["train-student", "--config", str(config_file), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    fields = {f.name for f in dataclasses.fields(pipeline.RunReport)}
+    assert set(report) == fields | {"config"}
+    assert report["config"] == json.loads((out / "config.json").read_text())
 
 
 def test_train_student_from_checkpoint_and_finetune(tmp_path, config_file):
@@ -595,3 +607,25 @@ def test_forced_rerun_with_a_bad_teacher_leaves_the_finished_run_as_it_was(tmp_p
                      "--teacher", str(teacher), "--seed", "3", "--force"]) == 1
     assert f"error: {teacher}: " in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in out.iterdir()} == finished
+
+
+@pytest.mark.parametrize("argv, doc, message", [
+    (["train-teacher"], {"data_per_class": 3, "data_clean_fraction": 0.1},
+     "{config}: class 0 has 3 samples, fewer than the requested stratified split"),
+    (["train-teacher"], {"data_kind": "csv", "data_csv": "{missing}"},
+     "{config}: data_csv: [Errno 2] No such file or directory: '{missing}'"),
+    (["sweep", "--axis", "noise_rate", "--values", "0.1"],
+     {"noise_model": "none", "noise_rate": 0.0},
+     "noise_rate sweep needs a noise model (noise_model is 'none')"),
+], ids=["class-too-small", "missing-data-csv", "sweep-noise-model"])
+def test_dataset_build_error_names_the_config_file_or_key(tmp_path, capsys, argv, doc,
+                                                          message):
+    names = {"config": tmp_path / "c.json", "missing": tmp_path / "missing.csv"}
+    write_canonical_json(names["config"], small_config_doc(
+        **{k: v.format(**names) if isinstance(v, str) else v for k, v in doc.items()}))
+    out = tmp_path / "out"
+    assert cli.main([argv[0], "--config", str(names["config"]), "--out", str(out),
+                     *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message.format(**names)}"), err
+    assert not out.exists()

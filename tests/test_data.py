@@ -43,9 +43,9 @@ def test_csv_errors_carry_row_numbers(tmp_path):
     path.write_text("f0,label\n1.0,0\n2.0,oops\n")
     with pytest.raises(DataError, match="row 3"):
         data.load_csv(path)
-    path.write_text("f0,label\n1.0,0\n2.0,9\n")
+    path.write_text("f0,label\n1.0,0\n2.0,-1\n")
     with pytest.raises(DataError, match="row 3"):
-        data.load_csv(path, num_classes=2)
+        data.load_csv(path)
     path.write_text("f0,f1\n1.0,2.0\n")
     with pytest.raises(FormatError, match="label"):
         data.load_csv(path)
