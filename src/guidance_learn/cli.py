@@ -177,9 +177,11 @@ def _sweep_grid(cli: argparse.Namespace, config: TrainConfig, recipe: DataRecipe
     elif any(seed < 0 for seed in seeds):
         source = "sweep_seeds" if cli.sweep_seeds is None else "--seeds"
         raise ConfigurationError(f"{source}: seeds must be >= 0, got {list(seeds)}")
-    effective = SweepKeys(sweep_axis=axis, sweep_values=values, sweep_seeds=seeds)
-    return (SweepGrid(axis=axis, values=values, base_config=config, seeds=seeds, recipe=recipe),
-            to_document(effective))
+    try:
+        grid = SweepGrid(axis=axis, values=values, base_config=config, seeds=seeds, recipe=recipe)
+    except OSError as exc:
+        raise ConfigurationError(f"{cli.config_path}: data_csv: {exc}") from None
+    return grid, to_document(SweepKeys(sweep_axis=axis, sweep_values=values, sweep_seeds=seeds))
 
 
 @contextmanager

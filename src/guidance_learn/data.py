@@ -14,7 +14,6 @@ from __future__ import annotations
 import copy
 import csv
 import io
-import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
@@ -273,11 +272,12 @@ class Slices:
     `source[k]` numbers slice k's in order of first appearance, and each
     source's batches are drawn once. `features`, `labels` and `truth` hold
     the sources' arrays end to end, and indices name rows of them: sample i
-    of source s is row s * N + i. Index batches are [K, B], row k from slice
-    k's own stream, and `rows` gathers [K, B, ...]. One dataset with one int
-    seed is data without a slice axis, for a single model: `source` is then
-    a 0-d array, index batches are [B] and rows [B, ...], by the same code.
-    All datasets must share one `layout`, so that the slices' batches align.
+    of source s is row s * N + i. An epoch's index order is [K, n], row k
+    slice k's own batch stream end to end, so that batch j is a column
+    range; `rows` gathers [K, n, ...]. One dataset with one int seed is data
+    without a slice axis, for a single model: `source` is then a 0-d array,
+    orders are [n] and rows [n, ...], by the same code. All datasets must
+    share one `layout`, so that the slices' batches align.
     """
 
     def __init__(self, datasets: Dataset | Sequence[Dataset], seeds: int | Sequence[int] = 0):
@@ -326,13 +326,6 @@ class Slices:
                                    for ds, _ in self._sources]
         return self._subsets[tags]
 
-    def _epoch(self, per_source: list[list[np.ndarray]]) -> list[np.ndarray]:
-        """The sources' index batches of an epoch as views of one [K, n]
-        array: row k of batch j is batch j of slice k's source."""
-        joined = self._sliced([np.concatenate(batches) for batches in per_source])
-        ends = itertools.accumulate(b.size for b in per_source[0])
-        return [joined[..., end - b.size:end] for b, end in zip(per_source[0], ends)]
-
     def per_source(self) -> "Slices":
         """One slice per source, in `source` order, sharing these arrays."""
         view = copy.copy(self)
@@ -348,17 +341,19 @@ class Slices:
         slice, or [n] without a slice axis."""
         return self._sliced(self._subset(tags))
 
-    def batches(self, tags: tuple[str, ...], batch_size: int, epoch: int) -> list[np.ndarray]:
-        """`batch_indices` over the samples with `tags`, per source: the
-        epoch's batches."""
-        return self._epoch([list(batch_indices(idx, batch_size, seed, epoch))
-                            for idx, (_, seed) in zip(self._subset(tags), self._sources)])
+    def order(self, tags: tuple[str, ...], batch_size: int, epoch: int) -> np.ndarray:
+        """The epoch's `batch_indices` over the samples with `tags`, per
+        source, end to end: batch j is columns [j * B, (j + 1) * B)."""
+        return self._sliced([np.concatenate(list(batch_indices(idx, batch_size, seed, epoch)))
+                             for idx, (_, seed) in zip(self._subset(tags), self._sources)])
 
-    def mixed_batches(self, batch_size: int, epoch: int) -> list[tuple[np.ndarray, np.ndarray]]:
-        """`mixed_batch_iterator` pairs, per source: the epoch's pairs."""
-        pairs = [list(zip(*mixed_batch_iterator(ds, batch_size, seed, epoch)))
+    def mixed_orders(self, batch_size: int, epoch: int) -> tuple[np.ndarray, np.ndarray]:
+        """The epoch's `mixed_batch_iterator` (noisy, clean) streams, per
+        source, end to end: pair j is columns [j * B, (j + 1) * B) of both."""
+        pairs = [zip(*mixed_batch_iterator(ds, batch_size, seed, epoch))
                  for ds, seed in self._sources]
-        return list(zip(*(self._epoch(stream) for stream in zip(*pairs))))
+        return tuple(self._sliced([np.concatenate(stream) for stream in streams])
+                     for streams in zip(*pairs))
 
 
 def save_csv(dataset: Dataset, path) -> None:
@@ -413,6 +408,8 @@ def load_csv(path) -> Dataset:
     if negative.size:
         row = int(negative[0])
         raise DataError(f"{path}: row {row + 2}: label {int(labels_arr[row])} is negative")
+    if labels_arr.max() == 0:
+        raise DataError(f"{path}: need at least 2 classes, got 1")
     features = np.asarray(feats, dtype=np.float64)
     finite = np.isfinite(features)
     if not finite.all():

@@ -15,7 +15,7 @@ stage that starts from given models picks each slice's with `nn.take`.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -212,13 +212,6 @@ def _epoch_mean(values: np.ndarray) -> list[float]:
     return np.ascontiguousarray(np.transpose(values)).mean(axis=-1).tolist()
 
 
-def _split(targets: np.ndarray, batches: list[np.ndarray]) -> list[np.ndarray]:
-    """Each batch's rows (views) of a block's targets [..., n, C], which
-    hold the batches' rows end to end."""
-    ends = itertools.accumulate(b.shape[-1] for b in batches)
-    return [targets[..., end - b.shape[-1]:end, :] for b, end in zip(batches, ends)]
-
-
 def _per_step(loss: Callable, probs: list[np.ndarray], targets: np.ndarray) -> np.ndarray:
     """`loss(probs[i], targets of step i)` for each step i of a block, per
     slice [S, K], from one call per run of equal-size batches (the
@@ -242,20 +235,23 @@ def _train(
     schedule: Schedule,
     epochs: int,
     stage: str,
-    batches: Callable[[int], Iterable],
-    block: Callable[[nn.ModelParams, list, list], Iterator[nn.Gradients]],
+    orders: Callable[[int], tuple[np.ndarray, ...]],
+    block: Callable[..., Iterator[nn.Gradients]],
 ) -> tuple[nn.ModelParams, RunReport]:
     """The epoch/step loop every stage shares.
 
-    `params` is trained in place with one momentum buffer. `batches(epoch)`
-    yields the epoch's batches, which are trained in blocks of consecutive
-    batches (`BLOCK_ROWS`). `block(params, batches, losses)` does a block's
-    work: what does not depend on the parameters (targets from labels and
-    the guidance cache) once, then for each batch the forward and backward
-    pass, yielding its gradients, on which `_train` takes the SGD step;
-    after the last step it appends the block's per-step (L_total, L_g, L_c)
-    to `losses`, each per slice [S, K]. Each epoch records its mean
-    losses and test accuracy; the last epoch's accuracy is the final one.
+    `params` is trained in place with one momentum buffer. `orders(epoch)`
+    gives the epoch's index orders (`data.Slices.order`), one per stream,
+    whose batches line up column for column. The first order's columns are
+    trained in blocks of consecutive batches (`BLOCK_ROWS`):
+    `block(params, losses, *orders)` takes each order's column range of the
+    block, computes what does not depend on the parameters (targets from
+    labels and the guidance cache) once, then for each batch, its next B
+    columns, does the forward and backward pass and yields its gradients,
+    on which `_train` takes the SGD step; after the last step it appends
+    the block's per-step (L_total, L_g, L_c) to `losses`, each per slice
+    [S, K]. Each epoch records its mean losses and test accuracy; the last
+    epoch's accuracy is the final one.
     The report carries no fingerprints. Non-finite logits or parameters (the
     inputs are finite, so training diverged) are a DivergenceError naming
     the stage, epoch, step (from 0) and learning rate: the logits are
@@ -267,16 +263,18 @@ def _train(
     config = stack.config
     velocity = nn.Gradients.zeros(params)
     scratch = np.empty_like(params.flat)
-    steps_per_block = max(1, BLOCK_ROWS // (config.batch_size * len(stack.configs)))
+    B = config.batch_size
+    block_rows = B * max(1, BLOCK_ROWS // (B * len(stack.configs)))
     report = RunReport(stage=stage)
     try:
         for epoch in range(epochs):
             lr = lr_at(schedule, epoch)
             losses: list[tuple[np.ndarray, ...]] = []
             steps = 0
-            epoch_batches = iter(batches(epoch))
-            while blocked := list(itertools.islice(epoch_batches, steps_per_block)):
-                for grads in block(params, blocked, losses):
+            epoch_orders = orders(epoch)
+            for start in range(0, epoch_orders[0].shape[-1], block_rows):
+                columns = (order[..., start:start + block_rows] for order in epoch_orders)
+                for grads in block(params, losses, *columns):
                     nn.sgd_step(params, grads, velocity, lr, config.momentum,
                                 config.weight_decay, scratch)
                     steps += 1
@@ -324,21 +322,22 @@ def _train_cross_entropy(
     data = stack.data
     if data.indices(*tags).size == 0:
         raise ConfigurationError(f"{stage}: training subset is empty")
-    X, y, C = data.features, data.labels, data.num_classes
+    X, y, C, B = data.features, data.labels, data.num_classes, stack.config.batch_size
     buffer = nn.Gradients.zeros(params)
 
-    def block(params, batches, losses):
-        targets = nn.one_hot(data.rows(y, np.concatenate(batches, axis=-1)), C)
+    def block(params, losses, order):
+        targets = nn.one_hot(data.rows(y, order), C)
         probs = []
-        for batch, batch_targets in zip(batches, _split(targets, batches)):
-            q, grads = nn.backward(params, data.rows(X, batch), batch_targets, out=buffer)
+        for j in range(0, order.shape[-1], B):
+            q, grads = nn.backward(params, data.rows(X, order[..., j:j + B]),
+                                   targets[..., j:j + B, :], out=buffer)
             probs.append(q)
             yield grads
         loss = _per_step(nn.cross_entropy, probs, targets)
         losses.append((loss, 0.0 * loss, loss))
 
     return _train(params, stack, schedule, epochs, stage,
-                  lambda epoch: data.batches(tags, stack.config.batch_size, epoch), block)
+                  lambda epoch: (data.order(tags, B, epoch),), block)
 
 
 def _from_scratch(dataset: Dataset | Sequence[Dataset],
@@ -398,21 +397,19 @@ def train_student(
     alpha, beta, temperature = (np.array([getattr(c, name) for c in stack.configs])
                                 for name in ("alpha", "beta", "temperature"))
     teacher_fingerprint = nn.fingerprint(teacher)
-    X, y, C = data.features, data.labels, data.num_classes
+    X, y, C, B = data.features, data.labels, data.num_classes, config.batch_size
     cache = guidance._stacked(cache)
     guidance.check_cache(cache, teacher_fingerprint, noisy_idx, temperature, C)
     buffers = nn.Gradients.zeros(student), nn.Gradients.zeros(student)
 
-    def block(student, batches, losses):
-        noisy, clean = (list(stream) for stream in zip(*batches))
-        block_idx = np.concatenate(noisy, axis=-1)
-        targets = guidance.guidance_targets(cache, block_idx, data.rows(y, block_idx), beta, C)
-        clean_targets = nn.one_hot(data.rows(y, np.concatenate(clean, axis=-1)), C)
+    def block(student, losses, noisy, clean):
+        targets = guidance.guidance_targets(cache, noisy, data.rows(y, noisy), beta, C)
+        clean_targets = nn.one_hot(data.rows(y, clean), C)
         qs, ps = [], []
-        for noisy_batch, clean_batch, g, t in zip(noisy, clean, _split(targets, noisy),
-                                                  _split(clean_targets, clean)):
+        for j in range(0, noisy.shape[-1], B):
             q, p, grads = guidance.student_backward(
-                student, data.rows(X, noisy_batch), g, data.rows(X, clean_batch), t,
+                student, data.rows(X, noisy[..., j:j + B]), targets[..., j:j + B, :],
+                data.rows(X, clean[..., j:j + B]), clean_targets[..., j:j + B, :],
                 alpha=alpha, temperature=temperature, out=buffers)
             qs.append(q)
             ps.append(p)
@@ -423,7 +420,7 @@ def train_student(
 
     student, report = _train(
         student, stack, config.student_lr_schedule, config.student_epochs, "student",
-        lambda epoch: data.mixed_batches(config.batch_size, epoch), block,
+        lambda epoch: data.mixed_orders(B, epoch), block,
     )
     report.checkpoint_fingerprints["teacher"] = teacher_fingerprint
     return _returned(stack, student, report, "student")

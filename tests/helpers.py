@@ -118,7 +118,10 @@ def reference_student(teacher: nn.ModelParams, dataset, config, cache):
     for epoch in range(config.student_epochs):
         lr = pipeline.lr_at(config.student_lr_schedule, epoch)
         losses = []
-        for noisy, clean in slices.mixed_batches(config.batch_size, epoch):
+        noisy_order, clean_order = slices.mixed_orders(config.batch_size, epoch)
+        for start in range(0, noisy_order.shape[-1], config.batch_size):
+            noisy, clean = (order[..., start:start + config.batch_size]
+                            for order in (noisy_order, clean_order))
             g = guidance.guidance_targets(cache, noisy, slices.rows(y, noisy), beta, C)
             clean_targets = nn.one_hot(slices.rows(y, clean), C)
             q, grads = nn.backward(student, slices.rows(X, noisy), g, T, alpha * T)

@@ -456,7 +456,7 @@ def test_training_calls_keep_the_shape_the_benchmark_trace_reads(tmp_path, monke
     positionally, and each train_student call steps once per batch pair."""
     positional, students = [], []
     backward, sgd_step = nn.backward, nn.sgd_step
-    train_student, mixed_batches = pipeline.train_student, data.Slices.mixed_batches
+    train_student, mixed_orders = pipeline.train_student, data.Slices.mixed_orders
 
     def traced_backward(*args, **kwargs):
         positional.append(len(args))
@@ -474,16 +474,16 @@ def test_training_calls_keep_the_shape_the_benchmark_trace_reads(tmp_path, monke
         finally:
             students[-1]["open"] = False
 
-    def counted_mixed_batches(self, *args, **kwargs):
-        for pair in mixed_batches(self, *args, **kwargs):
-            students[-1]["batches"] += 1
-            yield pair
+    def counted_mixed_orders(self, batch_size, epoch):
+        noisy, clean = mixed_orders(self, batch_size, epoch)
+        students[-1]["batches"] += -(-noisy.shape[-1] // batch_size)
+        return noisy, clean
 
     monkeypatch.setattr(nn, "backward", traced_backward)
     monkeypatch.setattr(nn, "sgd_step", traced_sgd_step)
     for module in (cli, evaluation, pipeline):
         monkeypatch.setattr(module, "train_student", traced_train_student)
-    monkeypatch.setattr(data.Slices, "mixed_batches", counted_mixed_batches)
+    monkeypatch.setattr(data.Slices, "mixed_orders", counted_mixed_orders)
     path = tmp_path / "c.json"
     write_canonical_json(path, small_config_doc(teacher_epochs=1))
     assert cli.main(["train-student", "--config", str(path), "--out", str(tmp_path / "s")]) == 0
@@ -617,7 +617,9 @@ def test_forced_rerun_with_a_bad_teacher_leaves_the_finished_run_as_it_was(tmp_p
     (["sweep", "--axis", "noise_rate", "--values", "0.1"],
      {"noise_model": "none", "noise_rate": 0.0},
      "noise_rate sweep needs a noise model (noise_model is 'none')"),
-], ids=["class-too-small", "missing-data-csv", "sweep-noise-model"])
+    (["sweep", "--axis", "beta", "--values", "0.1"], {"data_kind": "csv", "data_csv": "{missing}"},
+     "{config}: data_csv: [Errno 2] No such file or directory: '{missing}'"),
+], ids=["class-too-small", "missing-data-csv", "sweep-noise-model", "sweep-missing-data-csv"])
 def test_dataset_build_error_names_the_config_file_or_key(tmp_path, capsys, argv, doc,
                                                           message):
     names = {"config": tmp_path / "c.json", "missing": tmp_path / "missing.csv"}

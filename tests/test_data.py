@@ -56,7 +56,8 @@ def test_csv_errors_carry_row_numbers(tmp_path):
     (b"f0,label\n1.0,0\n-inf,1\n", DataError, "row 3: feature 'f0' is -inf"),
     (b"label,f0,true_label\n0,1.0,0\n1,nan,1\n", DataError, "row 3: feature 'f0' is nan"),
     (b"f0,label\n1.0,0\n2.0,99999999999999999999\n", DataError, "row 3: label"),
-], ids=["not-utf8", "inf", "nan", "label-overflow"])
+    (b"f0,label\n1.0,0\n2.0,0\n", DataError, "need at least 2 classes, got 1"),
+], ids=["not-utf8", "inf", "nan", "label-overflow", "one-class"])
 def test_csv_bad_bytes_name_path_and_row(tmp_path, content, error, message):
     path = tmp_path / "bad.csv"
     path.write_bytes(content)
@@ -242,6 +243,25 @@ def test_mixed_iterator_requires_both_subsets():
     dataset = data.make_blobs(2, 10, 2, sigma=0.2, seed=17)
     with pytest.raises(ConfigurationError):
         list(data.mixed_batch_iterator(dataset, 4, seed=0, epoch=0))
+
+
+def test_slice_orders_are_each_slices_batches_end_to_end():
+    """Row k of an epoch's order, and of each of its mixed orders, is slice
+    k's batch stream end to end, as rows of its source in the joined arrays."""
+    first, second = _mixed_dataset(100, 8, seed=16), _mixed_dataset(100, 8, seed=19)
+    datasets, seeds = (first, second, first), (1, 1, 2)
+    slices = data.Slices(datasets, seeds)
+    tags = (data.CLEAN_TRAIN, data.NOISY_TRAIN)
+    order = slices.order(tags, 32, epoch=3)
+    mixed = slices.mixed_orders(32, epoch=3)
+    for k, (dataset, seed) in enumerate(zip(datasets, seeds)):
+        start = slices.source[k] * len(dataset)
+        idx = np.flatnonzero(np.isin(dataset.tags, tags))
+        batches = data.batch_indices(idx, 32, seed, epoch=3)
+        assert np.array_equal(order[k], np.concatenate(list(batches)) + start)
+        pairs = data.mixed_batch_iterator(dataset, 32, seed, epoch=3)
+        for joined, stream in zip(mixed, zip(*pairs), strict=True):
+            assert np.array_equal(joined[k], np.concatenate(stream) + start)
 
 
 def test_manifest_roundtrip(tmp_path):
