@@ -5,8 +5,9 @@ One JSON config file drives everything: flat keys mirroring TrainConfig,
 keys. Flags override config values.
 
 Every command runs in three steps: parse the flags, read and check every
-input (the config, the dataset its recipe builds, a checkpoint given
-against that dataset, a sweep's cells and datasets, a CSV and noise spec),
+input (the config, the dataset its recipe builds and the subsets its stages
+train on, a checkpoint given against that dataset, a sweep's cells and
+datasets, a CSV and noise spec),
 then open the run directory with `_run_dir`. So a bad input exits 1 and
 creates nothing. The open directory gets a canonical config.json snapshot,
 so any result can be replayed from the directory alone, and an
@@ -24,12 +25,14 @@ from pathlib import Path
 from . import guidance, nn
 from .data import (DataRecipe, Dataset, NoiseSpec, inject_noise, load_csv, make_blobs, save_csv,
                    save_noise_manifest)
-from .errors import ConfigurationError, GuidanceLearnError
+from .errors import ConfigurationError, EmptySubsetError, GuidanceLearnError
 from .evaluation import SWEEP_AXES, SweepGrid, accuracy, sweep
 from .pipeline import (
     BASELINE_VARIANTS,
     TrainConfig,
     check_fits,
+    check_split,
+    check_trains,
     finetune_clean,
     run_baseline,
     train_student,
@@ -178,7 +181,9 @@ def _sweep_grid(cli: argparse.Namespace, config: TrainConfig, recipe: DataRecipe
         source = "sweep_seeds" if cli.sweep_seeds is None else "--seeds"
         raise ConfigurationError(f"{source}: seeds must be >= 0, got {list(seeds)}")
     try:
-        grid = SweepGrid(axis=axis, values=values, base_config=config, seeds=seeds, recipe=recipe)
+        with _naming_split_keys(cli, recipe):
+            grid = SweepGrid(axis=axis, values=values, base_config=config, seeds=seeds,
+                             recipe=recipe)
     except OSError as exc:
         raise ConfigurationError(f"{cli.config_path}: data_csv: {exc}") from None
     return grid, to_document(SweepKeys(sweep_axis=axis, sweep_values=values, sweep_seeds=seeds))
@@ -203,9 +208,25 @@ def _run_dir(cli: argparse.Namespace, primary: str, snapshot: dict | None = None
     marker.unlink(missing_ok=True)
 
 
-def _run_inputs(cli: argparse.Namespace) -> tuple[TrainConfig, Dataset, dict]:
+@contextmanager
+def _naming_split_keys(cli: argparse.Namespace, recipe: DataRecipe):
+    """An EmptySubsetError of the block, led by the config file and the keys
+    that split its dataset."""
+    try:
+        yield
+    except EmptySubsetError as exc:
+        raise EmptySubsetError(f"{cli.config_path}: data_clean_fraction "
+                               f"{recipe.clean_fraction!r}, data_test_fraction "
+                               f"{recipe.test_fraction!r}: {exc}") from None
+
+
+def _run_inputs(cli: argparse.Namespace, *stages: str,
+                split: str | None = None) -> tuple[TrainConfig, Dataset, dict]:
     """The effective config, the dataset its recipe builds, and the config.json
-    snapshot; an error building the dataset names the config file."""
+    snapshot; an error building the dataset names the config file, and a
+    dataset without a subset that one of `stages` trains on
+    (`pipeline.check_trains`), or without samples in `split`, names the
+    config file and its split keys."""
     config, recipe, _ = _effective_config(cli)
     try:
         dataset, _ = recipe.build(config.seed)
@@ -213,6 +234,10 @@ def _run_inputs(cli: argparse.Namespace) -> tuple[TrainConfig, Dataset, dict]:
         raise ConfigurationError(f"{cli.config_path}: data_csv: {exc}") from None
     except GuidanceLearnError as exc:
         raise type(exc)(f"{cli.config_path}: {exc}") from None
+    with _naming_split_keys(cli, recipe):
+        check_trains(dataset, *stages)
+        if split is not None:
+            check_split(dataset, split)
     return config, dataset, _snapshot(config, recipe)
 
 
@@ -256,14 +281,15 @@ def _cmd_inject_noise(cli: argparse.Namespace) -> str:
 
 
 def _cmd_train_teacher(cli: argparse.Namespace) -> str:
-    config, dataset, snapshot = _run_inputs(cli)
+    config, dataset, snapshot = _run_inputs(cli, "teacher")
     with _run_dir(cli, "report.json", snapshot) as out:
         teacher, report = train_teacher(dataset, config)
         return _write_run(out, snapshot, report, {"teacher": teacher})
 
 
 def _cmd_train_student(cli: argparse.Namespace) -> str:
-    config, dataset, snapshot = _run_inputs(cli)
+    stages = ("teacher", "student") if cli.teacher is None else ("student",)
+    config, dataset, snapshot = _run_inputs(cli, *stages)
     teacher = None if cli.teacher is None else _load_model(cli.teacher, dataset)
     with _run_dir(cli, "report.json", snapshot) as out:
         if teacher is None:
@@ -278,7 +304,7 @@ def _cmd_train_student(cli: argparse.Namespace) -> str:
 
 
 def _cmd_finetune(cli: argparse.Namespace) -> str:
-    config, dataset, snapshot = _run_inputs(cli)
+    config, dataset, snapshot = _run_inputs(cli, "finetune")
     model = _load_model(cli.checkpoint, dataset)
     with _run_dir(cli, "report.json", snapshot) as out:
         finetuned, report = finetune_clean(model, dataset, config)
@@ -286,7 +312,7 @@ def _cmd_finetune(cli: argparse.Namespace) -> str:
 
 
 def _cmd_baseline(cli: argparse.Namespace) -> str:
-    config, dataset, snapshot = _run_inputs(cli)
+    config, dataset, snapshot = _run_inputs(cli, *BASELINE_VARIANTS[cli.variant])
     with _run_dir(cli, "report.json", snapshot) as out:
         models, report = run_baseline(cli.variant, dataset, config)
         return _write_run(out, snapshot, report, models)
@@ -306,7 +332,7 @@ def _cmd_sweep(cli: argparse.Namespace) -> str:
 
 
 def _cmd_eval(cli: argparse.Namespace) -> str:
-    _, dataset, _ = _run_inputs(cli)
+    _, dataset, _ = _run_inputs(cli, split=cli.split)
     acc = accuracy(_load_model(cli.checkpoint, dataset), dataset, cli.split)
     return f"{cli.split} accuracy: {acc!r}"
 

@@ -7,7 +7,7 @@ for: labels of noisy-train samples are corrupted either symmetrically
 realization for a sample depends only on (seed, sample index), so changing
 the split does not reshuffle which samples get corrupted. `Slices` holds
 the data of a stack of models (see `nn`), one dataset and batch stream per
-slice.
+slice, and runs a model over its rows in bounded row blocks.
 """
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import nn
 from .errors import (
     ConfigurationError,
     DataError,
@@ -41,6 +42,10 @@ STREAM_MIXED_NOISY = 3
 STREAM_MIXED_CLEAN = 4
 
 MANIFEST_FORMAT_VERSION = 1
+
+# `Slices.logits` forwards at most this many activation entries per slice at a
+# time: 2 MiB of float64, so 1,024 rows at width 256 and 4,096 at width 64.
+FORWARD_BLOCK_ENTRIES = 2**18
 
 
 @dataclass
@@ -118,7 +123,11 @@ class FlipMask:
 
 
 def make_blobs(classes: int, per_class: int, dim: int, sigma: float, seed: int) -> Dataset:
-    """Gaussian clusters around seeded centers rescaled to unit min separation."""
+    """Gaussian clusters around seeded centers rescaled to unit min separation.
+
+    The features are built in place, so the [classes * per_class, dim] draw
+    is the one array of that size the build holds.
+    """
     if classes < 2:
         raise ParameterError(f"need at least 2 classes, got {classes}")
     if dim < 2:
@@ -137,7 +146,10 @@ def make_blobs(classes: int, per_class: int, dim: int, sigma: float, seed: int) 
         raise DataError("degenerate seeded centers (coincident)")
     centers /= min_dist
     labels = np.repeat(np.arange(classes), per_class)
-    features = centers[labels] + sigma * rng.normal(size=(labels.size, dim))
+    features = rng.normal(size=(labels.size, dim))
+    features *= sigma
+    blobs = features.reshape(classes, per_class, dim)  # a view: class c's rows are blobs[c]
+    blobs += centers[:, None, :]
     return Dataset(
         features=features,
         labels=labels.copy(),
@@ -335,6 +347,20 @@ class Slices:
     def rows(self, array: np.ndarray, indices: np.ndarray) -> np.ndarray:
         """The rows `indices` of `features`, `labels` or `truth`."""
         return array.take(indices, axis=0)
+
+    def logits(self, params: nn.ModelParams, indices: np.ndarray) -> np.ndarray:
+        """`nn.forward(params, self.rows(self.features, indices))` in row
+        blocks: the index columns are cut by `np.array_split` into the fewest
+        even blocks of at most FORWARD_BLOCK_ENTRIES // widest layer rows per
+        slice, and the blocks' logits are joined along the row axis. So a
+        pass over a whole split holds one block's activations, not the
+        split's. Each row goes through the same operations; on OpenBLAS,
+        blocks of 256 rows or more give the bits of one pass over all rows
+        (smaller ones may not)."""
+        rows = max(1, FORWARD_BLOCK_ENTRIES // max(params.layer_dims))
+        blocks = max(1, -(-indices.shape[-1] // rows))
+        return np.concatenate([nn.forward(params, self.rows(self.features, part))
+                               for part in np.array_split(indices, blocks, axis=-1)], axis=-2)
 
     def indices(self, *tags: str) -> np.ndarray:
         """The rows of the samples with any of `tags`, ascending: [K, n] per

@@ -29,6 +29,10 @@ class ConfigurationError(GuidanceLearnError):
     """A run is configured in a way that cannot be executed."""
 
 
+class EmptySubsetError(ConfigurationError):
+    """The data has no samples in a split or subset that a run needs."""
+
+
 class ConsistencyError(GuidanceLearnError):
     """Two artifacts that must agree (cache vs. config, ...) do not."""
 

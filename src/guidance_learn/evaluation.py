@@ -9,8 +9,9 @@ import numpy as np
 
 from . import guidance, nn
 from .data import TEST, DataRecipe, Dataset, Slices, layout
-from .errors import GuidanceLearnError, InputError, ParameterError
-from .pipeline import TrainConfig, check_fits, finetune_clean, train_student, train_teacher
+from .errors import EmptySubsetError, GuidanceLearnError, InputError, ParameterError
+from .pipeline import (TrainConfig, check_fits, check_split, check_trains, finetune_clean,
+                       train_student, train_teacher)
 from .serialize import to_document
 
 # sweep axis -> the TrainConfig or DataRecipe field it sets
@@ -24,15 +25,18 @@ def accuracy(params: nn.ModelParams, dataset: Dataset | Slices, tag: str) -> flo
     list of K fractions, one per slice, for a stack (on per-slice data, each
     slice's own split).
 
-    np.argmax breaks ties toward the lowest class index. A model that does
-    not fit the data (`pipeline.check_fits`) is a ShapeError.
+    np.argmax breaks ties toward the lowest class index. The logits come in
+    row blocks of at most 2^18 // widest layer rows per slice
+    (`data.Slices.logits`), so the pass holds one block's activations,
+    however large the split. A model that does not fit the data
+    (`pipeline.check_fits`) is a ShapeError.
     """
     data = dataset if isinstance(dataset, Slices) else Slices(dataset)
     check_fits(params, data, "model")
     idx = data.indices(tag)
     if idx.size == 0:
         raise InputError(f"split {tag!r} is empty")
-    preds = np.argmax(nn.forward(params, data.rows(data.features, idx)), axis=-1)
+    preds = np.argmax(data.logits(params, idx), axis=-1)
     return (preds == data.rows(data.truth, idx)).mean(axis=-1).tolist()
 
 
@@ -42,7 +46,9 @@ class SweepGrid:
     dataset recipe. Making a grid checks it whole, before any training: each
     cell's config and recipe (an error names the cell), the noise model that
     a noise_rate sweep needs, and each distinct dataset, built once into
-    `datasets` (by `data_key`), which must have a test split."""
+    `datasets` (by `data_key`), which must have a test split and the subsets
+    that the teacher, student and fine-tune stages train on (an
+    EmptySubsetError naming the cell)."""
 
     axis: str
     values: tuple[float, ...]
@@ -76,8 +82,11 @@ class SweepGrid:
                 key = self.data_key(value, seed)
                 if key not in datasets:
                     datasets[key], _ = recipe.build(seed)
-                    if datasets[key].indices(TEST).size == 0:
-                        raise InputError(f"split {TEST!r} is empty")
+                    try:
+                        check_split(datasets[key], TEST)
+                        check_trains(datasets[key], "teacher", "student", "finetune")
+                    except EmptySubsetError as exc:
+                        raise EmptySubsetError(f"sweep {self.axis}={value!r}: {exc}") from None
         object.__setattr__(self, "datasets", datasets)
 
     def data_key(self, value: float, seed: int) -> tuple:

@@ -78,14 +78,16 @@ def compute_teacher_soft_targets(
     teacher is a stack of one model per source of the data (`data.Slices`),
     a single model being a stack of one, and slice k's targets are those of
     its source's teacher on its own noisy samples; the cache has a slice axis
-    when the data or the temperatures have one (InputError when empty)."""
+    when the data or the temperatures have one (InputError when empty). The
+    pass runs in row blocks of at most 2^18 // widest layer rows per slice
+    (`data.Slices.logits`), so it holds the targets and one block's
+    activations, however many noisy samples there are."""
     data = dataset if isinstance(dataset, Slices) else Slices(dataset)
     noisy_idx = data.indices(NOISY_TRAIN)
     sources = data.per_source()
     if teacher.weights[0].shape[:-2] not in ((), sources.source.shape):
         raise ShapeError(f"{len(teacher.weights[0])} teachers for {data.num_sources} sources")
-    logits = nn.forward(nn.take(teacher, sources.source),
-                        sources.rows(sources.features, sources.indices(NOISY_TRAIN)))
+    logits = sources.logits(nn.take(teacher, sources.source), sources.indices(NOISY_TRAIN))
     slices = np.broadcast_shapes(np.shape(temperature), data.source.shape)
     return GuidanceCache(
         indices=np.broadcast_to(noisy_idx, slices + noisy_idx.shape[-1:]).copy(),

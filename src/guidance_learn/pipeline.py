@@ -22,10 +22,20 @@ import numpy as np
 
 from . import guidance, nn
 from .data import CLEAN_TRAIN, NOISY_TRAIN, TEST, Dataset, Slices
-from .errors import ConfigurationError, DivergenceError, InputError, ParameterError, ShapeError
+from .errors import (ConfigurationError, DivergenceError, EmptySubsetError, InputError,
+                     ParameterError, ShapeError)
 from .serialize import from_document, to_document
 
-BASELINE_VARIANTS = ("noisy_only", "clean_only", "mixed", "guidance", "guidance_finetuned")
+# stage -> the subsets it trains on, each given by its split tags; the
+# single-set baselines train from scratch as the teacher does
+TRAINS_ON = {"teacher": ((CLEAN_TRAIN, NOISY_TRAIN),), "mixed": ((CLEAN_TRAIN, NOISY_TRAIN),),
+             "noisy_only": ((NOISY_TRAIN,),), "clean_only": ((CLEAN_TRAIN,),),
+             "student": ((NOISY_TRAIN,), (CLEAN_TRAIN,)), "finetune": ((CLEAN_TRAIN,),)}
+
+# baseline variant -> the stages it runs
+BASELINE_VARIANTS = {"noisy_only": ("noisy_only",), "clean_only": ("clean_only",),
+                     "mixed": ("mixed",), "guidance": ("teacher", "student"),
+                     "guidance_finetuned": ("teacher", "student", "finetune")}
 
 Schedule = tuple[tuple[int, float], ...]
 
@@ -197,6 +207,26 @@ def check_fits(model: nn.ModelParams, dataset: Dataset | Slices, name: str) -> N
                          f"{dataset.num_classes} classes")
 
 
+def check_trains(dataset: Dataset | Slices, *stages: str) -> None:
+    """An EmptySubsetError naming the stage and split tags unless the data
+    has samples in every subset that each of `stages` trains on
+    (`TRAINS_ON`). Each stage checks its own; the command line checks a
+    command's stages before it opens the run directory."""
+    data = dataset if isinstance(dataset, Slices) else Slices(dataset)
+    for stage in stages:
+        for tags in TRAINS_ON[stage]:
+            if data.indices(*tags).size == 0:
+                raise EmptySubsetError(
+                    f"{stage} trains on {' + '.join(tags)} samples, and the data has none; "
+                    f"the noisy_only and clean_only baselines each train on one subset")
+
+
+def check_split(dataset: Dataset | Slices, tag: str) -> None:
+    """An EmptySubsetError unless the data has samples in split `tag`."""
+    if dataset.indices(tag).size == 0:
+        raise EmptySubsetError(f"split {tag!r} is empty")
+
+
 def _test_accuracy(params: nn.ModelParams, data: Slices) -> list[float | None]:
     """Each slice's test accuracy, None for an empty test split."""
     from .evaluation import accuracy
@@ -312,16 +342,17 @@ def _returned(stack: _Stack, params: nn.ModelParams, report: RunReport,
 
 def _train_cross_entropy(
     stack: _Stack,
-    tags: tuple[str, ...],
+    name: str,
     params: nn.ModelParams,
     schedule: Schedule,
     epochs: int,
     stage: str,
 ) -> tuple[nn.ModelParams, RunReport]:
-    """Plain cross-entropy over the samples with `tags`."""
+    """Plain cross-entropy over the subset that stage `name` trains on
+    (`TRAINS_ON`, checked here)."""
     data = stack.data
-    if data.indices(*tags).size == 0:
-        raise ConfigurationError(f"{stage}: training subset is empty")
+    check_trains(data, name)
+    tags = TRAINS_ON[name][0]
     X, y, C, B = data.features, data.labels, data.num_classes, stack.config.batch_size
     buffer = nn.Gradients.zeros(params)
 
@@ -342,15 +373,15 @@ def _train_cross_entropy(
 
 def _from_scratch(dataset: Dataset | Sequence[Dataset],
                   config: TrainConfig | Sequence[TrainConfig],
-                  tags: tuple[str, ...]) -> tuple[nn.ModelParams, RunReport]:
-    """Cross-entropy over the samples with `tags` on the teacher schedule,
-    slice k initialised and batched from its own seed: the teacher and the
-    single-set baselines."""
+                  name: str) -> tuple[nn.ModelParams, RunReport]:
+    """Cross-entropy over the subset that stage `name` trains on
+    (`TRAINS_ON`) on the teacher schedule, slice k initialised and batched
+    from its own seed: the teacher and the single-set baselines."""
     stack = _stack(dataset, config)
     dims = [stack.data.features.shape[-1], *stack.config.hidden_dims, stack.data.num_classes]
     init = nn.stack([nn.init_params(dims, c.seed) for c in stack.configs])
     return _returned(stack, *_train_cross_entropy(
-        stack, tags, init, stack.config.teacher_lr_schedule, stack.config.teacher_epochs,
+        stack, name, init, stack.config.teacher_lr_schedule, stack.config.teacher_epochs,
         stage="teacher"))
 
 
@@ -360,7 +391,7 @@ def train_teacher(
     """Stage 1: plain cross-entropy over all training samples, clean + noisy.
     K configs (and one dataset or K) train a [K, ...] stack of teachers,
     slice k initialised and batched from its own seed."""
-    return _from_scratch(dataset, config, (CLEAN_TRAIN, NOISY_TRAIN))
+    return _from_scratch(dataset, config, "teacher")
 
 
 def train_student(
@@ -387,11 +418,7 @@ def train_student(
     stack = _stack(dataset, config)
     data, config = stack.data, stack.config
     check_fits(teacher, data, "teacher")
-    if data.indices(CLEAN_TRAIN).size == 0:
-        raise ConfigurationError(
-            "student training needs a clean subset; for noisy-only training "
-            "use run_baseline('noisy_only', ...)"
-        )
+    check_trains(data, "student")
     noisy_idx = data.indices(NOISY_TRAIN)
     student = nn.take(teacher, data.source)
     alpha, beta, temperature = (np.array([getattr(c, name) for c in stack.configs])
@@ -442,7 +469,7 @@ def finetune_clean(
     if model.weights[0].shape[:-2] not in ((), slices.shape):
         raise ShapeError(f"a stack of {len(model.weights[0])} models for {slices.size} configs")
     return _returned(stack, *_train_cross_entropy(
-        stack, (CLEAN_TRAIN,), nn.take(model, slices),
+        stack, "finetune", nn.take(model, slices),
         stack.config.effective_finetune_schedule(), stack.config.finetune_epochs,
         stage="finetune"))
 
@@ -452,13 +479,18 @@ def run_baseline(
 ) -> tuple[dict[str, nn.ModelParams], RunReport]:
     """Run one comparison variant: its models by checkpoint name ("model";
     or "teacher" and "student", plus "finetuned") and its report. Reports
-    of one dataset and config differ only in their variant field."""
-    subsets = {"noisy_only": (NOISY_TRAIN,), "clean_only": (CLEAN_TRAIN,),
-               "mixed": (CLEAN_TRAIN, NOISY_TRAIN)}
-    if variant in subsets:
-        params, report = _from_scratch(dataset, config, subsets[variant])
+    of one dataset and config differ only in their variant field. Data
+    without a subset that one of the variant's stages trains on is an
+    EmptySubsetError before any training."""
+    if variant not in BASELINE_VARIANTS:
+        raise ParameterError(
+            f"unknown baseline variant {variant!r}; expected one of {tuple(BASELINE_VARIANTS)}"
+        )
+    check_trains(dataset, *BASELINE_VARIANTS[variant])
+    if variant in ("noisy_only", "clean_only", "mixed"):
+        params, report = _from_scratch(dataset, config, variant)
         models = {"model": params}
-    elif variant in ("guidance", "guidance_finetuned"):
+    else:
         teacher, _ = train_teacher(dataset, config)
         cache = guidance.compute_teacher_soft_targets(teacher, dataset, config.temperature)
         student, report = train_student(teacher, dataset, config, cache)
@@ -471,10 +503,6 @@ def run_baseline(
                 **student_report.checkpoint_fingerprints,
                 "finetuned": report.checkpoint_fingerprints["model"],
             }
-    else:
-        raise ParameterError(
-            f"unknown baseline variant {variant!r}; expected one of {BASELINE_VARIANTS}"
-        )
     report.variant = variant
     return models, report
 

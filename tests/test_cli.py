@@ -194,9 +194,9 @@ def test_refuses_overwrite_without_force(tmp_path, config_file, capsys):
 
 
 def test_failed_run_leaves_incomplete_marker(tmp_path):
-    # clean_fraction 0 -> student training cannot run
+    # the student diverges after the teacher and its cache are written
     path = tmp_path / "c.json"
-    write_canonical_json(path, small_config_doc(data_clean_fraction=0.0))
+    write_canonical_json(path, small_config_doc(student_lr_schedule=[[0, 1e100]]))
     out = tmp_path / "broken"
     code = cli.main(["train-student", "--config", str(path), "--out", str(out)])
     assert code != 0
@@ -426,7 +426,9 @@ def test_sweep_with_an_empty_test_split_exits_1_before_training(tmp_path, capsys
                         lambda *args: pytest.fail("a teacher was trained"))
     assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "sweep"),
                      "--axis", "beta", "--values", "0.0,0.3"]) == 1
-    assert capsys.readouterr().err == "error: split 'test' is empty\n"
+    assert capsys.readouterr().err == (f"error: {path}: data_clean_fraction 0.1, "
+                                       f"data_test_fraction 0.0: sweep beta=0.0: "
+                                       f"split 'test' is empty\n")
 
 
 def test_train_student_builds_no_model_per_step(tmp_path, monkeypatch):
@@ -619,15 +621,41 @@ def test_forced_rerun_with_a_bad_teacher_leaves_the_finished_run_as_it_was(tmp_p
      "noise_rate sweep needs a noise model (noise_model is 'none')"),
     (["sweep", "--axis", "beta", "--values", "0.1"], {"data_kind": "csv", "data_csv": "{missing}"},
      "{config}: data_csv: [Errno 2] No such file or directory: '{missing}'"),
-], ids=["class-too-small", "missing-data-csv", "sweep-noise-model", "sweep-missing-data-csv"])
+    (["train-student"], {"data_clean_fraction": 0.0},
+     "{config}: data_clean_fraction 0.0, data_test_fraction 0.2: student trains on "
+     "clean_train samples, and the data has none"),
+    (["sweep", "--axis", "beta", "--values", "0.1"], {"data_clean_fraction": 0.0},
+     "{config}: data_clean_fraction 0.0, data_test_fraction 0.2: sweep beta=0.1: student "
+     "trains on clean_train samples"),
+    (["sweep", "--axis", "clean_fraction", "--values", "0.0,0.1"], {},
+     "{config}: data_clean_fraction 0.1, data_test_fraction 0.2: sweep clean_fraction=0.0: "
+     "student trains on clean_train samples"),
+    (["baseline", "--variant", "guidance"], {"data_clean_fraction": 0.0},
+     "{config}: data_clean_fraction 0.0, data_test_fraction 0.2: student trains on "
+     "clean_train samples"),
+    (["baseline", "--variant", "clean_only"], {"data_clean_fraction": 0.0},
+     "{config}: data_clean_fraction 0.0, data_test_fraction 0.2: clean_only trains on "
+     "clean_train samples"),
+    (["finetune", "--checkpoint", "{missing}"], {"data_clean_fraction": 0.0},
+     "{config}: data_clean_fraction 0.0, data_test_fraction 0.2: finetune trains on "
+     "clean_train samples"),
+    (["sweep", "--axis", "beta", "--values", "0.1"], {"data_test_fraction": 0.0},
+     "{config}: data_clean_fraction 0.1, data_test_fraction 0.0: sweep beta=0.1: "
+     "split 'test' is empty"),
+    (["eval", "--checkpoint", "{missing}", "--split", "test"], {"data_test_fraction": 0.0},
+     "{config}: data_clean_fraction 0.1, data_test_fraction 0.0: split 'test' is empty"),
+], ids=["class-too-small", "missing-data-csv", "sweep-noise-model", "sweep-missing-data-csv",
+        "student-no-clean", "sweep-beta-no-clean", "sweep-clean-fraction-0", "guidance-no-clean",
+        "clean-only-no-clean", "finetune-no-clean", "sweep-no-test", "eval-no-test"])
 def test_dataset_build_error_names_the_config_file_or_key(tmp_path, capsys, argv, doc,
                                                           message):
     names = {"config": tmp_path / "c.json", "missing": tmp_path / "missing.csv"}
     write_canonical_json(names["config"], small_config_doc(
         **{k: v.format(**names) if isinstance(v, str) else v for k, v in doc.items()}))
     out = tmp_path / "out"
-    assert cli.main([argv[0], "--config", str(names["config"]), "--out", str(out),
-                     *argv[1:]]) == 1
+    out_flag = [] if argv[0] == "eval" else ["--out", str(out)]  # eval writes no run directory
+    assert cli.main([argv[0], "--config", str(names["config"]), *out_flag,
+                     *(a.format(**names) for a in argv[1:])]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message.format(**names)}"), err
     assert not out.exists()

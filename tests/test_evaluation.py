@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from guidance_learn import data, evaluation, nn, pipeline
+from guidance_learn import data, evaluation, guidance, nn, pipeline
 from guidance_learn.errors import InputError, ParameterError
 from guidance_learn.serialize import canonical_json
 from helpers import copy, train_student
@@ -68,6 +70,67 @@ def test_accuracy_invariant_to_prediction_temperature():
         p1 = np.argmax(nn.softmax_t(logits, 1.0), axis=1)
         p5 = np.argmax(nn.softmax_t(logits, 5.0), axis=1)
         assert np.array_equal(p1, p5)
+
+
+def test_blocked_passes_change_no_bit(monkeypatch):
+    """Whole-split passes run in even row blocks, and their accuracy and soft
+    targets have the bits of one `nn.forward` over the gathered rows: for a
+    single model, and for a 3-slice stack over two datasets (two teachers)
+    with per-slice temperatures. 3,005 samples at width 256 are three blocks
+    of at most 1,024 rows, one of them a row shorter."""
+    width = 256
+    datasets = [data.make_blobs(5, 601, 8, sigma=0.5, seed=seed) for seed in (0, 1)]
+    teachers = nn.stack([nn.init_params([8, width, 5], seed=seed) for seed in (2, 3)])
+    idx = datasets[0].indices(data.NOISY_TRAIN)
+    blocks = -(-idx.size // (data.FORWARD_BLOCK_ENTRIES // width))
+    assert blocks >= 3 and idx.size % blocks
+
+    def reference(model, dataset, temperature):
+        logits = nn.forward(model, dataset.features[idx])
+        correct = np.argmax(logits, axis=-1) == dataset.true_labels[idx]
+        return correct.mean(), nn.softmax_t(logits, temperature)
+
+    one = nn.take(teachers, 0)
+    slices = data.Slices([datasets[0], datasets[1], datasets[0]])
+    temperatures = [5.0, 2.0, 1.0]
+    want_one = reference(one, datasets[0], 5.0)
+    want = [reference(nn.take(teachers, source), dataset, T) for source, dataset, T in
+            zip(slices.source, [datasets[0], datasets[1], datasets[0]], temperatures)]
+
+    rows, forward = [], nn.forward
+    monkeypatch.setattr(nn, "forward", lambda params, batch: (
+        rows.append(batch.shape[-2]) or forward(params, batch)))
+    assert evaluation.accuracy(one, datasets[0], data.NOISY_TRAIN) == want_one[0]
+    assert np.array_equal(
+        guidance.compute_teacher_soft_targets(one, datasets[0], 5.0).targets, want_one[1])
+    assert rows == 2 * [part.size for part in np.array_split(idx, blocks)]
+    students = nn.take(teachers, slices.source)
+    assert evaluation.accuracy(students, slices, data.NOISY_TRAIN) == [acc for acc, _ in want]
+    cache = guidance.compute_teacher_soft_targets(teachers, slices, temperatures)
+    for k, (_, targets) in enumerate(want):
+        assert np.array_equal(cache.targets[k], targets)
+
+
+def test_whole_split_passes_hold_one_block_not_the_split():
+    """The traced peak of a soft-target pass and of an accuracy pass over
+    20,000 samples stays under 8 MiB; one pass over all rows at width 256
+    holds about 40 MB of activations."""
+    dataset = data.make_blobs(10, 2000, 32, sigma=0.5, seed=0)
+    teacher = nn.init_params([32, 256, 10], seed=1)
+    nn.fingerprint(teacher)  # the pass fingerprints the teacher; its encoding is kept
+    limit = 8 * 2**20
+    tracemalloc.start()
+    try:
+        cache = guidance.compute_teacher_soft_targets(teacher, dataset, 5.0)
+        _, soft_targets_peak = tracemalloc.get_traced_memory()
+        del cache
+        tracemalloc.reset_peak()
+        evaluation.accuracy(teacher, dataset, data.NOISY_TRAIN)
+        _, accuracy_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert soft_targets_peak < limit and accuracy_peak < limit, (soft_targets_peak,
+                                                                 accuracy_peak)
 
 
 def _sweep_inputs():
