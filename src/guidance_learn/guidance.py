@@ -22,7 +22,7 @@ import numpy as np
 from . import nn
 from .data import NOISY_TRAIN, Dataset, Slices
 from .errors import ConsistencyError, InputError, ParameterError, ShapeError
-from .serialize import _write_atomic, canonical_json
+from .serialize import _compact_json, _write_atomic
 
 CACHE_FORMAT_VERSION = 1
 
@@ -206,4 +206,5 @@ def cache_dict(cache: GuidanceCache) -> dict:
 
 
 def save_cache(cache: GuidanceCache, path) -> None:
-    _write_atomic(path, canonical_json(cache_dict(cache)).encode("utf-8"))
+    """Write `cache_dict(cache)` atomically as compact, key-sorted JSON."""
+    _write_atomic(path, _compact_json(cache_dict(cache)))

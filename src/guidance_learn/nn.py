@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FormatError, GuidanceLearnError, InputError, ParameterError, ShapeError
-from .serialize import _write_atomic, canonical_json, read_field, read_json_object
+from .serialize import _compact_json, _write_atomic, read_field, read_json_object
 
 PROB_CLAMP = 1e-12
 CHECKPOINT_FORMAT_VERSION = 1
@@ -412,13 +412,13 @@ def _encoded(params: ModelParams, need_bytes: bool) -> tuple[bytes, str, bytes |
     state = _state_digest(params)
     cached = params._encoding
     if cached is None or cached[0] != state or (need_bytes and cached[2] is None):
-        data = canonical_json(checkpoint_dict(params)).encode("utf-8")
+        data = _compact_json(checkpoint_dict(params))
         cached = params._encoding = (state, hashlib.sha256(data).hexdigest(), data)
     return cached
 
 
 def fingerprint(params: ModelParams) -> str:
-    """sha256 of the canonical checkpoint serialization."""
+    """sha256 of the checkpoint bytes `save_checkpoint` writes."""
     return _encoded(params, need_bytes=False)[1]
 
 
