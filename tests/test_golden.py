@@ -61,73 +61,73 @@ GOLDEN = {
         "config.json":
             "852e0d96b107d05884f13e04b4ec6cb2eec84a63c72225309599d3f3326e44f0",
         "model.ckpt":
-            "1ebfb3ba4db9cf5857169921294f6cea5890914a0d040ee7e613bcb0d9850c5a",
+            "5b705fc96327dbe8cee4b6742fde427ef86cdfffe8a49471d0fc7a22febfb4e1",
         "report.json":
-            "342b3480c082dc2aa049c54ef5c3fd6e81d14f2ac6aac967508c53710b32b79b",
+            "90d1d0f8757d35da7a5a7ec3caa98a175a25642d5ff01f39b2bbaa10a6a33e8f",
     },
     "baseline_guidance_finetuned": {
         "config.json":
             "852e0d96b107d05884f13e04b4ec6cb2eec84a63c72225309599d3f3326e44f0",
         "finetuned.ckpt":
-            "112c12cf78b9463f97e1d4e733ad84f74e3a3bd9d3fb99fc6b741b3549ada4ca",
+            "1b4dc04831670c02e006812d74083230c25dca3b286a88fa6ac91be74fed8683",
         "report.json":
-            "79eb0e823bb1ca510e8fdcfc0cc0e0612b5e0dc5f8faa45f46dc70493ff8c662",
+            "a7f299c6452725a5e00bfd319b9c9c43a65d2fe19def74c6265e5ec4505d4b28",
         "student.ckpt":
-            "a377642342bdfe00e2a74fb56a0f88ec7ac6d6da3446ae4ea70604af3d717fad",
+            "f7061187d81f419ab2559a420e8ceaa974fbda3cb65bc14eb6550f90e1635872",
         "teacher.ckpt":
-            "7ef75106b351d9c384e6c3e3877597a13c16dd91397115cd1b4a9547f6e0ee4f",
+            "bf1aab8339a8973ab259dde240b715eb48670629c9ae3d6680f064993c72d800",
     },
     "baseline_mixed": {
         "config.json":
             "852e0d96b107d05884f13e04b4ec6cb2eec84a63c72225309599d3f3326e44f0",
         "model.ckpt":
-            "7ef75106b351d9c384e6c3e3877597a13c16dd91397115cd1b4a9547f6e0ee4f",
+            "bf1aab8339a8973ab259dde240b715eb48670629c9ae3d6680f064993c72d800",
         "report.json":
-            "d72fdc81bf907e50961195028a61c529762cc63844602f6a02078dc5aff9e007",
+            "dac8d679441eee221c515dcb7225c5c4b5475c763914cb879ae2a015f7ac3fcf",
     },
     "baseline_noisy_only": {
         "config.json":
             "852e0d96b107d05884f13e04b4ec6cb2eec84a63c72225309599d3f3326e44f0",
         "model.ckpt":
-            "48ac76f45e614876f1a5cfe21a096079a9f223cda6c18c0903baa310d5ceab88",
+            "4f83a9522f38ee706fb8c962c0d666d7f2d786965c9c34f1c1471418c8c70cbf",
         "report.json":
-            "ff6ad88d6952083bb8296d691a695bc57760010078c1f2162fbdee4ab4640014",
+            "fda275678d0b55d32f49e02fcfe1aa9387263f1de8c6abb8af740a13a59135c4",
     },
     "student": {
         "config.json":
             "852e0d96b107d05884f13e04b4ec6cb2eec84a63c72225309599d3f3326e44f0",
         "guidance_cache.bin":
-            "7ab75ff6bb530ccc4e23272b6c902ea89d0cb6c6acf5cc29a5e0a74e31db5c7b",
+            "9a1d39de0a02fe3a0ec5bb34825b78cc2d536ea2de009cf5bb8d2a8c9ce8115d",
         "report.json":
-            "d20c0f2a8460e987dcd95697e5f1f639dfe670d601a228428be488b36b262777",
+            "a2cfd5e74284b32118279cd63a1bc8ceae8e7c4a641a2fce9b103c68397ea2a8",
         "student.ckpt":
-            "a377642342bdfe00e2a74fb56a0f88ec7ac6d6da3446ae4ea70604af3d717fad",
+            "f7061187d81f419ab2559a420e8ceaa974fbda3cb65bc14eb6550f90e1635872",
         "teacher.ckpt":
-            "7ef75106b351d9c384e6c3e3877597a13c16dd91397115cd1b4a9547f6e0ee4f",
+            "bf1aab8339a8973ab259dde240b715eb48670629c9ae3d6680f064993c72d800",
     },
     "student_alpha0": {
         "config.json":
             "dcd08a7b9d63f4941507acbcafe3e773e60ea975059082b5a6062565d13e67f0",
         "guidance_cache.bin":
-            "7ab75ff6bb530ccc4e23272b6c902ea89d0cb6c6acf5cc29a5e0a74e31db5c7b",
+            "9a1d39de0a02fe3a0ec5bb34825b78cc2d536ea2de009cf5bb8d2a8c9ce8115d",
         "report.json":
-            "56af5f45ef40c66cceada944423e0ff2db2a0d80910b34a8744eeb725e46973e",
+            "240b0c117004b79fb6b07b71ce56fd636dd27077706eb25296bdcf4937f87f6f",
         "student.ckpt":
-            "1f26128b9d266c7542350842d89999ac74d7ad3501206f0bedccd2b807ab611b",
+            "ae3d3221295a577b84bd06a8ff155733d5f2df87ca8033037bd4a2e42a14e636",
         "teacher.ckpt":
-            "7ef75106b351d9c384e6c3e3877597a13c16dd91397115cd1b4a9547f6e0ee4f",
+            "bf1aab8339a8973ab259dde240b715eb48670629c9ae3d6680f064993c72d800",
     },
     "student_from_teacher": {
         "config.json":
             "852e0d96b107d05884f13e04b4ec6cb2eec84a63c72225309599d3f3326e44f0",
         "guidance_cache.bin":
-            "7ab75ff6bb530ccc4e23272b6c902ea89d0cb6c6acf5cc29a5e0a74e31db5c7b",
+            "9a1d39de0a02fe3a0ec5bb34825b78cc2d536ea2de009cf5bb8d2a8c9ce8115d",
         "report.json":
-            "d20c0f2a8460e987dcd95697e5f1f639dfe670d601a228428be488b36b262777",
+            "a2cfd5e74284b32118279cd63a1bc8ceae8e7c4a641a2fce9b103c68397ea2a8",
         "student.ckpt":
-            "a377642342bdfe00e2a74fb56a0f88ec7ac6d6da3446ae4ea70604af3d717fad",
+            "f7061187d81f419ab2559a420e8ceaa974fbda3cb65bc14eb6550f90e1635872",
         "teacher.ckpt":
-            "7ef75106b351d9c384e6c3e3877597a13c16dd91397115cd1b4a9547f6e0ee4f",
+            "bf1aab8339a8973ab259dde240b715eb48670629c9ae3d6680f064993c72d800",
     },
     "sweep_T": {
         "config.json":
