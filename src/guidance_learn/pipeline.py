@@ -101,6 +101,8 @@ class TrainConfig:
             raise ParameterError(f"temperature must be > 0, got {self.temperature}")
         if self.batch_size < 1:
             raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
+        if any(width < 1 for width in self.hidden_dims):
+            raise ParameterError(f"hidden_dims must all be >= 1, got {list(self.hidden_dims)}")
         if not (0 <= self.momentum < 1):
             raise ParameterError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.weight_decay < 0:

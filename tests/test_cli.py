@@ -229,6 +229,7 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     ("teacher_lr_schedule", [[0]]),
     ("batch_size", 64.7),
     ("seed", True),
+    ("hidden_dims", [0]),
 ])
 def test_config_value_of_wrong_type_names_file_and_key(tmp_path, capsys, key, value):
     path = tmp_path / "c.json"
@@ -385,6 +386,27 @@ def test_train_student_encodes_each_checkpoint_once(tmp_path, config_file, monke
     for role in ("teacher", "student"):
         digest = hashlib.sha256((out / f"{role}.ckpt").read_bytes()).hexdigest()
         assert report["checkpoint_fingerprints"][role] == digest
+
+
+def test_train_student_from_an_indented_teacher_writes_it_compact(tmp_path, config_file):
+    """A teacher checkpoint in the indented form that older versions wrote is
+    read, and the run saves it compact, fingerprinted by its own bytes."""
+    assert cli.main(["train-teacher", "--config", str(config_file),
+                     "--out", str(tmp_path / "teacher")]) == 0
+    compact = (tmp_path / "teacher" / "teacher.ckpt").read_bytes()
+    indented = tmp_path / "indented.ckpt"
+    indented.write_text(serialize.canonical_json(json.loads(compact)))
+    assert indented.read_bytes() != compact
+    out = tmp_path / "student"
+    assert cli.main(["train-student", "--config", str(config_file), "--out", str(out),
+                     "--teacher", str(indented)]) == 0
+    saved = (out / "teacher.ckpt").read_bytes()
+    assert saved == compact
+    digest = hashlib.sha256(saved).hexdigest()
+    report = json.loads((out / "report.json").read_text())
+    assert report["checkpoint_fingerprints"]["teacher"] == digest
+    cache = json.loads((out / "guidance_cache.bin").read_text())
+    assert cache["teacher_fingerprint"] == digest
 
 
 @pytest.mark.parametrize("override, sizes", [
