@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from guidance_learn import nn
 from guidance_learn.errors import InputError, ParameterError, ShapeError
+from guidance_learn.serialize import canonical_json
 from helpers import copy, fd_gradients, max_rel_error, random_net, random_probs, stack
 from helpers import params_bytes
 
@@ -384,6 +387,22 @@ def test_checkpoint_roundtrip_is_byte_exact(tmp_path):
     nn.save_checkpoint(loaded, second)
     assert first.read_bytes() == second.read_bytes()
     assert nn.fingerprint(params) == nn.fingerprint(loaded)
+
+
+def test_indented_checkpoint_loads_to_bit_equal_arrays(tmp_path):
+    """A checkpoint in the indented form that older versions wrote loads to
+    the same arrays, and saves again in the compact form."""
+    params = nn.init_params([5, 7, 4], seed=13)
+    params.weights[0][0, 0] = -0.0
+    indented = tmp_path / "indented.ckpt"
+    indented.write_text(canonical_json(nn.checkpoint_dict(params)))
+    loaded = nn.load_checkpoint(indented)
+    assert params_bytes(loaded) == params_bytes(params)
+    assert loaded.rng_seed == params.rng_seed
+    compact = tmp_path / "compact.ckpt"
+    nn.save_checkpoint(loaded, compact)
+    assert compact.stat().st_size < indented.stat().st_size
+    assert hashlib.sha256(compact.read_bytes()).hexdigest() == nn.fingerprint(params)
 
 
 def test_checkpoint_of_a_stack_is_refused_before_writing(tmp_path):

@@ -1,4 +1,5 @@
-"""`canonical_json` writes exactly the stdlib's indented, sorted JSON, and
+"""`canonical_json` writes exactly the stdlib's indented, sorted JSON,
+checkpoints and caches are the stdlib's compact, sorted JSON, and
 `_write_atomic` replaces a file whole or not at all."""
 import errno
 import io
@@ -10,12 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from guidance_learn import serialize
-from guidance_learn.serialize import canonical_json
+from guidance_learn import guidance, nn, serialize
+from guidance_learn.serialize import _compact_json, canonical_json
 
 
 def _reference(doc):
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _compact_reference(doc):
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 _FLOATS = (st.floats(allow_nan=False, allow_infinity=False)
@@ -47,16 +52,37 @@ def test_canonical_json_equals_stdlib_reference_on_edge_documents():
         assert canonical_json(doc) == _reference(doc), doc
 
 
-@pytest.mark.parametrize("bad", [
+_NON_FINITE = [
     float("nan"), float("inf"), -float("inf"), [1.0, float("nan")], [float("-inf"), 2.0],
     {"a": [1, float("inf")]}, {"a": {"b": float("nan")}}, (0.5, float("inf")),
+]
+_WRITERS = {"": (canonical_json, _reference), "compact-": (_compact_json, _compact_reference)}
+
+
+@pytest.mark.parametrize("writer, reference, bad", [
+    pytest.param(writer, reference, bad,
+                 id=prefix + (repr(bad) if isinstance(bad, float) else f"bad{i}"))
+    for prefix, (writer, reference) in _WRITERS.items() for i, bad in enumerate(_NON_FINITE)
 ])
-def test_canonical_json_rejects_non_finite_floats_like_stdlib(bad):
+def test_canonical_json_rejects_non_finite_floats_like_stdlib(writer, reference, bad):
     with pytest.raises(ValueError) as ours:
-        canonical_json(bad)
+        writer(bad)
     with pytest.raises(ValueError) as stdlib:
-        _reference(bad)
+        reference(bad)
     assert str(ours.value) == str(stdlib.value)
+
+
+def test_checkpoints_and_caches_are_the_compact_stdlib_json_of_their_documents(tmp_path):
+    params = nn.init_params([5, 7, 4], seed=13)
+    nn.save_checkpoint(params, tmp_path / "model.ckpt")
+    expected = _compact_reference(nn.checkpoint_dict(params)).encode("utf-8")
+    assert (tmp_path / "model.ckpt").read_bytes() == expected
+    cache = guidance.GuidanceCache(
+        indices=np.array([2, 5, 11]), targets=np.random.default_rng(3).dirichlet(np.ones(4), 3),
+        temperature=2.5, teacher_fingerprint=nn.fingerprint(params))
+    guidance.save_cache(cache, tmp_path / "guidance_cache.bin")
+    expected = _compact_reference(guidance.cache_dict(cache)).encode("utf-8")
+    assert (tmp_path / "guidance_cache.bin").read_bytes() == expected
 
 
 @pytest.mark.parametrize("doc", [
