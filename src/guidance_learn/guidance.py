@@ -80,8 +80,9 @@ def compute_teacher_soft_targets(
     its source's teacher on its own noisy samples; the cache has a slice axis
     when the data or the temperatures have one (InputError when empty). The
     pass runs in row blocks of at most 2^18 // widest layer rows per slice
-    (`data.Slices.logits`), so it holds the targets and one block's
-    activations, however many noisy samples there are."""
+    (`data.Slices.logits`), so it holds the teacher's logits and one
+    block's activations, however many noisy samples there are; the targets
+    are those logits taken per slice, softened in place."""
     data = dataset if isinstance(dataset, Slices) else Slices(dataset)
     noisy_idx = data.indices(NOISY_TRAIN)
     sources = data.per_source()
@@ -89,10 +90,11 @@ def compute_teacher_soft_targets(
         raise ShapeError(f"{len(teacher.weights[0])} teachers for {data.num_sources} sources")
     logits = sources.logits(nn.take(teacher, sources.source), sources.indices(NOISY_TRAIN))
     slices = np.broadcast_shapes(np.shape(temperature), data.source.shape)
+    # slice k's rows are its source's, taken into the one array softened in place
+    targets = np.take(logits, np.broadcast_to(data.source, slices), axis=0)
     return GuidanceCache(
         indices=np.broadcast_to(noisy_idx, slices + noisy_idx.shape[-1:]).copy(),
-        targets=nn.softmax_t(np.broadcast_to(logits[data.source], slices + logits.shape[-2:]),
-                             temperature),
+        targets=nn.softmax_t(targets, temperature, out=targets),
         temperature=np.asarray(temperature, dtype=np.float64).tolist(),
         teacher_fingerprint=nn.fingerprint(teacher),
     )

@@ -25,11 +25,11 @@ A model's weights and biases are views of one contiguous float64 buffer,
 its `flat` array, and so are a `Gradients`' arrays, laid out alike. So a
 training loop reuses one gradient buffer per stage (`backward(..., out=)`
 writes into it) and `sgd_step` updates the parameters and the momentum
-buffer with a few operations on whole buffers, however many layers there
-are. The batch losses reduce every leading index on its own, so a loop
-that trains a block of S steps can keep each step's probabilities and get
-all S losses, [..., S], from one call on them stacked [..., S, B, C],
-each with the bits of a call on its own batch.
+buffer with six elementwise operations on the buffers, in cache-sized
+chunks, however many layers there are. The batch losses reduce every
+leading index on its own, so a loop that trains a block of S steps can keep
+each step's probabilities and get all S losses, [..., S], from one call on
+them stacked [..., S, B, C], each with the bits of a call on its own batch.
 """
 from __future__ import annotations
 
@@ -39,10 +39,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FormatError, GuidanceLearnError, InputError, ParameterError, ShapeError
-from .serialize import _compact_json, _write_atomic, read_field, read_json_object
+from .serialize import _compact_json, _write_atomic, read_field, read_json_text
 
 PROB_CLAMP = 1e-12
 CHECKPOINT_FORMAT_VERSION = 1
+# floats per `sgd_step` chunk: a chunk of its four arrays (parameters,
+# momentum, gradient, scratch) is 512 KiB, so it stays in a 2 MiB L2 cache
+# through the six passes over it; in wide training steps (2 CPUs) this beat
+# 2**15 and 2**16 floats per chunk
+SGD_CHUNK = 2**14
 
 # Sub-stream tags for seed derivation; every consumer of randomness in the
 # package draws from default_rng(SeedSequence([seed, *tags])) so streams
@@ -59,10 +64,12 @@ class ModelParams:
     class count.
 
     The arrays are copied into one buffer, `flat`, and the lists hold
-    views of it (see `Gradients`). The canonical checkpoint encoding that
+    views of it (see `Gradients`). The checkpoint encoding that
     `fingerprint` and `save_checkpoint` share is kept on the instance, keyed
     by a digest of the parameter state, so a model changed in place is
-    encoded anew.
+    encoded anew. It is the canonical compact encoding, or for a model
+    loaded from a compact checkpoint the bytes of that file
+    (`load_checkpoint`), which are then saved as read.
     """
 
     weights: list[np.ndarray]
@@ -221,13 +228,14 @@ def _logits(params: ModelParams, X: np.ndarray, inputs: list | None = None) -> n
     return a
 
 
-def softmax_t(logits: np.ndarray, temperature=1.0) -> np.ndarray:
-    """Temperature softmax exp(z_i/T) / sum_j exp(z_j/T), max-subtracted.
+def softmax_t(logits: np.ndarray, temperature=1.0, out: np.ndarray | None = None) -> np.ndarray:
+    """Temperature softmax exp(z_i/T) / sum_j exp(z_j/T), max-subtracted,
+    into `out` (which may be `logits`) or a new array.
 
     Stacked logits [K, B, C] take one temperature or K, one per slice.
     """
     return _normalized(_softened(_checked_logits(np.asarray(logits, dtype=np.float64)),
-                                 temperature))
+                                 temperature, out=out))
 
 
 def _slicewise(name: str, value, array: np.ndarray) -> np.ndarray:
@@ -368,17 +376,31 @@ def sgd_step(
     then param <- param - lr*v, updating `params` and the momentum buffers
     `velocity` (a Gradients of zeros before the first step).
 
-    Six operations on the whole `flat` buffers, whatever the layer count;
-    `scratch`, a float64 array of the parameters' size, holds the
+    Six operations on the `flat` buffers, whatever the layer count. A model
+    of more than SGD_CHUNK floats runs them chunk by chunk: each range of
+    SGD_CHUNK floats goes through all six while its slices of the four
+    arrays stay in cache. The update is elementwise, so the chunks give the
+    bits of six whole-buffer passes, and a stack updates every slice at
+    once. `scratch`, a float64 array of the parameters' size, holds the
     intermediate terms, so that a training loop allocates nothing per step.
-    Elementwise, so a stack updates every slice at once.
     """
     if grads.layout != params.layout:
         raise ShapeError(f"gradient shapes {grads.layout} != parameter shapes {params.layout}")
-    W, v = params.flat, velocity.flat
+    W, v, g = params.flat, velocity.flat, grads.flat
+    if W.size <= SGD_CHUNK:  # one chunk, without slicing: a small model's per-step cost
+        _sgd_update(W, v, g, scratch, lr, momentum, weight_decay)
+        return
+    for start in range(0, W.size, SGD_CHUNK):
+        end = start + SGD_CHUNK
+        w = W[start:end]
+        _sgd_update(w, v[start:end], g[start:end],
+                    None if scratch is None else scratch[:w.size], lr, momentum, weight_decay)
+
+
+def _sgd_update(W, v, g, scratch, lr, momentum, weight_decay) -> None:
     # momentum*v + (g + wd*W), operation for operation: the same bits
     t = np.multiply(W, weight_decay, out=scratch)
-    t += grads.flat
+    t += g
     v *= momentum
     v += t
     W -= np.multiply(v, lr, out=t)
@@ -406,9 +428,9 @@ def _state_digest(params: ModelParams) -> bytes:
 
 
 def _encoded(params: ModelParams, need_bytes: bool) -> tuple[bytes, str, bytes | None]:
-    """(state digest, sha256 hex, bytes) of `params`' canonical checkpoint,
-    encoded only when the state changed since the last encoding or the bytes
-    are needed but were dropped by a save."""
+    """(state digest, sha256 hex, bytes) of `params`' checkpoint, encoded
+    canonically only when the state changed since the last encoding (or
+    loading) or the bytes are needed but were dropped by a save."""
     state = _state_digest(params)
     cached = params._encoding
     if cached is None or cached[0] != state or (need_bytes and cached[2] is None):
@@ -423,9 +445,10 @@ def fingerprint(params: ModelParams) -> str:
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
-    """Write the canonical checkpoint atomically; afterwards only its sha256
-    stays on `params`, not the bytes. A checkpoint holds one model: a stack
-    is a ShapeError, and nothing is written."""
+    """Write the checkpoint encoding of `params` (see `ModelParams`)
+    atomically; afterwards only its sha256 stays on `params`, not the bytes.
+    A checkpoint holds one model: a stack is a ShapeError, and nothing is
+    written."""
     if params.weights[0].ndim != 2:
         raise ShapeError(f"a checkpoint holds one model, not a stack of "
                          f"{params.weights[0].shape[0]}")
@@ -444,8 +467,19 @@ def _checkpoint_arrays(doc: dict, key: str, path) -> list[np.ndarray]:
                           f"arrays of numbers: {exc}") from exc
 
 
+def _is_compact(text: str) -> bool:
+    """Whether checkpoint text is in the form `save_checkpoint` writes: no
+    whitespace but the final newline."""
+    return text.find("\n") == len(text) - 1 and not any(c in text for c in " \t\r")
+
+
 def load_checkpoint(path) -> ModelParams:
-    doc = read_json_object(path, "checkpoint")
+    """The model of the checkpoint file at `path`, read once; a bad file is a
+    FormatError naming it. A compact file (`_is_compact`) is kept as the
+    model's encoding, so that `fingerprint` and `save_checkpoint` of the
+    unchanged model use its bytes as read, canonical or not; an indented
+    one is encoded anew, compact, when first fingerprinted or saved."""
+    doc, text = read_json_text(path, "checkpoint")
     version = doc.get("format_version")
     if version != CHECKPOINT_FORMAT_VERSION:
         raise FormatError(f"{path}: unsupported checkpoint format version {version!r}")
@@ -456,6 +490,7 @@ def load_checkpoint(path) -> ModelParams:
         raise FormatError(f"{path}: unsupported checkpoint activation {activation!r}")
     rng_seed = read_field(doc, "rng_seed", int, path, "checkpoint")
     declared = list(read_field(doc, "layer_dims", tuple[int, ...], path, "checkpoint"))
+    del doc
     try:
         params = ModelParams(weights=weights, biases=biases, rng_seed=rng_seed)
     except GuidanceLearnError as exc:
@@ -466,4 +501,7 @@ def load_checkpoint(path) -> ModelParams:
         raise FormatError(
             f"{path}: declared layer_dims {declared} != actual {params.layer_dims}"
         )
+    if _is_compact(text):
+        data = text.encode("utf-8")  # the file's bytes, made after its document is freed
+        params._encoding = (_state_digest(params), hashlib.sha256(data).hexdigest(), data)
     return params

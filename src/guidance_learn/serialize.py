@@ -69,16 +69,28 @@ def _write_atomic(path, data: bytes) -> None:
         raise
 
 
-def read_json_object(path, what: str) -> dict:
-    """Parse a JSON file whose document must be an object (a `what`)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: not valid JSON: {exc}") from exc
+def read_json_text(path, what: str) -> tuple[dict, str]:
+    """The document of a UTF-8 JSON file that must hold an object (a `what`),
+    and the text it was parsed from, read once."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not valid UTF-8: {exc}") from exc
+    del data  # the parse holds the text and its document, not the bytes too
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: a {what} must be a JSON object, got {type(doc).__name__}")
-    return doc
+    return doc, text
+
+
+def read_json_object(path, what: str) -> dict:
+    """The document of a UTF-8 JSON file that must hold an object (a `what`)."""
+    return read_json_text(path, what)[0]
 
 
 def read_field(doc: Mapping[str, Any], key: str, hint: Any, path, what: str) -> Any:

@@ -381,11 +381,53 @@ def test_train_student_encodes_each_checkpoint_once(tmp_path, config_file, monke
     out = tmp_path / "student"
     assert cli.main(["train-student", "--config", str(config_file), "--out", str(out),
                      *teacher_flag]) == 0
-    assert len(encoded) == 2  # the teacher once, the student once
+    # the student once, and a trained teacher once; a loaded one is saved
+    # from the bytes it was read from
+    assert len(encoded) == (1 if with_teacher else 2)
     report = json.loads((out / "report.json").read_text())
     for role in ("teacher", "student"):
         digest = hashlib.sha256((out / f"{role}.ckpt").read_bytes()).hexdigest()
         assert report["checkpoint_fingerprints"][role] == digest
+
+
+def test_train_student_saves_a_compact_teacher_as_it_was_read(tmp_path, config_file):
+    """A compact teacher checkpoint that is not canonical (keys out of order,
+    a weight written 1e-5) is saved byte for byte, and the report and the
+    cache name it by the sha256 of those bytes."""
+    assert cli.main(["train-teacher", "--config", str(config_file),
+                     "--out", str(tmp_path / "teacher")]) == 0
+    doc = json.loads((tmp_path / "teacher" / "teacher.ckpt").read_bytes())
+    doc["weights"][0][0][0] = 1e-5
+    text = json.dumps(dict(reversed(doc.items())), separators=(",", ":"))
+    assert text.count("1e-05") == 1
+    written = (text.replace("1e-05", "1e-5") + "\n").encode()
+    assert written != serialize._compact_json(doc)
+    teacher = tmp_path / "reordered.ckpt"
+    teacher.write_bytes(written)
+    out = tmp_path / "student"
+    assert cli.main(["train-student", "--config", str(config_file), "--out", str(out),
+                     "--teacher", str(teacher)]) == 0
+    assert (out / "teacher.ckpt").read_bytes() == written
+    digest = hashlib.sha256(written).hexdigest()
+    report = json.loads((out / "report.json").read_text())
+    assert report["checkpoint_fingerprints"]["teacher"] == digest
+    assert json.loads((out / "guidance_cache.bin").read_text())["teacher_fingerprint"] == digest
+
+
+@pytest.mark.parametrize("argv, bad", [
+    (["train-teacher", "--config", "{bad}"], b'{"seed": 0, "\xff": 1}\n'),
+    (["train-student", "--config", "{config}", "--teacher", "{bad}"], b'{"\xff"}\n'),
+], ids=["config", "checkpoint"])
+def test_file_that_is_not_utf8_exits_1_naming_it(tmp_path, capsys, config_file, argv, bad):
+    path = tmp_path / "bad.json"
+    path.write_bytes(bad)
+    out = tmp_path / "out"
+    argv = [a.format(bad=path, config=config_file) for a in argv]
+    assert cli.main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not valid UTF-8: "), err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_train_student_from_an_indented_teacher_writes_it_compact(tmp_path, config_file):

@@ -133,6 +133,23 @@ def test_whole_split_passes_hold_one_block_not_the_split():
                                                                  accuracy_peak)
 
 
+def test_soft_target_pass_holds_the_teacher_logits_and_one_copy_of_the_targets():
+    """20,000 x 10 soft targets (1.5 MiB) are taken from the teacher's logits
+    into one array and softened there, so the traced peak stays that of the
+    forward pass, 4.3 MiB; a softened copy of a copy of the logits read 5.3."""
+    dataset = data.make_blobs(10, 2000, 32, sigma=0.5, seed=0)
+    teacher = nn.init_params([32, 256, 10], seed=1)
+    nn.fingerprint(teacher)
+    tracemalloc.start()
+    try:
+        cache = guidance.compute_teacher_soft_targets(teacher, dataset, 5.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cache.targets.shape == (20000, 10)
+    assert peak < 4.5 * 2**20, peak
+
+
 def _sweep_inputs():
     recipe = data.DataRecipe(classes=3, per_class=40, dim=4, sigma=0.15,
                              clean_fraction=0.1, test_fraction=0.2,

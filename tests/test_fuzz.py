@@ -1,6 +1,6 @@
 """Arbitrary JSON documents fed to every document loader, and arbitrary
-bytes fed to the CSV dataset loader, fail, if at all, only with a package
-error (GuidanceLearnError subclass)."""
+bytes fed to every file loader, fail, if at all, only with a package error
+(GuidanceLearnError subclass)."""
 import json
 
 import pytest
@@ -77,7 +77,19 @@ def _load_csv(tmp_path, example):
     data.load_csv(path)
 
 
-@pytest.mark.parametrize("load", [_load_csv], ids=["csv"])
+def _document_bytes(load, valid: dict):
+    """`load` of a file holding the compact JSON of `valid`, mangled as bytes."""
+    def load_bytes(tmp_path, example):
+        path = tmp_path / "document.json"
+        path.write_bytes(example.draw(_bytes_like(
+            (json.dumps(valid, separators=(",", ":")) + "\n").encode())))
+        load(path)
+    return load_bytes
+
+
+@pytest.mark.parametrize("load", [_load_csv, _document_bytes(_load_config, _CONFIG),
+                                  _document_bytes(nn.load_checkpoint, _CHECKPOINT)],
+                         ids=["csv", "config", "checkpoint"])
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(example=st.data())

@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from guidance_learn import nn
 from guidance_learn.errors import InputError, ParameterError, ShapeError
-from guidance_learn.serialize import canonical_json
+from guidance_learn.serialize import _compact_json, canonical_json
 from helpers import copy, fd_gradients, max_rel_error, random_net, random_probs, stack
 from helpers import params_bytes
 
@@ -331,6 +332,34 @@ def test_sgd_shape_mismatch():
             nn.sgd_step(params, grads, nn.Gradients.zeros(params), 0.1, 0.9, 0.0)
 
 
+@pytest.mark.parametrize("with_scratch", [True, False], ids=["scratch", "no-scratch"])
+def test_chunked_sgd_has_the_bits_of_whole_buffer_passes(with_scratch):
+    """Three steps on a model of about 2.5 chunks, the last one short, give
+    the bits of the six operations on the whole buffers, signs of zeros
+    included."""
+    rng = np.random.default_rng(26)
+    rows = 5 * nn.SGD_CHUNK // 512
+    params = nn.ModelParams(weights=[rng.normal(size=(rows, 256))], biases=[np.zeros(rows)])
+    assert 2 * nn.SGD_CHUNK < params.flat.size < 3 * nn.SGD_CHUNK
+    params.flat[::7] = -0.0
+    W, v = params.flat.copy(), np.zeros_like(params.flat)
+    velocity = nn.Gradients.zeros(params)
+    scratch = np.empty_like(params.flat) if with_scratch else None
+    for step in range(3):
+        grads = nn.Gradients(weights=[rng.normal(size=(rows, 256))], biases=[np.zeros(rows)])
+        grads.flat[::5] = -0.0 if step % 2 else 0.0
+        nn.sgd_step(params, grads, velocity, lr=0.05, momentum=0.9, weight_decay=1e-3,
+                    scratch=scratch)
+        t = W * 1e-3
+        t += grads.flat
+        v *= 0.9
+        v += t
+        W -= v * 0.05
+        assert velocity.flat.tobytes() == v.tobytes()
+        assert params.flat.tobytes() == W.tobytes()
+    assert np.signbit(W).any() and (W == 0.0).any()
+
+
 def test_arrays_are_views_of_one_buffer_each():
     """A model's and a Gradients' arrays are copied into one buffer, weights
     then biases; `copy` and `backward(..., out=)` keep to that layout, and a
@@ -403,6 +432,28 @@ def test_indented_checkpoint_loads_to_bit_equal_arrays(tmp_path):
     nn.save_checkpoint(loaded, compact)
     assert compact.stat().st_size < indented.stat().st_size
     assert hashlib.sha256(compact.read_bytes()).hexdigest() == nn.fingerprint(params)
+
+
+def test_loaded_compact_checkpoint_keeps_its_bytes_until_changed(tmp_path):
+    """A compact checkpoint that is not canonical (keys out of order) is
+    fingerprinted and saved as read; changed in place, the model saves as
+    the canonical encoding of its new state."""
+    params = nn.init_params([5, 7, 4], seed=13)
+    doc = nn.checkpoint_dict(params)
+    written = (json.dumps(dict(reversed(doc.items())), separators=(",", ":")) + "\n").encode()
+    assert written != _compact_json(doc)
+    path = tmp_path / "reordered.ckpt"
+    path.write_bytes(written)
+    loaded = nn.load_checkpoint(path)
+    assert nn.fingerprint(loaded) == hashlib.sha256(written).hexdigest()
+    nn.save_checkpoint(loaded, tmp_path / "same.ckpt")
+    assert (tmp_path / "same.ckpt").read_bytes() == written
+
+    loaded.weights[1][0, 0] += 1.0
+    nn.save_checkpoint(loaded, tmp_path / "changed.ckpt")
+    changed = (tmp_path / "changed.ckpt").read_bytes()
+    assert changed == _compact_json(nn.checkpoint_dict(loaded)) != written
+    assert nn.fingerprint(loaded) == hashlib.sha256(changed).hexdigest()
 
 
 def test_checkpoint_of_a_stack_is_refused_before_writing(tmp_path):
