@@ -67,9 +67,10 @@ class ModelParams:
     views of it (see `Gradients`). The checkpoint encoding that
     `fingerprint` and `save_checkpoint` share is kept on the instance, keyed
     by a digest of the parameter state, so a model changed in place is
-    encoded anew. It is the canonical compact encoding, or for a model
-    loaded from a compact checkpoint the bytes of that file
-    (`load_checkpoint`), which are then saved as read.
+    encoded anew. It is the canonical compact encoding, whose bytes a save
+    drops, or for a model loaded from a compact checkpoint the bytes of
+    that file (`load_checkpoint`), which every save of the unchanged model
+    writes as read.
     """
 
     weights: list[np.ndarray]
@@ -77,8 +78,9 @@ class ModelParams:
     rng_seed: int = 0
     flat: np.ndarray = field(init=False, repr=False, compare=False)
     layout: tuple = field(init=False, repr=False, compare=False)
-    # (state digest, sha256 hex, checkpoint bytes or None once saved)
-    _encoding: tuple[bytes, str, bytes | None] | None = field(
+    # (state digest, sha256 hex, checkpoint bytes or None once saved,
+    #  whether the bytes are a file's, kept across saves)
+    _encoding: tuple[bytes, str, bytes | None, bool] | None = field(
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -376,34 +378,27 @@ def sgd_step(
     then param <- param - lr*v, updating `params` and the momentum buffers
     `velocity` (a Gradients of zeros before the first step).
 
-    Six operations on the `flat` buffers, whatever the layer count. A model
-    of more than SGD_CHUNK floats runs them chunk by chunk: each range of
-    SGD_CHUNK floats goes through all six while its slices of the four
-    arrays stay in cache. The update is elementwise, so the chunks give the
-    bits of six whole-buffer passes, and a stack updates every slice at
-    once. `scratch`, a float64 array of the parameters' size, holds the
-    intermediate terms, so that a training loop allocates nothing per step.
+    Six operations on the `flat` buffers, whatever the layer count, run
+    chunk by chunk: each range of SGD_CHUNK floats goes through all six
+    while its slices of the four arrays stay in cache (a model of at most
+    SGD_CHUNK floats is one chunk). The update is elementwise, so the
+    chunks give the bits of six whole-buffer passes, and a stack updates
+    every slice at once. `scratch`, a float64 array of the parameters'
+    size, holds the intermediate terms, so that a training loop allocates
+    nothing per step.
     """
     if grads.layout != params.layout:
         raise ShapeError(f"gradient shapes {grads.layout} != parameter shapes {params.layout}")
     W, v, g = params.flat, velocity.flat, grads.flat
-    if W.size <= SGD_CHUNK:  # one chunk, without slicing: a small model's per-step cost
-        _sgd_update(W, v, g, scratch, lr, momentum, weight_decay)
-        return
     for start in range(0, W.size, SGD_CHUNK):
         end = start + SGD_CHUNK
-        w = W[start:end]
-        _sgd_update(w, v[start:end], g[start:end],
-                    None if scratch is None else scratch[:w.size], lr, momentum, weight_decay)
-
-
-def _sgd_update(W, v, g, scratch, lr, momentum, weight_decay) -> None:
-    # momentum*v + (g + wd*W), operation for operation: the same bits
-    t = np.multiply(W, weight_decay, out=scratch)
-    t += g
-    v *= momentum
-    v += t
-    W -= np.multiply(v, lr, out=t)
+        w, u = W[start:end], v[start:end]
+        # momentum*v + (g + wd*W), operation for operation: the same bits
+        t = np.multiply(w, weight_decay, out=None if scratch is None else scratch[:w.size])
+        t += g[start:end]
+        u *= momentum
+        u += t
+        w -= np.multiply(u, lr, out=t)
 
 
 def checkpoint_dict(params: ModelParams) -> dict:
@@ -427,15 +422,15 @@ def _state_digest(params: ModelParams) -> bytes:
     return digest.digest()
 
 
-def _encoded(params: ModelParams, need_bytes: bool) -> tuple[bytes, str, bytes | None]:
-    """(state digest, sha256 hex, bytes) of `params`' checkpoint, encoded
-    canonically only when the state changed since the last encoding (or
-    loading) or the bytes are needed but were dropped by a save."""
+def _encoded(params: ModelParams, need_bytes: bool) -> tuple[bytes, str, bytes | None, bool]:
+    """`params._encoding` (see `ModelParams`), encoded canonically only when
+    the state changed since the last encoding (or loading) or the bytes are
+    needed but were dropped by a save."""
     state = _state_digest(params)
     cached = params._encoding
     if cached is None or cached[0] != state or (need_bytes and cached[2] is None):
         data = _compact_json(checkpoint_dict(params))
-        cached = params._encoding = (state, hashlib.sha256(data).hexdigest(), data)
+        cached = params._encoding = (state, hashlib.sha256(data).hexdigest(), data, False)
     return cached
 
 
@@ -446,15 +441,17 @@ def fingerprint(params: ModelParams) -> str:
 
 def save_checkpoint(params: ModelParams, path) -> None:
     """Write the checkpoint encoding of `params` (see `ModelParams`)
-    atomically; afterwards only its sha256 stays on `params`, not the bytes.
-    A checkpoint holds one model: a stack is a ShapeError, and nothing is
+    atomically. Afterwards only its sha256 stays on `params`, not the bytes,
+    unless they are those of the file it was loaded from. A checkpoint
+    holds one model: a stack is a ShapeError, and nothing is
     written."""
     if params.weights[0].ndim != 2:
         raise ShapeError(f"a checkpoint holds one model, not a stack of "
                          f"{params.weights[0].shape[0]}")
-    state, sha, data = _encoded(params, need_bytes=True)
+    state, sha, data, from_file = _encoded(params, need_bytes=True)
     _write_atomic(path, data)
-    params._encoding = (state, sha, None)
+    if not from_file:
+        params._encoding = (state, sha, None, False)
 
 
 def _checkpoint_arrays(doc: dict, key: str, path) -> list[np.ndarray]:
@@ -467,19 +464,35 @@ def _checkpoint_arrays(doc: dict, key: str, path) -> list[np.ndarray]:
                           f"arrays of numbers: {exc}") from exc
 
 
-def _is_compact(text: str) -> bool:
-    """Whether checkpoint text is in the form `save_checkpoint` writes: no
-    whitespace but the final newline."""
-    return text.find("\n") == len(text) - 1 and not any(c in text for c in " \t\r")
+_CHECKPOINT_KEYS = ["activation", "biases", "format_version", "layer_dims", "rng_seed", "weights"]
+
+
+def _savable_as_read(text: str, keys: list[str], version) -> bool:
+    """Whether a loaded checkpoint's text may be saved as read: compact (no
+    whitespace but the final newline, the form `save_checkpoint` writes),
+    with the schema's top-level `keys`, each once, an integer format
+    version, and numbers, not booleans, in its arrays. Such a text holds
+    nothing the model does not, and differs from the canonical encoding
+    only in its key order and its spelling of numbers and strings."""
+    return (text.find("\n") == len(text) - 1 and not any(c in text for c in " \t\r")
+            and sorted(keys) == _CHECKPOINT_KEYS and type(version) is int
+            and "true" not in text and "false" not in text)
 
 
 def load_checkpoint(path) -> ModelParams:
     """The model of the checkpoint file at `path`, read once; a bad file is a
-    FormatError naming it. A compact file (`_is_compact`) is kept as the
-    model's encoding, so that `fingerprint` and `save_checkpoint` of the
-    unchanged model use its bytes as read, canonical or not; an indented
-    one is encoded anew, compact, when first fingerprinted or saved."""
-    doc, text = read_json_text(path, "checkpoint")
+    FormatError naming it. A compact file of the schema's fields
+    (`_savable_as_read`) is kept as the model's encoding, so that
+    `fingerprint` and every `save_checkpoint` of the unchanged model use its
+    bytes as read, canonical or not; any other file (indented, say) is
+    encoded anew, canonically, when first fingerprinted or saved."""
+    keys: list[str] = []
+
+    def pairs(items):  # the top-level object is the last one parsed
+        keys[:] = [key for key, _ in items]
+        return dict(items)
+
+    doc, text = read_json_text(path, "checkpoint", object_pairs_hook=pairs)
     version = doc.get("format_version")
     if version != CHECKPOINT_FORMAT_VERSION:
         raise FormatError(f"{path}: unsupported checkpoint format version {version!r}")
@@ -501,7 +514,7 @@ def load_checkpoint(path) -> ModelParams:
         raise FormatError(
             f"{path}: declared layer_dims {declared} != actual {params.layer_dims}"
         )
-    if _is_compact(text):
+    if _savable_as_read(text, keys, version):
         data = text.encode("utf-8")  # the file's bytes, made after its document is freed
-        params._encoding = (_state_digest(params), hashlib.sha256(data).hexdigest(), data)
+        params._encoding = (_state_digest(params), hashlib.sha256(data).hexdigest(), data, True)
     return params

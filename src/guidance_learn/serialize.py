@@ -69,9 +69,10 @@ def _write_atomic(path, data: bytes) -> None:
         raise
 
 
-def read_json_text(path, what: str) -> tuple[dict, str]:
+def read_json_text(path, what: str, object_pairs_hook=None) -> tuple[dict, str]:
     """The document of a UTF-8 JSON file that must hold an object (a `what`),
-    and the text it was parsed from, read once."""
+    and the text it was parsed from, read once; `object_pairs_hook` is
+    `json.loads`'."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -80,7 +81,7 @@ def read_json_text(path, what: str) -> tuple[dict, str]:
         raise FormatError(f"{path}: not valid UTF-8: {exc}") from exc
     del data  # the parse holds the text and its document, not the bytes too
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=object_pairs_hook)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

@@ -446,14 +446,48 @@ def test_loaded_compact_checkpoint_keeps_its_bytes_until_changed(tmp_path):
     path.write_bytes(written)
     loaded = nn.load_checkpoint(path)
     assert nn.fingerprint(loaded) == hashlib.sha256(written).hexdigest()
-    nn.save_checkpoint(loaded, tmp_path / "same.ckpt")
-    assert (tmp_path / "same.ckpt").read_bytes() == written
+    for name in ("same.ckpt", "again.ckpt"):  # every save, not only the first
+        nn.save_checkpoint(loaded, tmp_path / name)
+        assert (tmp_path / name).read_bytes() == written
+        assert nn.fingerprint(loaded) == hashlib.sha256(written).hexdigest()
 
     loaded.weights[1][0, 0] += 1.0
     nn.save_checkpoint(loaded, tmp_path / "changed.ckpt")
     changed = (tmp_path / "changed.ckpt").read_bytes()
     assert changed == _compact_json(nn.checkpoint_dict(loaded)) != written
     assert nn.fingerprint(loaded) == hashlib.sha256(changed).hexdigest()
+
+
+def _compact_variant(variant: str) -> bytes:
+    doc = nn.checkpoint_dict(nn.init_params([5, 7, 4], seed=13))
+    if variant == "unknown-field":
+        doc["note"] = "x"
+    elif variant == "boolean-weight":
+        doc["weights"][0][0][0] = True
+    elif variant in ("version-true", "version-float"):
+        doc["format_version"] = True if variant == "version-true" else 1.0
+    text = _compact_json(doc)
+    if variant == "duplicate-key":  # json.loads keeps the last "weights"
+        text = b'{"weights":[[[2.0]]],' + text[1:]
+    return text
+
+
+@pytest.mark.parametrize("variant", ["unknown-field", "duplicate-key", "version-true",
+                                     "version-float", "boolean-weight"])
+def test_compact_checkpoint_beyond_the_schema_saves_canonically(tmp_path, variant):
+    """A compact checkpoint that holds more or other than the model it loads
+    to (a field the loader does not read, a key given twice, a format
+    version or a weight that is not a number of the schema's type) is not
+    saved as read: the model saves and fingerprints as its canonical
+    encoding, as an indented checkpoint does."""
+    path = tmp_path / "variant.ckpt"
+    path.write_bytes(_compact_variant(variant))
+    loaded = nn.load_checkpoint(path)
+    canonical = _compact_json(nn.checkpoint_dict(loaded))
+    assert canonical != path.read_bytes()
+    nn.save_checkpoint(loaded, tmp_path / "saved.ckpt")
+    assert (tmp_path / "saved.ckpt").read_bytes() == canonical
+    assert nn.fingerprint(loaded) == hashlib.sha256(canonical).hexdigest()
 
 
 def test_checkpoint_of_a_stack_is_refused_before_writing(tmp_path):
