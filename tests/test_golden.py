@@ -53,6 +53,7 @@ JOBS = {
     "baseline_noisy_only": ({}, ["baseline", "--variant", "noisy_only"]),
     "baseline_clean_only": ({}, ["baseline", "--variant", "clean_only"]),
     "baseline_mixed": ({}, ["baseline", "--variant", "mixed"]),
+    "baseline_guidance": ({}, ["baseline", "--variant", "guidance"]),
     "baseline_guidance_finetuned": ({}, ["baseline", "--variant", "guidance_finetuned"]),
 }
 
@@ -64,6 +65,16 @@ GOLDEN = {
             "5b705fc96327dbe8cee4b6742fde427ef86cdfffe8a49471d0fc7a22febfb4e1",
         "report.json":
             "90d1d0f8757d35da7a5a7ec3caa98a175a25642d5ff01f39b2bbaa10a6a33e8f",
+    },
+    "baseline_guidance": {
+        "config.json":
+            "852e0d96b107d05884f13e04b4ec6cb2eec84a63c72225309599d3f3326e44f0",
+        "report.json":
+            "4cf84517475a59c854205523bf4c206e056d03637491c070c33e26c238c19d9d",
+        "student.ckpt":
+            "f7061187d81f419ab2559a420e8ceaa974fbda3cb65bc14eb6550f90e1635872",
+        "teacher.ckpt":
+            "bf1aab8339a8973ab259dde240b715eb48670629c9ae3d6680f064993c72d800",
     },
     "baseline_guidance_finetuned": {
         "config.json":
