@@ -293,7 +293,7 @@ def _cmd_train_student(cli: argparse.Namespace) -> str:
     teacher = None if cli.teacher is None else _load_model(cli.teacher, dataset)
     with _run_dir(cli, "report.json", snapshot) as out:
         if teacher is None:
-            teacher, teacher_report = train_teacher(dataset, config)
+            teacher, teacher_report = train_teacher(dataset, config, record_epochs=False)
             log.info("trained stage-1 teacher (test accuracy %s)",
                      teacher_report.final_test_accuracy)
         nn.save_checkpoint(teacher, out / "teacher.ckpt")

@@ -174,7 +174,8 @@ def sweep(grid: SweepGrid) -> SweepResult:
     teacher. Every slice is bit-identical to its cell trained alone. The
     stratified split gives every seed and noise rate the same split sizes,
     so only clean_fraction values train apart. Each cell's teacher accuracy
-    is its teacher report's.
+    is its teacher report's. Only the final accuracies are read, so every
+    stage trains with `record_epochs=False`: its report holds no epochs.
     """
     cells = [(value, seed) for value in grid.values for seed in grid.seeds]
     groups: dict[tuple, list[tuple[float, int]]] = {}
@@ -187,15 +188,16 @@ def sweep(grid: SweepGrid) -> SweepResult:
         keys = list(dict.fromkeys(grid.data_key(*cell) for cell in group))
         teachers, teacher_report = train_teacher(
             [grid.datasets[key] for key in keys],
-            [replace(grid.base_config, seed=seed) for _, seed in keys])
+            [replace(grid.base_config, seed=seed) for _, seed in keys], record_epochs=False)
         acc_teacher = teacher_report.final_test_accuracy
         cell_data = [grid.datasets[grid.data_key(*cell)] for cell in group]
         configs = [_cell(grid, value, seed)[0] for value, seed in group]
         cache = guidance.compute_teacher_soft_targets(
             teachers, Slices(cell_data, [c.seed for c in configs]),
             [c.temperature for c in configs])
-        students, student_report = train_student(teachers, cell_data, configs, cache)
-        _, finetune_report = finetune_clean(students, cell_data, configs)
+        students, student_report = train_student(teachers, cell_data, configs, cache,
+                                                 record_epochs=False)
+        _, finetune_report = finetune_clean(students, cell_data, configs, record_epochs=False)
         for cell, acc_student, acc_finetuned in zip(
                 group, student_report.final_test_accuracy, finetune_report.final_test_accuracy):
             results[cell] = (acc_teacher[keys.index(grid.data_key(*cell))], acc_student,

@@ -151,6 +151,8 @@ class RunReport:
 
     A stage records each loss and accuracy as a list of per-slice values;
     the report of a single model (`_returned`) holds that slice's numbers.
+    A stage trained with `record_epochs=False` has no epochs, only the
+    final test accuracy.
     It holds no config: the CLI writes the run's config snapshot beside
     these fields in report.json.
     """
@@ -269,6 +271,7 @@ def _train(
     stage: str,
     orders: Callable[[int], tuple[np.ndarray, ...]],
     block: Callable[..., Iterator[nn.Gradients]],
+    record_epochs: bool,
 ) -> tuple[nn.ModelParams, RunReport]:
     """The epoch/step loop every stage shares.
 
@@ -283,7 +286,10 @@ def _train(
     on which `_train` takes the SGD step; after the last step it appends
     the block's per-step (L_total, L_g, L_c) to `losses`, each per slice
     [S, K]. Each epoch records its mean losses and test accuracy; the last
-    epoch's accuracy is the final one.
+    epoch's accuracy is the final one. With `record_epochs` False, `losses`
+    is None and the block computes no losses, no epoch is recorded, and the
+    test accuracy is evaluated once, after the last epoch: the parameters
+    and the final accuracy are the same.
     The report carries no fingerprints. Non-finite logits or parameters (the
     inputs are finite, so training diverged) are a DivergenceError naming
     the stage, epoch, step (from 0) and learning rate: the logits are
@@ -301,7 +307,7 @@ def _train(
     try:
         for epoch in range(epochs):
             lr = lr_at(schedule, epoch)
-            losses: list[tuple[np.ndarray, ...]] = []
+            losses: list[tuple[np.ndarray, ...]] | None = [] if record_epochs else None
             steps = 0
             epoch_orders = orders(epoch)
             for start in range(0, epoch_orders[0].shape[-1], block_rows):
@@ -314,12 +320,13 @@ def _train(
                 nn._check_finite(params)
             except InputError as exc:
                 raise DivergenceError(stage, epoch, steps - 1, lr, exc) from exc
-            total, guide, clean = (_epoch_mean(np.concatenate(column))
-                                   for column in zip(*losses))
-            report.epochs.append(EpochRecord(
-                epoch=epoch, lr=lr, loss_total=total, loss_guidance=guide,
-                loss_clean=clean, test_accuracy=_test_accuracy(params, stack.data),
-            ))
+            if record_epochs:
+                total, guide, clean = (_epoch_mean(np.concatenate(column))
+                                       for column in zip(*losses))
+                report.epochs.append(EpochRecord(
+                    epoch=epoch, lr=lr, loss_total=total, loss_guidance=guide,
+                    loss_clean=clean, test_accuracy=_test_accuracy(params, stack.data),
+                ))
     except InputError as exc:
         raise DivergenceError(stage, epoch, steps, lr, exc) from exc
     report.final_test_accuracy = (report.epochs[-1].test_accuracy if report.epochs
@@ -349,6 +356,7 @@ def _train_cross_entropy(
     schedule: Schedule,
     epochs: int,
     stage: str,
+    record_epochs: bool,
 ) -> tuple[nn.ModelParams, RunReport]:
     """Plain cross-entropy over the subset that stage `name` trains on
     (`TRAINS_ON`, checked here)."""
@@ -364,18 +372,20 @@ def _train_cross_entropy(
         for j in range(0, order.shape[-1], B):
             q, grads = nn.backward(params, data.rows(X, order[..., j:j + B]),
                                    targets[..., j:j + B, :], out=buffer)
-            probs.append(q)
+            if losses is not None:
+                probs.append(q)
             yield grads
-        loss = _per_step(nn.cross_entropy, probs, targets)
-        losses.append((loss, 0.0 * loss, loss))
+        if losses is not None:
+            loss = _per_step(nn.cross_entropy, probs, targets)
+            losses.append((loss, 0.0 * loss, loss))
 
     return _train(params, stack, schedule, epochs, stage,
-                  lambda epoch: (data.order(tags, B, epoch),), block)
+                  lambda epoch: (data.order(tags, B, epoch),), block, record_epochs)
 
 
 def _from_scratch(dataset: Dataset | Sequence[Dataset],
                   config: TrainConfig | Sequence[TrainConfig],
-                  name: str) -> tuple[nn.ModelParams, RunReport]:
+                  name: str, record_epochs: bool = True) -> tuple[nn.ModelParams, RunReport]:
     """Cross-entropy over the subset that stage `name` trains on
     (`TRAINS_ON`) on the teacher schedule, slice k initialised and batched
     from its own seed: the teacher and the single-set baselines."""
@@ -384,16 +394,20 @@ def _from_scratch(dataset: Dataset | Sequence[Dataset],
     init = nn.stack([nn.init_params(dims, c.seed) for c in stack.configs])
     return _returned(stack, *_train_cross_entropy(
         stack, name, init, stack.config.teacher_lr_schedule, stack.config.teacher_epochs,
-        stage="teacher"))
+        stage="teacher", record_epochs=record_epochs))
 
 
 def train_teacher(
-    dataset: Dataset | Sequence[Dataset], config: TrainConfig | Sequence[TrainConfig]
+    dataset: Dataset | Sequence[Dataset], config: TrainConfig | Sequence[TrainConfig],
+    *, record_epochs: bool = True,
 ) -> tuple[nn.ModelParams, RunReport]:
     """Stage 1: plain cross-entropy over all training samples, clean + noisy.
     K configs (and one dataset or K) train a [K, ...] stack of teachers,
-    slice k initialised and batched from its own seed."""
-    return _from_scratch(dataset, config, "teacher")
+    slice k initialised and batched from its own seed. With `record_epochs`
+    False the report holds no epochs, only the final test accuracy, and no
+    per-epoch loss or test pass is computed (`_train`); the model is the
+    same."""
+    return _from_scratch(dataset, config, "teacher", record_epochs)
 
 
 def train_student(
@@ -401,6 +415,8 @@ def train_student(
     dataset: Dataset | Sequence[Dataset],
     config: TrainConfig | Sequence[TrainConfig],
     cache: guidance.GuidanceCache,
+    *,
+    record_epochs: bool = True,
 ) -> tuple[nn.ModelParams, RunReport]:
     """Stage 2: teacher-initialized student under the multi-task objective.
 
@@ -415,7 +431,8 @@ def train_student(
     data (`data.Slices.source`), a single model standing for one source, and
     slice k starts from its source's teacher.
     Slice k equals the student of config k trained alone, and the report
-    holds per-slice values and no student fingerprint.
+    holds per-slice values and no student fingerprint. `record_epochs` is
+    `train_teacher`'s.
     """
     stack = _stack(dataset, config)
     data, config = stack.data, stack.config
@@ -440,16 +457,19 @@ def train_student(
                 student, data.rows(X, noisy[..., j:j + B]), targets[..., j:j + B, :],
                 data.rows(X, clean[..., j:j + B]), clean_targets[..., j:j + B, :],
                 alpha=alpha, temperature=temperature, out=buffers)
-            qs.append(q)
-            ps.append(p)
+            if losses is not None:
+                qs.append(q)
+                ps.append(p)
             yield grads
-        loss_g = _per_step(lambda q, g: nn.kl_div(g, q), qs, targets)
-        loss_c = _per_step(nn.cross_entropy, ps, clean_targets)
-        losses.append((guidance.total_loss(loss_g, loss_c, alpha, temperature), loss_g, loss_c))
+        if losses is not None:
+            loss_g = _per_step(lambda q, g: nn.kl_div(g, q), qs, targets)
+            loss_c = _per_step(nn.cross_entropy, ps, clean_targets)
+            losses.append((guidance.total_loss(loss_g, loss_c, alpha, temperature),
+                           loss_g, loss_c))
 
     student, report = _train(
         student, stack, config.student_lr_schedule, config.student_epochs, "student",
-        lambda epoch: data.mixed_orders(B, epoch), block,
+        lambda epoch: data.mixed_orders(B, epoch), block, record_epochs,
     )
     report.checkpoint_fingerprints["teacher"] = teacher_fingerprint
     return _returned(stack, student, report, "student")
@@ -459,12 +479,14 @@ def finetune_clean(
     model: nn.ModelParams,
     dataset: Dataset | Sequence[Dataset],
     config: TrainConfig | Sequence[TrainConfig],
+    *,
+    record_epochs: bool = True,
 ) -> tuple[nn.ModelParams, RunReport]:
     """Cross-entropy pass over the clean subset only, at a reduced LR, on a
     copy of `model`. K configs (and one dataset or K) fine-tune slice k of
     a stack of K on its own data and seed; one config fine-tunes one model.
     A model that does not fit the data (`check_fits`) or the configs is a
-    ShapeError."""
+    ShapeError. `record_epochs` is `train_teacher`'s."""
     stack = _stack(dataset, config)
     check_fits(model, stack.data, "model")
     slices = np.arange(len(stack.configs))
@@ -473,7 +495,7 @@ def finetune_clean(
     return _returned(stack, *_train_cross_entropy(
         stack, "finetune", nn.take(model, slices),
         stack.config.effective_finetune_schedule(), stack.config.finetune_epochs,
-        stage="finetune"))
+        stage="finetune", record_epochs=record_epochs))
 
 
 def run_baseline(
@@ -493,9 +515,11 @@ def run_baseline(
         params, report = _from_scratch(dataset, config, variant)
         models = {"model": params}
     else:
-        teacher, _ = train_teacher(dataset, config)
+        # only the last stage's epochs reach the report
+        teacher, _ = train_teacher(dataset, config, record_epochs=False)
         cache = guidance.compute_teacher_soft_targets(teacher, dataset, config.temperature)
-        student, report = train_student(teacher, dataset, config, cache)
+        student, report = train_student(teacher, dataset, config, cache,
+                                        record_epochs=variant == "guidance")
         models = {"teacher": teacher, "student": student}
         if variant == "guidance_finetuned":
             student_report = report

@@ -62,10 +62,10 @@ def stack(models: list[nn.ModelParams]) -> nn.ModelParams:
                           biases=[np.stack(bs) for bs in zip(*(m.biases for m in models))])
 
 
-def train_student(teacher: nn.ModelParams, dataset, config):
+def train_student(teacher: nn.ModelParams, dataset, config, **options):
     """`pipeline.train_student` with the guidance cache built from `teacher`."""
     cache = guidance.compute_teacher_soft_targets(teacher, dataset, config.temperature)
-    return pipeline.train_student(teacher, dataset, config, cache)
+    return pipeline.train_student(teacher, dataset, config, cache, **options)
 
 
 def fuse(p, y, beta) -> np.ndarray:
@@ -142,3 +142,9 @@ def reference_student(teacher: nn.ModelParams, dataset, config, cache):
 def params_bytes(params: nn.ModelParams) -> bytes:
     return b"".join([W.tobytes() for W in params.weights] +
                     [b.tobytes() for b in params.biases])
+
+
+def same_bits(a: nn.ModelParams, b: nn.ModelParams) -> bool:
+    """Equal parameters, signs of zeros included."""
+    return all(np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+               for x, y in zip(a.weights + a.biases, b.weights + b.biases))

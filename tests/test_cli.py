@@ -3,6 +3,7 @@ import errno
 import hashlib
 import io
 import json
+import logging
 import re
 import warnings
 
@@ -267,6 +268,21 @@ def test_eval_matches_library_accuracy(tmp_path, config_file, capsys):
     params = nn.load_checkpoint(out / "student.ckpt")
     want = evaluation.accuracy(params, dataset, "test")
     assert printed == f"test accuracy: {want!r}"
+
+
+def test_train_student_logs_the_accuracy_of_its_own_teacher(tmp_path, config_file, caplog):
+    """`train-student -v` without --teacher logs the test accuracy of the
+    teacher it trained, the one reader of that teacher's report."""
+    out = tmp_path / "run"
+    with caplog.at_level(logging.INFO, logger="guidance_learn"):
+        assert cli.main(["train-student", "-v", "--config", str(config_file),
+                         "--out", str(out)]) == 0
+    dataset, _ = data.DataRecipe(
+        classes=3, per_class=40, dim=4, sigma=0.15, clean_fraction=0.1,
+        test_fraction=0.2, noise_model="symmetric", noise_rate=0.3,
+    ).build(0)
+    want = evaluation.accuracy(nn.load_checkpoint(out / "teacher.ckpt"), dataset, "test")
+    assert f"trained stage-1 teacher (test accuracy {want})" in caplog.messages
 
 
 def test_baseline_run_and_artifacts(tmp_path, config_file, capsys):

@@ -6,7 +6,7 @@ import pytest
 from guidance_learn import data, evaluation, guidance, nn, pipeline
 from guidance_learn.errors import InputError, ParameterError
 from guidance_learn.serialize import canonical_json
-from helpers import copy, train_student
+from helpers import copy, same_bits as _same_bits, train_student
 
 
 def _tagged_blobs(classes=2, per_class=30, seed=0, test_fraction=0.5):
@@ -233,11 +233,6 @@ def _model_slices(params):
     return [nn.ModelParams(weights=[W[k].copy() for W in params.weights],
                            biases=[b[k].copy() for b in params.biases])
             for k in range(params.weights[0].shape[0])]
-
-
-def _same_bits(a, b):
-    return all(np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
-               for x, y in zip(a.weights + a.biases, b.weights + b.biases))
 
 
 _CELL_FIELDS = {"alpha": "alpha", "beta": "beta", "T": "temperature"}

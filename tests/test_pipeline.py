@@ -13,7 +13,7 @@ from guidance_learn.errors import (
     ShapeError,
 )
 from guidance_learn.serialize import canonical_json, to_document
-from helpers import copy, params_bytes, reference_student, train_student
+from helpers import copy, params_bytes, reference_student, same_bits, train_student
 
 
 def small_config(**overrides):
@@ -411,6 +411,36 @@ def test_block_size_changes_no_bit(monkeypatch, stacked):
         assert _losses(report) == [repr(losses) for losses in want_losses]
 
 
+@pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
+@pytest.mark.parametrize("stage", ["teacher", "student", "finetune"])
+def test_recording_off_trains_the_same_bits_and_final_accuracy(stage, stacked):
+    """`record_epochs=False` gives the parameters (signs of zeros included)
+    and the final test accuracy of a recording run, and a report with no
+    epochs: for one model and for a 3-slice stack with per-slice seeds and
+    an alpha = 0 slice, each slice starting from its own seed's teacher."""
+    dataset = small_dataset(seed=17)
+    config = small_config(seed=17)
+    if stacked:
+        config = [replace(config, alpha=alpha, beta=beta, temperature=T, seed=seed)
+                  for alpha, beta, T, seed in ((0.0, 0.3, 5.0, 17), (0.1, 0.0, 2.0, 18),
+                                               (1.0, 1.0, 5.0, 19))]
+        source = data.Slices(dataset, [c.seed for c in config])
+        temperature = [c.temperature for c in config]
+    else:
+        source, temperature = dataset, config.temperature
+    teacher, _ = pipeline.train_teacher(dataset, config)
+    cache = guidance.compute_teacher_soft_targets(teacher, source, temperature)
+    run = {"teacher": lambda **kw: pipeline.train_teacher(dataset, config, **kw),
+           "student": lambda **kw: pipeline.train_student(teacher, dataset, config, cache, **kw),
+           "finetune": lambda **kw: pipeline.finetune_clean(teacher, dataset, config, **kw)}[stage]
+    want, want_report = run()
+    got, got_report = run(record_epochs=False)
+    assert same_bits(got, want)
+    assert got_report.final_test_accuracy == want_report.final_test_accuracy
+    assert got_report.epochs == [] and want_report.epochs
+    assert got_report.checkpoint_fingerprints == want_report.checkpoint_fingerprints
+
+
 def test_one_config_list_trains_the_single_run_as_a_stack_of_one():
     """Each stage given [config] returns a stack of one whose slice 0 has
     the bits of the bare-config run, and a report whose per-slice values
@@ -442,17 +472,20 @@ def test_one_config_list_trains_the_single_run_as_a_stack_of_one():
 def test_divergence_inside_a_block_names_the_step(monkeypatch, batches_per_block):
     """Logits that turn non-finite at step 6 of 9 (teacher) and of 8
     (student), inside a block, name that step, and the block's losses are
-    not computed: no numpy warning is raised on the way."""
+    not computed: no numpy warning is raised on the way. A run that records
+    no epochs names the same step."""
     if batches_per_block is not None:
         monkeypatch.setattr(pipeline, "BLOCK_ROWS", 16 * batches_per_block)
     dataset = small_dataset()
     teacher, _ = pipeline.train_teacher(dataset, small_config())
+    config = small_config(student_lr_schedule=((0, 1e-3), (1, 1e30)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DivergenceError, match="logits") as exc:
-            pipeline.train_teacher(dataset, small_config(teacher_lr_schedule=((0, 1e30),)))
-        assert (exc.value.stage, exc.value.epoch, exc.value.step) == ("teacher", 0, 6)
-        config = small_config(student_lr_schedule=((0, 1e-3), (1, 1e30)))
-        with pytest.raises(DivergenceError, match="logits") as exc:
-            train_student(teacher, dataset, config)
-        assert (exc.value.stage, exc.value.epoch, exc.value.step) == ("student", 1, 6)
+        for record_epochs in (True, False):
+            with pytest.raises(DivergenceError, match="logits") as exc:
+                pipeline.train_teacher(dataset, small_config(teacher_lr_schedule=((0, 1e30),)),
+                                       record_epochs=record_epochs)
+            assert (exc.value.stage, exc.value.epoch, exc.value.step) == ("teacher", 0, 6)
+            with pytest.raises(DivergenceError, match="logits") as exc:
+                train_student(teacher, dataset, config, record_epochs=record_epochs)
+            assert (exc.value.stage, exc.value.epoch, exc.value.step) == ("student", 1, 6)
