@@ -38,6 +38,8 @@ CONFIG = {
 
 # job name -> (config overrides, argv after the subcommand's --config/--out)
 JOBS = {
+    "teacher": ({}, ["train-teacher"]),
+    "finetune": ({}, ["finetune", "--checkpoint", "{teacher}"]),
     "student": ({}, ["train-student"]),
     "student_alpha0": ({"alpha": 0.0}, ["train-student"]),
     "student_from_teacher": ({}, ["train-student", "--teacher", "{teacher}"]),
@@ -103,6 +105,14 @@ GOLDEN = {
             "4f83a9522f38ee706fb8c962c0d666d7f2d786965c9c34f1c1471418c8c70cbf",
         "report.json":
             "fda275678d0b55d32f49e02fcfe1aa9387263f1de8c6abb8af740a13a59135c4",
+    },
+    "finetune": {
+        "config.json":
+            "852e0d96b107d05884f13e04b4ec6cb2eec84a63c72225309599d3f3326e44f0",
+        "finetuned.ckpt":
+            "6bf1b7600074c5d6c65e3c014277f5a09a4f3275b8ce7e68cedd97e8733f0ad0",
+        "report.json":
+            "1180aa9acb7ea84e0586d00efdbb9f436abc3be19b8c66e79604b4b29835f300",
     },
     "student": {
         "config.json":
@@ -189,6 +199,14 @@ GOLDEN = {
             "3a0e54dcb3530fe3cee9946b6879889de25b3295bfc12fab68e2338298be0c24",
         "results.json":
             "30c65503c8403f404ce0eaabcbb648428c611423bdfb8a71d1fbf568342dbd80",
+    },
+    "teacher": {
+        "config.json":
+            "852e0d96b107d05884f13e04b4ec6cb2eec84a63c72225309599d3f3326e44f0",
+        "report.json":
+            "f47bc6f4a2cfe6734ead554e507ecf11e0e037051a0c2aff0a804026e51925c2",
+        "teacher.ckpt":
+            "bf1aab8339a8973ab259dde240b715eb48670629c9ae3d6680f064993c72d800",
     },
 }
 
