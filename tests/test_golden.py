@@ -3,16 +3,31 @@
 Each job runs through `cli.main` and the sha256 of every file it leaves in
 its run directory is compared with a constant. Refactors of the training
 path must keep these digests; only a change that means to change results
-(or the on-disk formats) should update them. The digests depend on the
-floating-point results of the BLAS the tests run against, so a different
-numpy/BLAS build may need them re-recorded.
-"""
-import hashlib
+(or the on-disk formats) should update them.
 
+The digests depend on the floating-point results of the BLAS kernel: a
+different GEMM kernel gives different bits. So each job runs in a child
+process (this file run as a script) with OPENBLAS_CORETYPE=Haswell, the
+oldest FMA kernel family of numpy's bundled OpenBLAS, which runs on any
+AVX2 host, and the test checks that the child ran on that kernel: on any
+other (no AVX2, another BLAS, another architecture) it fails, naming the
+kernel it got. The other tests run on the host's own kernel.
+"""
+import ctypes
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from guidance_learn import cli
 from guidance_learn.serialize import write_canonical_json
+
+KERNEL = "Haswell"
 
 CONFIG = {
     "alpha": 0.1,
@@ -234,6 +249,19 @@ GOLDEN_DATA = {
 }
 
 
+def blas_kernel() -> str:
+    """The name of the kernel that numpy's bundled OpenBLAS runs on in this
+    process (`scipy_openblas_get_corename64_`); a numpy built against
+    another BLAS has none, and the text says so."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    found = sorted(libs.glob("libscipy_openblas64_*"))
+    if not found:
+        return f"none: no scipy-openblas library in {libs}"
+    corename = ctypes.CDLL(str(found[0])).scipy_openblas_get_corename64_
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
 def _digests(directory) -> dict[str, str]:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(directory.iterdir())}
@@ -255,15 +283,47 @@ def run_job(tmp_path, name: str) -> dict[str, str]:
     return _digests(out)
 
 
-@pytest.mark.parametrize("name", sorted(JOBS))
-def test_pinned_job_artifacts_are_byte_identical(tmp_path, name):
-    assert run_job(tmp_path, name) == GOLDEN[name]
-
-
-def test_data_command_artifacts_are_byte_identical(tmp_path):
+def run_data_jobs(tmp_path) -> dict[str, dict[str, str]]:
+    """Run the data commands in order; per command, sha256 of every file it wrote."""
     got = {}
     for name, argv in DATA_JOBS.items():
         argv = [a.replace("{make_data}", str(tmp_path / "make_data")) for a in argv]
         assert cli.main([*argv, "--out", str(tmp_path / name)]) == 0
         got[name] = _digests(tmp_path / name)
-    assert got == GOLDEN_DATA
+    return got
+
+
+@pytest.fixture(scope="module")
+def golden_runs(tmp_path_factory) -> dict:
+    """Every job and the data commands, run in one child process on the
+    OpenBLAS kernel KERNEL, which turns numpy's warnings into errors as
+    pytest's settings do here: {"kernel": the kernel it ran on, "jobs":
+    digests per JOBS name, "data": digests per DATA_JOBS name}."""
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_CORETYPE": KERNEL,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning",
+         __file__, str(tmp_path_factory.mktemp("golden"))],
+        env=env, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    runs = json.loads(child.stdout.splitlines()[-1])
+    assert runs["kernel"] == KERNEL, f"the golden jobs ran on OpenBLAS kernel {runs['kernel']!r}"
+    return runs
+
+
+@pytest.mark.parametrize("name", sorted(JOBS))
+def test_pinned_job_artifacts_are_byte_identical(golden_runs, name):
+    assert golden_runs["jobs"][name] == GOLDEN[name]
+
+
+def test_data_command_artifacts_are_byte_identical(golden_runs):
+    assert golden_runs["data"] == GOLDEN_DATA
+
+
+if __name__ == "__main__":
+    # python tests/test_golden.py DIR: run every job in DIR; the last line
+    # printed is what `golden_runs` returns, as JSON
+    directory = Path(sys.argv[1])
+    jobs = {name: run_job(directory, name) for name in sorted(JOBS)}
+    print(json.dumps({"kernel": blas_kernel(), "jobs": jobs, "data": run_data_jobs(directory)}))
