@@ -6,12 +6,12 @@ supervised by the fusion g = (p + beta*y) / (1 + beta) of its cached soft
 target p and its (possibly wrong) one-hot label y, via a KL objective
 evaluated at the same temperature; clean samples get plain cross-entropy.
 
-Training works on a [K, ...] stack of students (see `nn`), a single run
-being a stack of one: alpha, beta and T are [K] per-slice values, and the
-cache the student reads has a leading slice axis, [K, N] indices and
-[K, N, C] soft targets, row k slice k's. The functions here take one model
-and one value as well, by the same code; a cache of one dataset at one
-temperature, as the command line writes it, has no slice axis.
+The slice axis follows the inputs (see `nn`). One student trains with one
+alpha, beta and T and reads a cache of one dataset at one temperature, as
+the command line writes it: [N] indices and [N, C] soft targets. A [K, ...]
+stack of students takes [K] per-slice values, and its cache has a leading
+slice axis, [K, N] indices and [K, N, C] soft targets, row k slice k's.
+Both go through the same code.
 """
 from __future__ import annotations
 
@@ -61,23 +61,14 @@ class GuidanceCache:
         self._table[keys + offsets] = np.arange(keys.size).reshape(keys.shape)
 
 
-def _stacked(cache: GuidanceCache) -> GuidanceCache:
-    """`cache` with a leading slice axis: a cache of one dataset at one
-    temperature becomes that of a stack of one."""
-    return GuidanceCache(indices=np.atleast_2d(cache.indices),
-                         targets=cache.targets.reshape(-1, *cache.targets.shape[-2:]),
-                         temperature=np.reshape(cache.temperature, -1).tolist(),
-                         teacher_fingerprint=cache.teacher_fingerprint)
-
-
 def compute_teacher_soft_targets(
     teacher: nn.ModelParams, dataset: Dataset | Slices, temperature
 ) -> GuidanceCache:
     """softmax_t(forward(teacher, x_i), T) for every noisy-train sample, at
     one temperature or at each of [K], from one teacher forward pass. The
     teacher is a stack of one model per source of the data (`data.Slices`),
-    a single model being a stack of one, and slice k's targets are those of
-    its source's teacher on its own noisy samples; the cache has a slice axis
+    a single model standing for one source, and slice k's targets are those
+    of its source's teacher on its own noisy samples; the cache has a slice axis
     when the data or the temperatures have one (InputError when empty). The
     pass runs in row blocks of at most 2^18 // widest layer rows per slice
     (`data.Slices.logits`), so it holds the teacher's logits and one

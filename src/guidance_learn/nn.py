@@ -10,16 +10,17 @@ in per-sample (1-D) and batch (2-D, mean over rows) variants.
 
 A stack is K networks of one shape held as one model whose weights are
 [K, out, in] and biases [K, out] (`stack` builds one, `take` picks slices
-of one, a single model being a stack of one); the training recipes train
-nothing else, a single run being a stack of one. Every function here takes
-a single model or a stack by the same code, by numpy broadcasting over the
-leading axis: a stack maps a shared input batch [B, d], or per-slice inputs
-[K, B, d] (slice k's own rows), to logits [K, B, C]; temperatures, gradient
-scales and targets may be given per slice ([K], [K, B, C]), and batch
-losses come back as [K] per-slice means. Slice k of every result is
-bit-identical to running the k-th network on its own rows, because the
-stacked matmuls and reductions perform the same floating-point operations
-in the same order.
+of one). The slice axis follows the inputs: every function here takes a
+single model or a stack by the same code, by numpy broadcasting over the
+leading axis, so the training recipes train one model on [B, d] batches
+and a stack on [K, B, d] ones through the same calls. A single model maps
+a batch [B, d] to logits [B, C]; a stack maps a shared batch [B, d], or
+per-slice inputs [K, B, d] (slice k's own rows), to logits [K, B, C];
+temperatures, gradient scales and targets may be given per slice ([K],
+[K, B, C]), and batch losses come back as [K] per-slice means. Slice k of
+every result is bit-identical to running the k-th network on its own
+rows, because the stacked matmuls and reductions perform the same
+floating-point operations in the same order.
 
 A model's weights and biases are views of one contiguous float64 buffer,
 its `flat` array, and so are a `Gradients`' arrays, laid out alike. So a
@@ -180,9 +181,10 @@ def stack(models: list[ModelParams]) -> ModelParams:
 
 
 def take(params: ModelParams, slices) -> ModelParams:
-    """The stack whose slice j is slice `slices[j]` of the stack `params`, a
-    single model being a stack of one; one index gives that slice as a
-    single model. An index outside the stack is a ShapeError."""
+    """The stack whose slice j is slice `slices[j]` of the stack `params` (a
+    single model is taken as a stack of one); one index, an int or a 0-d
+    array, gives that slice as a single model. An index outside the stack
+    is a ShapeError."""
     weights, slices = [W.reshape(-1, *W.shape[-2:]) for W in params.weights], np.asarray(slices)
     if not np.all((0 <= slices) & (slices < len(weights[0]))):
         raise ShapeError(f"slices {slices.tolist()} of a stack of {len(weights[0])} models")

@@ -4,13 +4,14 @@ and mixed train from scratch as the teacher does, on their own subsets.
 
 All runs are driven by a TrainConfig and are bit-reproducible from
 (dataset, config): every shuffle and init draws from seed-derived streams.
-A stage always trains a [K, ...] stack (see `nn`), and every loss and
-accuracy in its report is a list of K per-slice values. Given K configs,
-which may differ in alpha, beta, temperature and seed, and one dataset or
-K, slice k trains on its own dataset and seed (`data.Slices`). One config
-and one dataset train a stack of one, which leaves the stage as the single
-model it holds, with scalar report fields and the model's fingerprint. A
-stage that starts from given models picks each slice's with `nn.take`.
+The slice axis follows the inputs (see `nn` and `data.Slices`). Given K
+configs, which may differ in alpha, beta, temperature and seed, and one
+dataset or K, a stage trains a [K, ...] stack, slice k on its own dataset
+and seed, and every loss and accuracy in its report is a list of K
+per-slice values. One config and one dataset have no slice axis: the stage
+trains one model, by the same code, and its report holds numbers and the
+model's fingerprint. A stage that starts from given models picks each
+slice's with `nn.take`.
 """
 from __future__ import annotations
 
@@ -149,10 +150,9 @@ class EpochRecord:
 class RunReport:
     """Per-epoch training record plus final test accuracy, serializable.
 
-    A stage records each loss and accuracy as a list of per-slice values;
-    the report of a single model (`_returned`) holds that slice's numbers.
-    A stage trained with `record_epochs=False` has no epochs, only the
-    final test accuracy.
+    Each loss and accuracy follows the slice axis: a number for one model,
+    a list of per-slice values for a stack. A stage trained with
+    `record_epochs=False` has no epochs, only the final test accuracy.
     It holds no config: the CLI writes the run's config snapshot beside
     these fields in report.json.
     """
@@ -170,34 +170,40 @@ _PER_SLICE = ("alpha", "beta", "temperature", "seed")
 
 @dataclass(frozen=True)
 class _Stack:
-    """What a stage trains on: the data and config of each of its K slices,
-    which share `config` but for `_PER_SLICE`. `single` marks one config and
-    one dataset, whose stack of one the stage returns as one model."""
+    """What a stage trains on: the data and config of each of its slices,
+    which share `config` but for `_PER_SLICE`. One config and one dataset
+    are data without a slice axis (`data.source` 0-d), for one model."""
 
     data: Slices
     config: TrainConfig
     configs: list[TrainConfig]
-    single: bool
+
+    @property
+    def slices(self) -> np.ndarray:
+        """Each slice's index in `configs`, shaped like `data.source`."""
+        return np.arange(len(self.configs)).reshape(self.data.source.shape)
 
 
 def _stack(dataset: Dataset | Sequence[Dataset],
            config: TrainConfig | Sequence[TrainConfig]) -> _Stack:
     """K configs that differ only in `_PER_SLICE`, with one dataset or K; or
-    one config and one dataset."""
-    one_config = isinstance(config, TrainConfig)
-    if one_config:
+    one config and one dataset. Any other count is a ConfigurationError."""
+    if isinstance(config, TrainConfig):
         if not isinstance(dataset, Dataset):
             raise ConfigurationError("per-slice datasets need per-slice configs")
-        config = [config]
+        return _Stack(Slices(dataset, config.seed), config, [config])
     configs = list(config)
     if not configs:
         raise ConfigurationError("a stack needs at least one config")
+    if not isinstance(dataset, Dataset) and len(dataset) not in (1, len(configs)):
+        raise ConfigurationError(f"{len(dataset)} datasets for {len(configs)} configs: a stack "
+                                 f"takes one dataset, or one per config")
     shared = [replace(c, **{name: getattr(configs[0], name) for name in _PER_SLICE})
               for c in configs]
     if any(c != configs[0] for c in shared):
         raise ConfigurationError(
             f"the configs of a stack may differ only in {', '.join(_PER_SLICE)}")
-    return _Stack(Slices(dataset, [c.seed for c in configs]), configs[0], configs, one_config)
+    return _Stack(Slices(dataset, [c.seed for c in configs]), configs[0], configs)
 
 
 def check_fits(model: nn.ModelParams, dataset: Dataset | Slices, name: str) -> None:
@@ -231,27 +237,27 @@ def check_split(dataset: Dataset | Slices, tag: str) -> None:
         raise EmptySubsetError(f"split {tag!r} is empty")
 
 
-def _test_accuracy(params: nn.ModelParams, data: Slices) -> list[float | None]:
-    """Each slice's test accuracy, None for an empty test split."""
+def _test_accuracy(params: nn.ModelParams, data: Slices) -> float | list[float | None] | None:
+    """The test accuracy, per slice for a stack; None for an empty test split."""
     from .evaluation import accuracy
 
     if data.indices(TEST).size == 0:
-        return [None] * len(data.source)
+        return np.full(data.source.shape, None).tolist()
     return accuracy(params, data, TEST)
 
 
-def _epoch_mean(values: np.ndarray) -> list[float]:
-    """Mean over an epoch's step losses [S, K], per slice; each slice is
-    summed exactly as a single model's losses would be."""
+def _epoch_mean(values: np.ndarray) -> float | list[float]:
+    """Mean over an epoch's step losses [S] ([S, K] per slice for a stack);
+    each slice is summed exactly as a single model's losses are."""
     return np.ascontiguousarray(np.transpose(values)).mean(axis=-1).tolist()
 
 
 def _per_step(loss: Callable, probs: list[np.ndarray], targets: np.ndarray) -> np.ndarray:
-    """`loss(probs[i], targets of step i)` for each step i of a block, per
-    slice [S, K], from one call per run of equal-size batches (the
-    short last batch of an epoch is a run of its own): the losses reduce
-    each leading index on its own, so step i's value has the bits of a
-    call on its batch alone."""
+    """`loss(probs[i], targets of step i)` for each step i of a block, [S]
+    ([S, K] per slice for a stack), from one call per run of equal-size
+    batches (the short last batch of an epoch is a run of its own): the
+    losses reduce each leading index on its own, so step i's value has the
+    bits of a call on its batch alone."""
     out, start = [], 0
     for size, run in itertools.groupby(probs, key=lambda q: q.shape[-2]):
         run = np.stack(list(run), axis=-3)
@@ -284,9 +290,9 @@ def _train(
     labels and the guidance cache) once, then for each batch, its next B
     columns, does the forward and backward pass and yields its gradients,
     on which `_train` takes the SGD step; after the last step it appends
-    the block's per-step (L_total, L_g, L_c) to `losses`, each per slice
-    [S, K]. Each epoch records its mean losses and test accuracy; the last
-    epoch's accuracy is the final one. With `record_epochs` False, `losses`
+    the block's per-step (L_total, L_g, L_c) to `losses`, each [S] ([S, K]
+    per slice for a stack). Each epoch records its mean losses and test
+    accuracy; the last epoch's accuracy is the final one. With `record_epochs` False, `losses`
     is None and the block computes no losses, no epoch is recorded, and the
     test accuracy is evaluated once, after the last epoch: the parameters
     and the final accuracy are the same.
@@ -334,17 +340,11 @@ def _train(
     return params, report
 
 
-def _returned(stack: _Stack, params: nn.ModelParams, report: RunReport,
+def _returned(params: nn.ModelParams, report: RunReport,
               role: str = "model") -> tuple[nn.ModelParams, RunReport]:
-    """The trained stack and its report, or for the inputs of one model
-    (`_Stack.single`) that model with its fingerprint under `role` and the
-    slice's scalar report values; a stack has no checkpoint."""
-    if stack.single:
-        params = nn.take(params, 0)
-        for record in report.epochs:
-            for name in ("loss_total", "loss_guidance", "loss_clean", "test_accuracy"):
-                setattr(record, name, getattr(record, name)[0])
-        report.final_test_accuracy = report.final_test_accuracy[0]
+    """The trained model and its report, which holds a single model's
+    fingerprint under `role`; a stack has no checkpoint."""
+    if params.weights[0].ndim == 2:
         report.checkpoint_fingerprints[role] = nn.fingerprint(params)
     return params, report
 
@@ -391,8 +391,9 @@ def _from_scratch(dataset: Dataset | Sequence[Dataset],
     from its own seed: the teacher and the single-set baselines."""
     stack = _stack(dataset, config)
     dims = [stack.data.features.shape[-1], *stack.config.hidden_dims, stack.data.num_classes]
-    init = nn.stack([nn.init_params(dims, c.seed) for c in stack.configs])
-    return _returned(stack, *_train_cross_entropy(
+    init = nn.take(nn.stack([nn.init_params(dims, c.seed) for c in stack.configs]),
+                   stack.slices)
+    return _returned(*_train_cross_entropy(
         stack, name, init, stack.config.teacher_lr_schedule, stack.config.teacher_epochs,
         stage="teacher", record_epochs=record_epochs))
 
@@ -402,11 +403,11 @@ def train_teacher(
     *, record_epochs: bool = True,
 ) -> tuple[nn.ModelParams, RunReport]:
     """Stage 1: plain cross-entropy over all training samples, clean + noisy.
-    K configs (and one dataset or K) train a [K, ...] stack of teachers,
-    slice k initialised and batched from its own seed. With `record_epochs`
-    False the report holds no epochs, only the final test accuracy, and no
-    per-epoch loss or test pass is computed (`_train`); the model is the
-    same."""
+    One config and one dataset train one teacher; K configs (and one
+    dataset or K) train a [K, ...] stack of teachers, slice k initialised
+    and batched from its own seed. With `record_epochs` False the report
+    holds no epochs, only the final test accuracy, and no per-epoch loss or
+    test pass is computed (`_train`); the model is the same."""
     return _from_scratch(dataset, config, "teacher", record_epochs)
 
 
@@ -424,12 +425,14 @@ def train_student(
     temperature (`guidance.compute_teacher_soft_targets`) on this data; a
     cache built from another model, on other samples or at another
     temperature is a ConsistencyError (`guidance.check_cache`). The
-    teacher's fingerprint goes into the report. Given K configs that differ
-    only in alpha, beta, temperature and seed, one dataset or K, and a cache
-    built at their K temperatures on that data, the K students train as one
-    [K, ...] stack. The teacher is a stack of one model per source of the
-    data (`data.Slices.source`), a single model standing for one source, and
-    slice k starts from its source's teacher.
+    teacher's fingerprint goes into the report. One config and one dataset
+    train one student from the teacher, with the cache the command line
+    writes (no slice axis), and the report holds its fingerprint. Given K
+    configs that differ only in alpha, beta, temperature and seed, one
+    dataset or K, and a cache built at their K temperatures on that data,
+    the K students train as one [K, ...] stack. The teacher is a stack of
+    one model per source of the data (`data.Slices.source`), a single model
+    standing for one source, and slice k starts from its source's teacher.
     Slice k equals the student of config k trained alone, and the report
     holds per-slice values and no student fingerprint. `record_epochs` is
     `train_teacher`'s.
@@ -440,11 +443,10 @@ def train_student(
     check_trains(data, "student")
     noisy_idx = data.indices(NOISY_TRAIN)
     student = nn.take(teacher, data.source)
-    alpha, beta, temperature = (np.array([getattr(c, name) for c in stack.configs])
+    alpha, beta, temperature = (np.array([getattr(c, name) for c in stack.configs])[stack.slices]
                                 for name in ("alpha", "beta", "temperature"))
     teacher_fingerprint = nn.fingerprint(teacher)
     X, y, C, B = data.features, data.labels, data.num_classes, config.batch_size
-    cache = guidance._stacked(cache)
     guidance.check_cache(cache, teacher_fingerprint, noisy_idx, temperature, C)
     buffers = nn.Gradients.zeros(student), nn.Gradients.zeros(student)
 
@@ -472,7 +474,7 @@ def train_student(
         lambda epoch: data.mixed_orders(B, epoch), block, record_epochs,
     )
     report.checkpoint_fingerprints["teacher"] = teacher_fingerprint
-    return _returned(stack, student, report, "student")
+    return _returned(student, report, "student")
 
 
 def finetune_clean(
@@ -483,17 +485,17 @@ def finetune_clean(
     record_epochs: bool = True,
 ) -> tuple[nn.ModelParams, RunReport]:
     """Cross-entropy pass over the clean subset only, at a reduced LR, on a
-    copy of `model`. K configs (and one dataset or K) fine-tune slice k of
-    a stack of K on its own data and seed; one config fine-tunes one model.
-    A model that does not fit the data (`check_fits`) or the configs is a
-    ShapeError. `record_epochs` is `train_teacher`'s."""
+    copy of `model`. One config fine-tunes one model; K configs (and one
+    dataset or K) fine-tune slice k of a stack of K on its own data and
+    seed. A model that does not fit the data (`check_fits`) or the configs
+    is a ShapeError. `record_epochs` is `train_teacher`'s."""
     stack = _stack(dataset, config)
     check_fits(model, stack.data, "model")
-    slices = np.arange(len(stack.configs))
-    if model.weights[0].shape[:-2] not in ((), slices.shape):
-        raise ShapeError(f"a stack of {len(model.weights[0])} models for {slices.size} configs")
-    return _returned(stack, *_train_cross_entropy(
-        stack, "finetune", nn.take(model, slices),
+    if model.weights[0].shape[:-2] not in ((), (len(stack.configs),)):
+        raise ShapeError(f"a stack of {len(model.weights[0])} models for "
+                         f"{len(stack.configs)} configs")
+    return _returned(*_train_cross_entropy(
+        stack, "finetune", nn.take(model, stack.slices),
         stack.config.effective_finetune_schedule(), stack.config.finetune_epochs,
         stage="finetune", record_epochs=record_epochs))
 

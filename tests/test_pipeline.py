@@ -468,6 +468,61 @@ def test_one_config_list_trains_the_single_run_as_a_stack_of_one():
                 [want.loss_total], [want.loss_guidance], [want.loss_clean], [want.test_accuracy])
 
 
+@pytest.mark.parametrize("listed", [False, True], ids=["config", "one-config-list"])
+def test_the_slice_axis_follows_the_configs(monkeypatch, listed):
+    """Every stage trains through `nn.backward` one model of rank-2 weights
+    on [B, d] batches when given one config, and a stack of one, [1, ...]
+    weights on [1, B, d] batches, when given the one-config list."""
+    dataset = small_dataset(seed=16)
+    config = small_config(seed=16)
+    configs = [config] if listed else config
+    calls = []
+    backward = nn.backward
+
+    def spy(params, batch, *args, **kwargs):
+        calls.append((params.weights[0].shape, np.shape(batch)))
+        return backward(params, batch, *args, **kwargs)
+
+    monkeypatch.setattr(nn, "backward", spy)
+    teacher, _ = pipeline.train_teacher(dataset, configs)
+    source = data.Slices(dataset, [config.seed]) if listed else dataset
+    cache = guidance.compute_teacher_soft_targets(
+        teacher, source, [config.temperature] if listed else config.temperature)
+    seen = {}
+    for stage, run in (
+            ("teacher", lambda: pipeline.train_teacher(dataset, configs)),
+            ("student", lambda: pipeline.train_student(teacher, dataset, configs, cache)),
+            ("finetune", lambda: pipeline.finetune_clean(teacher, dataset, configs))):
+        calls.clear()
+        run()
+        seen[stage] = {(len(weights), weights[:-2], len(batch), batch[:-2])
+                       for weights, batch in calls}
+    want = {(3, (1,), 3, (1,))} if listed else {(2, (), 2, ())}
+    assert seen == {"teacher": want, "student": want, "finetune": want}
+
+
+@pytest.mark.parametrize("stage", ["teacher", "student", "finetune"])
+def test_dataset_count_must_be_one_or_the_config_count(monkeypatch, stage):
+    """A list of datasets of neither one nor as many as the configs is a
+    ConfigurationError naming both counts, raised before any training."""
+    datasets = [small_dataset(seed=s) for s in (18, 19, 20)]
+    config = small_config(seed=18)
+    teacher = nn.init_params([4, 8, 3], seed=18)
+    cache = guidance.compute_teacher_soft_targets(teacher, datasets[0], config.temperature)
+    run = {"teacher": lambda ds, cs: pipeline.train_teacher(ds, cs),
+           "student": lambda ds, cs: pipeline.train_student(teacher, ds, cs, cache),
+           "finetune": lambda ds, cs: pipeline.finetune_clean(teacher, ds, cs)}[stage]
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before checking the dataset count")
+
+    monkeypatch.setattr(nn, "backward", no_training)
+    for count, configs in ((2, [config]), (3, [config, replace(config, seed=19)])):
+        with pytest.raises(ConfigurationError,
+                           match=f"{count} datasets for {len(configs)} configs"):
+            run(datasets[:count], configs)
+
+
 @pytest.mark.parametrize("batches_per_block", [None, 4], ids=["default", "4-batch-blocks"])
 def test_divergence_inside_a_block_names_the_step(monkeypatch, batches_per_block):
     """Logits that turn non-finite at step 6 of 9 (teacher) and of 8
