@@ -292,10 +292,11 @@ def _train(
     on which `_train` takes the SGD step; after the last step it appends
     the block's per-step (L_total, L_g, L_c) to `losses`, each [S] ([S, K]
     per slice for a stack). Each epoch records its mean losses and test
-    accuracy; the last epoch's accuracy is the final one. With `record_epochs` False, `losses`
-    is None and the block computes no losses, no epoch is recorded, and the
-    test accuracy is evaluated once, after the last epoch: the parameters
-    and the final accuracy are the same.
+    accuracy; the last epoch's accuracy is the final one. With
+    `record_epochs` False, `losses` is None and the block computes no
+    losses, no epoch is recorded, and the test accuracy is evaluated once,
+    after the last epoch: the parameters and the final accuracy are the
+    same.
     The report carries no fingerprints. Non-finite logits or parameters (the
     inputs are finite, so training diverged) are a DivergenceError naming
     the stage, epoch, step (from 0) and learning rate: the logits are
