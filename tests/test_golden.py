@@ -6,12 +6,15 @@ path must keep these digests; only a change that means to change results
 (or the on-disk formats) should update them.
 
 The digests depend on the floating-point results of the BLAS kernel: a
-different GEMM kernel gives different bits. So each job runs in a child
-process (this file run as a script) with OPENBLAS_CORETYPE=Haswell, the
-oldest FMA kernel family of numpy's bundled OpenBLAS, which runs on any
-AVX2 host, and the test checks that the child ran on that kernel: on any
-other (no AVX2, another BLAS, another architecture) it fails, naming the
-kernel it got. The other tests run on the host's own kernel.
+different GEMM kernel gives different bits. So the jobs run in child
+processes (this file run as a script), each on a named OpenBLAS kernel of
+numpy's bundled OpenBLAS, set by OPENBLAS_CORETYPE: Haswell, the oldest FMA
+kernel family, which runs on any AVX2 host, for GOLDEN and GOLDEN_DATA; and
+Sandybridge, of the non-FMA family, which runs on any AVX host, for
+GOLDEN_NON_FMA and the tables' other entries. The test checks that each
+child ran on its kernel: on any other (no AVX2, another BLAS, another
+architecture) it fails, naming the kernel it got. The other tests run on
+the host's own kernel.
 """
 import ctypes
 import hashlib
@@ -28,6 +31,7 @@ from guidance_learn import cli
 from guidance_learn.serialize import write_canonical_json
 
 KERNEL = "Haswell"
+NON_FMA_KERNEL = "Sandybridge"
 
 CONFIG = {
     "alpha": 0.1,
@@ -226,6 +230,111 @@ GOLDEN = {
 }
 
 
+# The jobs whose files differ on the non-FMA kernels (Sandybridge, and also
+# Nehalem and Katmai, which give the same bits): those that write a single
+# model. The sweeps, which train stacks, and the data commands give the
+# GOLDEN and GOLDEN_DATA digests there too.
+GOLDEN_NON_FMA = {
+    "baseline_clean_only": {
+        "config.json":
+            "852e0d96b107d05884f13e04b4ec6cb2eec84a63c72225309599d3f3326e44f0",
+        "model.ckpt":
+            "35a019acd517501d2abec0c023001d8f01d9e922adf4dcebc79df094786e2adb",
+        "report.json":
+            "c6aef810ba04e90e2013a343442f1e38bd65fd3c1a60755adf0d46c908f73a32",
+    },
+    "baseline_guidance": {
+        "config.json":
+            "852e0d96b107d05884f13e04b4ec6cb2eec84a63c72225309599d3f3326e44f0",
+        "report.json":
+            "cf5a927b4f0173c869aae4ab022d13bd3f52f54e617bd24dfc0b52e493d9a777",
+        "student.ckpt":
+            "f0d28ed6322e7f77fd9a3b85ec06082f2219920c8fbef696d5f9cc2a88db632a",
+        "teacher.ckpt":
+            "18d15997aa87115084de300aa6534447f4f755eb9034de468873b4549d1e2d01",
+    },
+    "baseline_guidance_finetuned": {
+        "config.json":
+            "852e0d96b107d05884f13e04b4ec6cb2eec84a63c72225309599d3f3326e44f0",
+        "finetuned.ckpt":
+            "4f10f4551482ce0c5b61e75a7a17edfaf7b09059e064b5fe6b3fc71c3de26355",
+        "report.json":
+            "31cd7448130fc98703bdc0c83ca3fecffb8b9ff16d26288626fe2bc43289043a",
+        "student.ckpt":
+            "f0d28ed6322e7f77fd9a3b85ec06082f2219920c8fbef696d5f9cc2a88db632a",
+        "teacher.ckpt":
+            "18d15997aa87115084de300aa6534447f4f755eb9034de468873b4549d1e2d01",
+    },
+    "baseline_mixed": {
+        "config.json":
+            "852e0d96b107d05884f13e04b4ec6cb2eec84a63c72225309599d3f3326e44f0",
+        "model.ckpt":
+            "18d15997aa87115084de300aa6534447f4f755eb9034de468873b4549d1e2d01",
+        "report.json":
+            "964f1c105195b52d1429f3ae3aab88d69394fdb2103ee29160558c9a03b1261f",
+    },
+    "baseline_noisy_only": {
+        "config.json":
+            "852e0d96b107d05884f13e04b4ec6cb2eec84a63c72225309599d3f3326e44f0",
+        "model.ckpt":
+            "e3adb70636be0e19aa0968bb04cd8aaefc292237779e7c5e64d2df0b00a44326",
+        "report.json":
+            "d43eba3a3bbc3133445d957ee363440a556099d0bc3a625b711865c4b77c6b58",
+    },
+    "finetune": {
+        "config.json":
+            "852e0d96b107d05884f13e04b4ec6cb2eec84a63c72225309599d3f3326e44f0",
+        "finetuned.ckpt":
+            "8287e7184a3273ee81cd2e899bcf01732c6306093daff3ca535b0911284e7345",
+        "report.json":
+            "ee7cee80d81cbc77329b259d83591d50dd2a4738a155ee5f7df282b71b6525d3",
+    },
+    "student": {
+        "config.json":
+            "852e0d96b107d05884f13e04b4ec6cb2eec84a63c72225309599d3f3326e44f0",
+        "guidance_cache.bin":
+            "921d0555288275e93c476154a091326bc3181b9dd46b26107737ab745df21d38",
+        "report.json":
+            "d9cc3147ca117bf09fe906fedd2bb1d2c342baeaeb858dc2bbeb94083b6ca041",
+        "student.ckpt":
+            "f0d28ed6322e7f77fd9a3b85ec06082f2219920c8fbef696d5f9cc2a88db632a",
+        "teacher.ckpt":
+            "18d15997aa87115084de300aa6534447f4f755eb9034de468873b4549d1e2d01",
+    },
+    "student_alpha0": {
+        "config.json":
+            "dcd08a7b9d63f4941507acbcafe3e773e60ea975059082b5a6062565d13e67f0",
+        "guidance_cache.bin":
+            "921d0555288275e93c476154a091326bc3181b9dd46b26107737ab745df21d38",
+        "report.json":
+            "807aabce00fc7277f1fd9d354377b1677473a102a6d6bf0b46dd410e1afdfcac",
+        "student.ckpt":
+            "eb980498140ce2ce6228ab6d97b065dc67b1be4822b1cee68958ac625202a5b6",
+        "teacher.ckpt":
+            "18d15997aa87115084de300aa6534447f4f755eb9034de468873b4549d1e2d01",
+    },
+    "student_from_teacher": {
+        "config.json":
+            "852e0d96b107d05884f13e04b4ec6cb2eec84a63c72225309599d3f3326e44f0",
+        "guidance_cache.bin":
+            "921d0555288275e93c476154a091326bc3181b9dd46b26107737ab745df21d38",
+        "report.json":
+            "d9cc3147ca117bf09fe906fedd2bb1d2c342baeaeb858dc2bbeb94083b6ca041",
+        "student.ckpt":
+            "f0d28ed6322e7f77fd9a3b85ec06082f2219920c8fbef696d5f9cc2a88db632a",
+        "teacher.ckpt":
+            "18d15997aa87115084de300aa6534447f4f755eb9034de468873b4549d1e2d01",
+    },
+    "teacher": {
+        "config.json":
+            "852e0d96b107d05884f13e04b4ec6cb2eec84a63c72225309599d3f3326e44f0",
+        "report.json":
+            "434910c88860c37efe49b5f6472a0fd15e8149f1879be068bf334629f3e5750b",
+        "teacher.ckpt":
+            "18d15997aa87115084de300aa6534447f4f755eb9034de468873b4549d1e2d01",
+    },
+}
+
 # The data commands: make-data, then inject-noise on its dataset.csv.
 DATA_JOBS = {
     "make_data": ["make-data", "--classes", "3", "--per-class", "20", "--dim", "4",
@@ -293,23 +402,32 @@ def run_data_jobs(tmp_path) -> dict[str, dict[str, str]]:
     return got
 
 
-@pytest.fixture(scope="module")
-def golden_runs(tmp_path_factory) -> dict:
+def _run_child(tmp_path_factory, kernel: str) -> dict:
     """Every job and the data commands, run in one child process on the
-    OpenBLAS kernel KERNEL, which turns numpy's warnings into errors as
+    OpenBLAS kernel `kernel`, which turns numpy's warnings into errors as
     pytest's settings do here: {"kernel": the kernel it ran on, "jobs":
     digests per JOBS name, "data": digests per DATA_JOBS name}."""
     src = str(Path(cli.__file__).parents[1])
-    env = {**os.environ, "OPENBLAS_CORETYPE": KERNEL,
+    env = {**os.environ, "OPENBLAS_CORETYPE": kernel,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     child = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning",
-         __file__, str(tmp_path_factory.mktemp("golden"))],
+         __file__, str(tmp_path_factory.mktemp(f"golden-{kernel}"))],
         env=env, capture_output=True, text=True)
     assert child.returncode == 0, child.stderr
     runs = json.loads(child.stdout.splitlines()[-1])
-    assert runs["kernel"] == KERNEL, f"the golden jobs ran on OpenBLAS kernel {runs['kernel']!r}"
+    assert runs["kernel"] == kernel, f"the golden jobs ran on OpenBLAS kernel {runs['kernel']!r}"
     return runs
+
+
+@pytest.fixture(scope="module")
+def golden_runs(tmp_path_factory) -> dict:
+    return _run_child(tmp_path_factory, KERNEL)
+
+
+@pytest.fixture(scope="module")
+def non_fma_runs(tmp_path_factory) -> dict:
+    return _run_child(tmp_path_factory, NON_FMA_KERNEL)
 
 
 @pytest.mark.parametrize("name", sorted(JOBS))
@@ -319,6 +437,15 @@ def test_pinned_job_artifacts_are_byte_identical(golden_runs, name):
 
 def test_data_command_artifacts_are_byte_identical(golden_runs):
     assert golden_runs["data"] == GOLDEN_DATA
+
+
+@pytest.mark.parametrize("name", sorted(JOBS))
+def test_pinned_job_artifacts_on_non_fma_kernel(non_fma_runs, name):
+    assert non_fma_runs["jobs"][name] == GOLDEN_NON_FMA.get(name, GOLDEN[name])
+
+
+def test_data_command_artifacts_on_non_fma_kernel(non_fma_runs):
+    assert non_fma_runs["data"] == GOLDEN_DATA
 
 
 if __name__ == "__main__":
