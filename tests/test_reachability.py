@@ -16,9 +16,8 @@ from guidance_learn.serialize import write_canonical_json
 
 PACKAGE = Path(guidance_learn.__file__).parent
 
-# Allowed unreached: the generator that finds the row of an int64-overflowing
-# label, only run on a CSV whose label column overflows int64.
-ALLOWED = {("data.py", "_int64_column.<locals>.<genexpr>")}
+# Allowed unreached: none.
+ALLOWED: set[tuple[str, str]] = set()
 
 CONFIG = {
     "alpha": 0.1, "beta": 0.3, "temperature": 5.0, "batch_size": 16, "hidden_dims": [4],
@@ -68,6 +67,11 @@ def _run_jobs(tmp: Path) -> None:
     for model in ("symmetric", "pair_flip"):
         run("inject-noise", "--data", tmp / "data" / "dataset.csv", "--out", tmp / model,
             "--noise-model", model, "--noise-rate", 0.3, "--seed", 2)
+    overflow = tmp / "overflow.csv"
+    overflow.write_text("f0,label\n0.5,0\n1.5,9223372036854775808\n", encoding="utf-8")
+    run("inject-noise", "--data", overflow, "--out", tmp / "overflow", "--noise-model",
+        "symmetric", "--noise-rate", 0.3, "--seed", 2, code=1)
+    assert not (tmp / "overflow").exists()
     run("train-teacher", "--config", base, "--out", tmp / "teacher", "-v")
     run("train-student", "--config", base, "--out", tmp / "student")
     run("train-student", "--config", base, "--out", tmp / "from-teacher",
