@@ -281,8 +281,9 @@ class Slices:
     all K.
 
     Slices with the same dataset (by identity) and seed share a source;
-    `source[k]` numbers slice k's in order of first appearance, and each
-    source's batches are drawn once. `features`, `labels` and `truth` hold
+    `sources` lists the (dataset, seed) pairs in order of first appearance,
+    `source[k]` is slice k's number in it, and each source's batches are
+    drawn once. `features`, `labels` and `truth` hold
     the sources' arrays end to end, and indices name rows of them: sample i
     of source s is row s * N + i. An epoch's index order is [K, n], row k
     slice k's own batch stream end to end, so that batch j is a column
@@ -306,14 +307,13 @@ class Slices:
         keys = [(id(ds), seed) for ds, seed in zip(datasets, seeds)]
         sources = dict(zip(keys, zip(datasets, seeds)))
         order = {key: j for j, key in enumerate(sources)}
-        self._sources = list(sources.values())
+        self.sources = list(sources.values())
         self.source = np.array([order[key] for key in keys]).reshape(axis)
-        self._starts = np.arange(len(self._sources))[:, None] * len(datasets[0])
-        layouts = {layout(ds) for ds, _ in self._sources}
+        self._starts = np.arange(len(self.sources))[:, None] * len(datasets[0])
+        layouts = {layout(ds) for ds, _ in self.sources}
         if len(layouts) > 1:
             raise ShapeError(f"the datasets of a stack's slices must share their feature "
                              f"shape, class count and split sizes; got {sorted(layouts)}")
-        self.num_sources = len(self._sources)
         self.num_classes = datasets[0].num_classes
         self.features = self._joined(lambda ds: ds.features)
         self.labels = self._joined(lambda ds: ds.labels)
@@ -323,7 +323,7 @@ class Slices:
 
     def _joined(self, array_of) -> np.ndarray:
         """The sources' arrays end to end; one source's is not copied."""
-        arrays = [array_of(ds) for ds, _ in self._sources]
+        arrays = [array_of(ds) for ds, _ in self.sources]
         return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
     def _sliced(self, per_source: Sequence[np.ndarray]) -> np.ndarray:
@@ -335,13 +335,13 @@ class Slices:
         """Per source, the ascending indices of its samples with any of `tags`."""
         if tags not in self._subsets:
             self._subsets[tags] = [np.where(np.isin(ds.tags, tags))[0]
-                                   for ds, _ in self._sources]
+                                   for ds, _ in self.sources]
         return self._subsets[tags]
 
     def per_source(self) -> "Slices":
         """One slice per source, in `source` order, sharing these arrays."""
         view = copy.copy(self)
-        view.source = np.arange(self.num_sources)
+        view.source = np.arange(len(self.sources))
         return view
 
     def rows(self, array: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -371,13 +371,13 @@ class Slices:
         """The epoch's `batch_indices` over the samples with `tags`, per
         source, end to end: batch j is columns [j * B, (j + 1) * B)."""
         return self._sliced([np.concatenate(list(batch_indices(idx, batch_size, seed, epoch)))
-                             for idx, (_, seed) in zip(self._subset(tags), self._sources)])
+                             for idx, (_, seed) in zip(self._subset(tags), self.sources)])
 
     def mixed_orders(self, batch_size: int, epoch: int) -> tuple[np.ndarray, np.ndarray]:
         """The epoch's `mixed_batch_iterator` (noisy, clean) streams, per
         source, end to end: pair j is columns [j * B, (j + 1) * B) of both."""
         pairs = [zip(*mixed_batch_iterator(ds, batch_size, seed, epoch))
-                 for ds, seed in self._sources]
+                 for ds, seed in self.sources]
         return tuple(self._sliced([np.concatenate(stream) for stream in streams])
                      for streams in zip(*pairs))
 

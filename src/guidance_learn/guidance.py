@@ -78,7 +78,7 @@ def compute_teacher_soft_targets(
     noisy_idx = data.indices(NOISY_TRAIN)
     sources = data.per_source()
     if teacher.weights[0].shape[:-2] not in ((), sources.source.shape):
-        raise ShapeError(f"{len(teacher.weights[0])} teachers for {data.num_sources} sources")
+        raise ShapeError(f"{len(teacher.weights[0])} teachers for {len(data.sources)} sources")
     logits = sources.logits(nn.take(teacher, sources.source), sources.indices(NOISY_TRAIN))
     slices = np.broadcast_shapes(np.shape(temperature), data.source.shape)
     # slice k's rows are its source's, taken into the one array softened in place
