@@ -264,6 +264,18 @@ def test_slice_orders_are_each_slices_batches_end_to_end():
             assert np.array_equal(joined[k], np.concatenate(stream) + start)
 
 
+def test_slices_list_their_sources_in_source_order():
+    """A source is a distinct (dataset by identity, seed) pair; `sources`
+    lists them in order of first appearance, numbered by `source`."""
+    first, second = _mixed_dataset(100, 8, seed=16), _mixed_dataset(100, 8, seed=19)
+    slices = data.Slices([first, first, second], [1, 2, 1])
+    assert [(id(ds), seed) for ds, seed in slices.sources] == [
+        (id(first), 1), (id(first), 2), (id(second), 1)]
+    assert slices.source.tolist() == [0, 1, 2]
+    shared = data.Slices([first, first], [1, 1])
+    assert [(id(ds), seed) for ds, seed in shared.sources] == [(id(first), 1)]
+    assert shared.source.tolist() == [0, 0]
+
 def test_manifest_roundtrip(tmp_path):
     dataset = data.make_blobs(3, 30, 3, sigma=0.2, seed=18)
     tagged = data.split(dataset, 0.1, 0.2, seed=18)

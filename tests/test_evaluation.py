@@ -297,6 +297,54 @@ def test_sweep_cells_match_standalone_runs(monkeypatch, axis, values):
             evaluation.accuracy(m, dataset, "test") for m in (teacher, student, finetuned))
 
 
+@pytest.mark.parametrize("axis, values, stack_recipes", [
+    ("beta", (0.0, 0.3, 1.0), [{}]),
+    ("clean_fraction", (0.1, 0.2), [{"clean_fraction": 0.1}, {"clean_fraction": 0.2}]),
+])
+def test_sweep_trains_one_teacher_per_source(monkeypatch, axis, values, stack_recipes):
+    """Each layout group of a sweep trains one stack of teachers, one per
+    source of its cells' `Slices` (a distinct dataset and seed), in the order
+    `sources` lists them, with the base config at the source's seed; the
+    soft targets come from that same `Slices`."""
+    from dataclasses import replace
+
+    recipe, config = _sweep_inputs()
+    teacher_calls, slices = [], []
+    real_train_teacher = evaluation.train_teacher
+    real_soft_targets = evaluation.guidance.compute_teacher_soft_targets
+
+    def recording_train_teacher(datasets, configs, **kwargs):
+        teacher_calls.append((list(datasets), list(configs)))
+        return real_train_teacher(datasets, configs, **kwargs)
+
+    def recording_soft_targets(teacher, data_slices, temperature):
+        slices.append(data_slices)
+        return real_soft_targets(teacher, data_slices, temperature)
+
+    monkeypatch.setattr(evaluation, "train_teacher", recording_train_teacher)
+    monkeypatch.setattr(evaluation.guidance, "compute_teacher_soft_targets",
+                        recording_soft_targets)
+    seeds = (1, 2)
+    grid = evaluation.SweepGrid(axis=axis, values=values, base_config=config, seeds=seeds,
+                                recipe=recipe)
+    evaluation.sweep(grid)
+    monkeypatch.undo()
+
+    assert len(teacher_calls) == len(slices) == len(stack_recipes)
+    cells_per_stack = len(values) // len(stack_recipes)
+    for (datasets, configs), data_slices, overrides in zip(teacher_calls, slices,
+                                                           stack_recipes):
+        assert len(data_slices.sources) == len(seeds)
+        assert data_slices.source.tolist() == list(range(len(seeds))) * cells_per_stack
+        assert [id(ds) for ds in datasets] == [id(ds) for ds, _ in data_slices.sources]
+        assert configs == [replace(config, seed=seed) for _, seed in data_slices.sources]
+        assert [seed for _, seed in data_slices.sources] == list(seeds)
+        for dataset, seed in zip(datasets, seeds):
+            built, _ = replace(recipe, **overrides).build(seed)
+            assert dataset.features.tobytes() == built.features.tobytes()
+            assert np.array_equal(dataset.labels, built.labels)
+            assert np.array_equal(dataset.tags, built.tags)
+
 def test_sweep_is_deterministic():
     recipe, config = _sweep_inputs()
     grid = evaluation.SweepGrid(axis="alpha", values=(0.0, 0.1), base_config=config,
