@@ -43,10 +43,13 @@ def accuracy(params: nn.ModelParams, dataset: Dataset | Slices, tag: str) -> flo
 @dataclass(frozen=True)
 class SweepGrid:
     """One axis, its values, the base config, the replicate seeds and the
-    dataset recipe. Making a grid checks it whole, before any training: each
-    cell's config and recipe (an error names the cell), the noise model that
-    a noise_rate sweep needs, and each distinct dataset, built once into
-    `datasets` (by `data_key`), which must have a test split and the subsets
+    dataset recipe. Making a grid checks it whole, before any training, and
+    builds `cells`, value-major: per (value, seed), the config at `seed` and
+    the dataset it trains on. Each value is set once in the TrainConfig or
+    DataRecipe that owns the axis (a value it rejects is an error of the
+    same type naming the cell); a noise_rate sweep needs a noise model; and
+    each distinct dataset (one per seed, and per value on the axes that set
+    the recipe) is built once, and must have a test split and the subsets
     that the teacher, student and fine-tune stages train on (an
     EmptySubsetError naming the cell)."""
 
@@ -55,7 +58,8 @@ class SweepGrid:
     base_config: TrainConfig
     seeds: tuple[int, ...]
     recipe: DataRecipe
-    datasets: dict[tuple, Dataset] = field(init=False, repr=False, compare=False)
+    cells: list[tuple[float, int, TrainConfig, Dataset]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.axis not in SWEEP_AXES:
@@ -75,29 +79,29 @@ class SweepGrid:
                 raise ParameterError(f"sweep {name} {repeated[0]!r} is repeated")
         if self.axis == "noise_rate" and self.recipe.noise_model == "none":
             raise ParameterError("noise_rate sweep needs a noise model (noise_model is 'none')")
-        datasets: dict[tuple, Dataset] = {}
+        owner, name = SWEEP_AXES[self.axis]
+        cells, datasets = [], {}
         for value in self.values:
-            for seed in self.seeds:
-                recipe = _cell(self, value, seed)[1]
-                key = self.data_key(value, seed)
-                if key not in datasets:
-                    datasets[key], _ = recipe.build(seed)
+            parts = {TrainConfig: self.base_config, DataRecipe: self.recipe}
+            try:
+                parts[owner] = replace(parts[owner], **{name: value})
+            except GuidanceLearnError as exc:
+                raise type(exc)(f"sweep {self.axis}={value!r}: {exc}") from None
+            if owner is DataRecipe or not datasets:
+                for seed in self.seeds:
+                    datasets[seed], _ = parts[DataRecipe].build(seed)
                     try:
-                        check_split(datasets[key], TEST)
-                        check_trains(datasets[key], "teacher", "student", "finetune")
+                        check_split(datasets[seed], TEST)
+                        check_trains(datasets[seed], "teacher", "student", "finetune")
                     except EmptySubsetError as exc:
                         raise EmptySubsetError(f"sweep {self.axis}={value!r}: {exc}") from None
-        object.__setattr__(self, "datasets", datasets)
-
-    def data_key(self, value: float, seed: int) -> tuple:
-        """Which dataset cell (value, seed) trains on: one per seed, and per
-        value on the axes that set the recipe."""
-        return (value if SWEEP_AXES[self.axis][0] is DataRecipe else None, seed)
+            cells += [(value, seed, replace(parts[TrainConfig], seed=seed), datasets[seed])
+                      for seed in self.seeds]
+        object.__setattr__(self, "cells", cells)
 
 
 @dataclass(frozen=True)
 class SweepRow:
-    axis: str
     value: float
     seed: int
     acc_teacher: float
@@ -127,19 +131,16 @@ class SweepResult:
         return out
 
     def to_csv_text(self) -> str:
-        """A header of the SweepRow fields, then each row's values (numbers
-        as their repr)."""
-        lines = [",".join(f.name for f in fields(SweepRow))]
+        """A header of `axis` and the SweepRow fields, then per row the axis
+        name and the row's values (numbers as their repr)."""
+        lines = [",".join(["axis", *(f.name for f in fields(SweepRow))])]
         for r in self.rows:
-            lines.append(",".join(v if isinstance(v, str) else repr(v)
-                                  for v in to_document(r).values()))
+            lines.append(",".join([self.axis, *map(repr, to_document(r).values())]))
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
-        rows = [to_document(r) for r in self.rows]
-        for row in rows:
-            del row["axis"]
-        return {"axis": self.axis, "rows": rows, "aggregates": self.aggregates()}
+        return {"axis": self.axis, "rows": [to_document(r) for r in self.rows],
+                "aggregates": self.aggregates()}
 
     def to_plotdata_text(self) -> str:
         """Student accuracy per axis value: `x mean min max` rows."""
@@ -150,58 +151,43 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
-def _cell(grid: SweepGrid, value: float, seed: int) -> tuple[TrainConfig, DataRecipe]:
-    """The config at `seed` and the recipe of cell (value, seed), `value`
-    set in the one that owns the axis's field; a value it rejects is an
-    error of the same type naming the cell."""
-    owner, name = SWEEP_AXES[grid.axis]
-    parts = {TrainConfig: replace(grid.base_config, seed=seed), DataRecipe: grid.recipe}
-    try:
-        parts[owner] = replace(parts[owner], **{name: value})
-    except GuidanceLearnError as exc:
-        raise type(exc)(f"sweep {grid.axis}={value!r}: {exc}") from None
-    return parts[TrainConfig], parts[DataRecipe]
-
-
 def sweep(grid: SweepGrid) -> SweepResult:
-    """Run the full two-stage pipeline for every (value, seed) cell, on the
+    """Run the full two-stage pipeline for every cell of the grid, on the
     datasets the grid built.
 
-    Cells whose datasets share a `layout` train together: one [K, ...]
-    stack of teachers, one per dataset (per seed; per seed and value on the
-    axes that change the data), then one stack of students and one of
-    fine-tuned models over the cells, each cell starting from its dataset's
-    teacher. Every slice is bit-identical to its cell trained alone. The
-    stratified split gives every seed and noise rate the same split sizes,
-    so only clean_fraction values train apart. Each cell's teacher accuracy
-    is its teacher report's. Only the final accuracies are read, so every
-    stage trains with `record_epochs=False`: its report holds no epochs.
+    Cells whose datasets share a `layout` train together, on one
+    `Slices(datasets, seeds)` of their cells: one [K, ...] stack of
+    teachers, one per source (a distinct dataset and seed), in the order
+    that `Slices.sources` lists them, each with the base config at its
+    seed; then one stack of students and one of fine-tuned models over the
+    cells, each cell starting from its source's teacher. Every slice is
+    bit-identical to its cell trained alone. The stratified split gives
+    every seed and noise rate the same split sizes, so only clean_fraction
+    values train apart. Each cell's teacher accuracy is its source's in the
+    teacher report. Only the final accuracies are read, so every stage
+    trains with `record_epochs=False`: its report holds no epochs.
     """
-    cells = [(value, seed) for value in grid.values for seed in grid.seeds]
-    groups: dict[tuple, list[tuple[float, int]]] = {}
-    for cell in cells:
-        groups.setdefault(layout(grid.datasets[grid.data_key(*cell)]), []).append(cell)
+    groups: dict[tuple, list[tuple[float, int, TrainConfig, Dataset]]] = {}
+    for cell in grid.cells:
+        groups.setdefault(layout(cell[3]), []).append(cell)
 
     results: dict[tuple[float, int], tuple[float, float, float]] = {}
     for group in groups.values():
-        # one teacher per source: each distinct dataset (and so seed) of the cells
-        keys = list(dict.fromkeys(grid.data_key(*cell) for cell in group))
+        _, seeds, configs, datasets = zip(*group)
+        data = Slices(datasets, seeds)
         teachers, teacher_report = train_teacher(
-            [grid.datasets[key] for key in keys],
-            [replace(grid.base_config, seed=seed) for _, seed in keys], record_epochs=False)
-        acc_teacher = teacher_report.final_test_accuracy
-        cell_data = [grid.datasets[grid.data_key(*cell)] for cell in group]
-        configs = [_cell(grid, value, seed)[0] for value, seed in group]
-        cache = guidance.compute_teacher_soft_targets(
-            teachers, Slices(cell_data, [c.seed for c in configs]),
-            [c.temperature for c in configs])
-        students, student_report = train_student(teachers, cell_data, configs, cache,
+            [dataset for dataset, _ in data.sources],
+            [replace(grid.base_config, seed=seed) for _, seed in data.sources],
+            record_epochs=False)
+        cache = guidance.compute_teacher_soft_targets(teachers, data,
+                                                      [c.temperature for c in configs])
+        students, student_report = train_student(teachers, datasets, configs, cache,
                                                  record_epochs=False)
-        _, finetune_report = finetune_clean(students, cell_data, configs, record_epochs=False)
-        for cell, acc_student, acc_finetuned in zip(
-                group, student_report.final_test_accuracy, finetune_report.final_test_accuracy):
-            results[cell] = (acc_teacher[keys.index(grid.data_key(*cell))], acc_student,
-                             acc_finetuned)
+        _, finetune_report = finetune_clean(students, datasets, configs, record_epochs=False)
+        for k, (value, seed, _, _) in enumerate(group):
+            results[value, seed] = (teacher_report.final_test_accuracy[data.source[k]],
+                             student_report.final_test_accuracy[k],
+                             finetune_report.final_test_accuracy[k])
 
-    rows = [SweepRow(grid.axis, value, seed, *results[(value, seed)]) for value, seed in cells]
+    rows = [SweepRow(value, seed, *results[(value, seed)]) for value, seed, _, _ in grid.cells]
     return SweepResult(axis=grid.axis, rows=rows)

@@ -432,8 +432,9 @@ def train_student(
     configs that differ only in alpha, beta, temperature and seed, one
     dataset or K, and a cache built at their K temperatures on that data,
     the K students train as one [K, ...] stack. The teacher is a stack of
-    one model per source of the data (`data.Slices.source`), a single model
-    standing for one source, and slice k starts from its source's teacher.
+    one model per source of the data, in the order that `data.Slices.sources`
+    lists them, a single model standing for one source, and slice k starts
+    from teacher `source[k]`.
     Slice k equals the student of config k trained alone, and the report
     holds per-slice values and no student fingerprint. `record_epochs` is
     `train_teacher`'s.
