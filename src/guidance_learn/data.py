@@ -283,14 +283,14 @@ class Slices:
     Slices with the same dataset (by identity) and seed share a source;
     `sources` lists the (dataset, seed) pairs in order of first appearance,
     `source[k]` is slice k's number in it, and each source's batches are
-    drawn once. `features`, `labels` and `truth` hold
-    the sources' arrays end to end, and indices name rows of them: sample i
-    of source s is row s * N + i. An epoch's index order is [K, n], row k
-    slice k's own batch stream end to end, so that batch j is a column
-    range; `rows` gathers [K, n, ...]. One dataset with one int seed is data
-    without a slice axis, for a single model: `source` is then a 0-d array,
-    orders are [n] and rows [n, ...], by the same code. All datasets must
-    share one `layout`, so that the slices' batches align.
+    drawn once. `features`, `labels` and `truth` hold the sources' arrays
+    end to end, and indices name rows of them: sample i of source s is row
+    s * N + i. An epoch's index order is [K, n], row k slice k's own batch
+    stream end to end, so that batch j is a column range; `rows` gathers
+    [K, n, ...]. One dataset with one int seed is data without a slice
+    axis, for a single model: `source` is then a 0-d array, orders are [n]
+    and rows [n, ...], by the same code. All datasets must share one
+    `layout`, so that the slices' batches align.
     """
 
     def __init__(self, datasets: Dataset | Sequence[Dataset], seeds: int | Sequence[int] = 0):

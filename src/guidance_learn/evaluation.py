@@ -181,13 +181,16 @@ def sweep(grid: SweepGrid) -> SweepResult:
             record_epochs=False)
         cache = guidance.compute_teacher_soft_targets(teachers, data,
                                                       [c.temperature for c in configs])
+        acc_teacher = [teacher_report.final_test_accuracy[s] for s in data.source]
+        # the stages below build their own Slices: holding this one too raises the peak
+        del data
         students, student_report = train_student(teachers, datasets, configs, cache,
                                                  record_epochs=False)
         _, finetune_report = finetune_clean(students, datasets, configs, record_epochs=False)
-        for k, (value, seed, _, _) in enumerate(group):
-            results[value, seed] = (teacher_report.final_test_accuracy[data.source[k]],
-                             student_report.final_test_accuracy[k],
-                             finetune_report.final_test_accuracy[k])
+        for (value, seed, _, _), *accs in zip(group, acc_teacher,
+                                              student_report.final_test_accuracy,
+                                              finetune_report.final_test_accuracy):
+            results[value, seed] = tuple(accs)
 
     rows = [SweepRow(value, seed, *results[(value, seed)]) for value, seed, _, _ in grid.cells]
     return SweepResult(axis=grid.axis, rows=rows)
