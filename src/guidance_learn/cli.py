@@ -323,9 +323,9 @@ def _cmd_sweep(cli: argparse.Namespace) -> str:
     grid, effective = _sweep_grid(cli, config, recipe, sweep_keys)
     with _run_dir(cli, "results.json", _snapshot(config, recipe, effective)) as out:
         result = sweep(grid)
-        _write_atomic(out / "results.csv", result.to_csv_text().encode("utf-8"))
+        _write_atomic(out / "results.csv", [result.to_csv_text().encode("utf-8")])
         write_canonical_json(out / "results.json", result.to_json_dict())
-        _write_atomic(out / "plotdata.txt", result.to_plotdata_text().encode("utf-8"))
+        _write_atomic(out / "plotdata.txt", [result.to_plotdata_text().encode("utf-8")])
     best = max(result.aggregates(), key=lambda e: e["acc_student"]["mean"])
     return (f"sweep over {grid.axis}: best mean student accuracy "
             f"{best['acc_student']['mean']:.4f} at {grid.axis}={best['value']}")

@@ -397,7 +397,7 @@ def save_csv(dataset: Dataset, path) -> None:
         if dataset.true_labels is not None:
             row.append(str(int(dataset.true_labels[i])))
         writer.writerow(row)
-    _write_atomic(path, text.getvalue().encode("utf-8"))
+    _write_atomic(path, [text.getvalue().encode("utf-8")])
 
 
 def load_csv(path) -> Dataset:

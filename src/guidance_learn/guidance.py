@@ -22,7 +22,7 @@ import numpy as np
 from . import nn
 from .data import NOISY_TRAIN, Dataset, Slices
 from .errors import ConsistencyError, InputError, ParameterError, ShapeError
-from .serialize import _compact_json, _write_atomic
+from .serialize import _compact_pieces, _write_atomic
 
 CACHE_FORMAT_VERSION = 1
 
@@ -190,14 +190,21 @@ def student_backward(
 
 
 def cache_dict(cache: GuidanceCache) -> dict:
+    """The cache document of a single-slice `cache`: `targets` maps each
+    sample index, as a string, to its row of the targets array itself (a
+    view), which `serialize._compact_pieces` writes as a list."""
     return {
         "format_version": CACHE_FORMAT_VERSION,
         "temperature": cache.temperature,
         "teacher_fingerprint": cache.teacher_fingerprint,
-        "targets": dict(zip(map(str, cache.indices.tolist()), cache.targets.tolist())),
+        "targets": dict(zip(map(str, cache.indices.tolist()), cache.targets)),
     }
 
 
 def save_cache(cache: GuidanceCache, path) -> None:
-    """Write `cache_dict(cache)` atomically as compact, key-sorted JSON."""
-    _write_atomic(path, _compact_json(cache_dict(cache)))
+    """Write `cache_dict(cache)` atomically as compact, key-sorted JSON,
+    streamed to the file in blocks of rows and kept nowhere. A cache file
+    holds one slice: a stack is a ShapeError, and nothing is written."""
+    if cache.indices.ndim != 1:
+        raise ShapeError(f"a cache file holds one slice, not a stack of {len(cache.indices)}")
+    _write_atomic(path, _compact_pieces(cache_dict(cache)))

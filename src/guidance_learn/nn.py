@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FormatError, GuidanceLearnError, InputError, ParameterError, ShapeError
-from .serialize import _compact_json, _write_atomic, read_field, read_json_text
+from .serialize import _compact_pieces, _write_atomic, read_field, read_json_text
 
 PROB_CLAMP = 1e-12
 CHECKPOINT_FORMAT_VERSION = 1
@@ -68,10 +68,11 @@ class ModelParams:
     views of it (see `Gradients`). The checkpoint encoding that
     `fingerprint` and `save_checkpoint` share is kept on the instance, keyed
     by a digest of the parameter state, so a model changed in place is
-    encoded anew. It is the canonical compact encoding, whose bytes a save
-    drops, or for a model loaded from a compact checkpoint the bytes of
-    that file (`load_checkpoint`), which every save of the unchanged model
-    writes as read.
+    encoded anew. It is a list of byte pieces: the canonical compact
+    encoding, one piece per block that `serialize._compact_pieces` makes,
+    which a save drops, or for a model loaded from a compact checkpoint the
+    bytes of that file as one piece (`load_checkpoint`), which every save
+    of the unchanged model writes as read.
     """
 
     weights: list[np.ndarray]
@@ -79,9 +80,9 @@ class ModelParams:
     rng_seed: int = 0
     flat: np.ndarray = field(init=False, repr=False, compare=False)
     layout: tuple = field(init=False, repr=False, compare=False)
-    # (state digest, sha256 hex, checkpoint bytes or None once saved,
-    #  whether the bytes are a file's, kept across saves)
-    _encoding: tuple[bytes, str, bytes | None, bool] | None = field(
+    # (state digest, sha256 hex, checkpoint pieces or None once saved,
+    #  whether the pieces are a file's bytes, kept across saves)
+    _encoding: tuple[bytes, str, list[bytes] | None, bool] | None = field(
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -404,12 +405,15 @@ def sgd_step(
 
 
 def checkpoint_dict(params: ModelParams) -> dict:
+    """The checkpoint document of `params`. It holds the weight and bias
+    arrays themselves, which `serialize._compact_pieces` writes as nested
+    lists block by block."""
     return {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "activation": "relu",
         "layer_dims": params.layer_dims,
-        "weights": [W.tolist() for W in params.weights],
-        "biases": [b.tolist() for b in params.biases],
+        "weights": list(params.weights),
+        "biases": list(params.biases),
         "rng_seed": params.rng_seed,
     }
 
@@ -424,34 +428,41 @@ def _state_digest(params: ModelParams) -> bytes:
     return digest.digest()
 
 
-def _encoded(params: ModelParams, need_bytes: bool) -> tuple[bytes, str, bytes | None, bool]:
+def _encoded(params: ModelParams,
+             need_bytes: bool) -> tuple[bytes, str, list[bytes] | None, bool]:
     """`params._encoding` (see `ModelParams`), encoded canonically only when
-    the state changed since the last encoding (or loading) or the bytes are
-    needed but were dropped by a save."""
+    the state changed since the last encoding (or loading) or the pieces
+    are needed but were dropped by a save. Each piece is hashed as it is
+    made, so the bytes are never joined."""
     state = _state_digest(params)
     cached = params._encoding
     if cached is None or cached[0] != state or (need_bytes and cached[2] is None):
-        data = _compact_json(checkpoint_dict(params))
-        cached = params._encoding = (state, hashlib.sha256(data).hexdigest(), data, False)
+        digest, pieces = hashlib.sha256(), []
+        for piece in _compact_pieces(checkpoint_dict(params)):
+            digest.update(piece)
+            pieces.append(piece)
+        cached = params._encoding = (state, digest.hexdigest(), pieces, False)
     return cached
 
 
 def fingerprint(params: ModelParams) -> str:
-    """sha256 of the checkpoint bytes `save_checkpoint` writes."""
+    """sha256 of the checkpoint bytes `save_checkpoint` writes. The encoding's
+    pieces are kept on `params` for its next save (see `ModelParams`)."""
     return _encoded(params, need_bytes=False)[1]
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
     """Write the checkpoint encoding of `params` (see `ModelParams`)
-    atomically. Afterwards only its sha256 stays on `params`, not the bytes,
-    unless they are those of the file it was loaded from. A checkpoint
-    holds one model: a stack is a ShapeError, and nothing is
-    written."""
+    atomically, piece by piece: the same bytes as one compact `json.dumps`
+    of `checkpoint_dict(params)`. Afterwards only its sha256 stays on
+    `params`, not the pieces, unless they are the bytes of the file it was
+    loaded from. A checkpoint holds one model: a stack is a ShapeError, and
+    nothing is written."""
     if params.weights[0].ndim != 2:
         raise ShapeError(f"a checkpoint holds one model, not a stack of "
                          f"{params.weights[0].shape[0]}")
-    state, sha, data, from_file = _encoded(params, need_bytes=True)
-    _write_atomic(path, data)
+    state, sha, pieces, from_file = _encoded(params, need_bytes=True)
+    _write_atomic(path, pieces)
     if not from_file:
         params._encoding = (state, sha, None, False)
 
@@ -518,5 +529,6 @@ def load_checkpoint(path) -> ModelParams:
         )
     if _savable_as_read(text, keys, version):
         data = text.encode("utf-8")  # the file's bytes, made after its document is freed
-        params._encoding = (_state_digest(params), hashlib.sha256(data).hexdigest(), data, True)
+        params._encoding = (_state_digest(params), hashlib.sha256(data).hexdigest(), [data],
+                            True)
     return params

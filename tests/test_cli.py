@@ -417,7 +417,7 @@ def test_train_student_saves_a_compact_teacher_as_it_was_read(tmp_path, config_f
     text = json.dumps(dict(reversed(doc.items())), separators=(",", ":"))
     assert text.count("1e-05") == 1
     written = (text.replace("1e-05", "1e-5") + "\n").encode()
-    assert written != serialize._compact_json(doc)
+    assert written != (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
     teacher = tmp_path / "reordered.ckpt"
     teacher.write_bytes(written)
     out = tmp_path / "student"

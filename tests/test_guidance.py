@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from guidance_learn import data, guidance, nn
-from guidance_learn.errors import ConsistencyError, FormatError, InputError, ParameterError
+from guidance_learn.errors import (ConsistencyError, FormatError, InputError, ParameterError,
+                                   ShapeError)
 from helpers import fuse, random_probs, read_cache
 
 
@@ -288,6 +289,18 @@ def test_cache_roundtrip_and_validation(tmp_path):
     second = tmp_path / "again.bin"
     guidance.save_cache(loaded, second)
     assert path.read_bytes() == second.read_bytes()
+
+
+def test_save_cache_refuses_a_stacked_cache_before_writing(tmp_path):
+    """A stack's [K, N] indices would be written as keys such as "[2, 5]",
+    so slices with equal index rows would collide in one key."""
+    cache = guidance.GuidanceCache(indices=np.array([[2, 5], [2, 5]]),
+                                   targets=np.full((2, 2, 3), 1 / 3), temperature=[2.0, 3.0],
+                                   teacher_fingerprint="f" * 64)
+    path = tmp_path / "guidance_cache.bin"
+    with pytest.raises(ShapeError, match="one slice, not a stack of 2"):
+        guidance.save_cache(cache, path)
+    assert not list(tmp_path.iterdir())
 
 
 def test_student_batch_loss_alpha_zero_gradients_are_the_clean_branch():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from guidance_learn import nn
 from guidance_learn.errors import InputError, ParameterError, ShapeError
-from guidance_learn.serialize import _compact_json, canonical_json
 from helpers import copy, fd_gradients, max_rel_error, random_net, random_probs, stack
 from helpers import params_bytes
 
@@ -407,6 +406,12 @@ def test_t2_compensated_gradient_converges_with_temperature():
     assert abs(grad_norm(100.0) - grad_norm(200.0)) < 1e-3
 
 
+def _compact(doc) -> bytes:
+    """The stdlib's compact, sorted JSON of a checkpoint document."""
+    return (json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False,
+                       default=np.ndarray.tolist) + "\n").encode()
+
+
 def test_checkpoint_roundtrip_is_byte_exact(tmp_path):
     params = nn.init_params([5, 7, 4], seed=13)
     first = tmp_path / "a.ckpt"
@@ -424,7 +429,8 @@ def test_indented_checkpoint_loads_to_bit_equal_arrays(tmp_path):
     params = nn.init_params([5, 7, 4], seed=13)
     params.weights[0][0, 0] = -0.0
     indented = tmp_path / "indented.ckpt"
-    indented.write_text(canonical_json(nn.checkpoint_dict(params)))
+    indented.write_text(json.dumps(nn.checkpoint_dict(params), indent=2, sort_keys=True,
+                                   default=np.ndarray.tolist) + "\n")
     loaded = nn.load_checkpoint(indented)
     assert params_bytes(loaded) == params_bytes(params)
     assert loaded.rng_seed == params.rng_seed
@@ -440,8 +446,9 @@ def test_loaded_compact_checkpoint_keeps_its_bytes_until_changed(tmp_path):
     the canonical encoding of its new state."""
     params = nn.init_params([5, 7, 4], seed=13)
     doc = nn.checkpoint_dict(params)
-    written = (json.dumps(dict(reversed(doc.items())), separators=(",", ":")) + "\n").encode()
-    assert written != _compact_json(doc)
+    written = (json.dumps(dict(reversed(doc.items())), separators=(",", ":"),
+                          default=np.ndarray.tolist) + "\n").encode()
+    assert written != _compact(doc)
     path = tmp_path / "reordered.ckpt"
     path.write_bytes(written)
     loaded = nn.load_checkpoint(path)
@@ -454,19 +461,20 @@ def test_loaded_compact_checkpoint_keeps_its_bytes_until_changed(tmp_path):
     loaded.weights[1][0, 0] += 1.0
     nn.save_checkpoint(loaded, tmp_path / "changed.ckpt")
     changed = (tmp_path / "changed.ckpt").read_bytes()
-    assert changed == _compact_json(nn.checkpoint_dict(loaded)) != written
+    assert changed == _compact(nn.checkpoint_dict(loaded)) != written
     assert nn.fingerprint(loaded) == hashlib.sha256(changed).hexdigest()
 
 
 def _compact_variant(variant: str) -> bytes:
     doc = nn.checkpoint_dict(nn.init_params([5, 7, 4], seed=13))
+    doc["weights"] = [W.tolist() for W in doc["weights"]]
     if variant == "unknown-field":
         doc["note"] = "x"
     elif variant == "boolean-weight":
         doc["weights"][0][0][0] = True
     elif variant in ("version-true", "version-float"):
         doc["format_version"] = True if variant == "version-true" else 1.0
-    text = _compact_json(doc)
+    text = _compact(doc)
     if variant == "duplicate-key":  # json.loads keeps the last "weights"
         text = b'{"weights":[[[2.0]]],' + text[1:]
     return text
@@ -483,7 +491,7 @@ def test_compact_checkpoint_beyond_the_schema_saves_canonically(tmp_path, varian
     path = tmp_path / "variant.ckpt"
     path.write_bytes(_compact_variant(variant))
     loaded = nn.load_checkpoint(path)
-    canonical = _compact_json(nn.checkpoint_dict(loaded))
+    canonical = _compact(nn.checkpoint_dict(loaded))
     assert canonical != path.read_bytes()
     nn.save_checkpoint(loaded, tmp_path / "saved.ckpt")
     assert (tmp_path / "saved.ckpt").read_bytes() == canonical
