@@ -25,7 +25,7 @@ from pathlib import Path
 from . import guidance, nn
 from .data import (DataRecipe, Dataset, NoiseSpec, inject_noise, load_csv, make_blobs, save_csv,
                    save_noise_manifest)
-from .errors import ConfigurationError, EmptySubsetError, GuidanceLearnError
+from .errors import ConfigurationError, DataError, EmptySubsetError, GuidanceLearnError
 from .evaluation import SWEEP_AXES, SweepGrid, accuracy, sweep
 from .pipeline import (
     BASELINE_VARIANTS,
@@ -186,6 +186,8 @@ def _sweep_grid(cli: argparse.Namespace, config: TrainConfig, recipe: DataRecipe
                              recipe=recipe)
     except OSError as exc:
         raise ConfigurationError(f"{cli.config_path}: data_csv: {exc}") from None
+    except DataError as exc:
+        raise DataError(f"{cli.config_path}: {exc}") from None
     return grid, to_document(SweepKeys(sweep_axis=axis, sweep_values=values, sweep_seeds=seeds))
 
 

@@ -276,9 +276,10 @@ def layout(dataset: Dataset) -> tuple:
 
 
 class Slices:
-    """The data of the K slices of a stack: slice k trains on `datasets[k]`
+    """The data of the K slices of a stack, which a caller builds once and
+    every stage of `pipeline` trains on: slice k trains on `datasets[k]`
     with the batch stream of `seeds[k]`; one dataset or one seed stands for
-    all K.
+    all K, and no dataset or no seed is a ShapeError.
 
     Slices with the same dataset (by identity) and seed share a source;
     `sources` lists the (dataset, seed) pairs in order of first appearance,
@@ -298,12 +299,11 @@ class Slices:
         axis = () if one_seed and isinstance(datasets, Dataset) else (-1,)
         datasets = [datasets] if isinstance(datasets, Dataset) else list(datasets)
         seeds = [seeds] if one_seed else list(seeds)
-        if len(datasets) == 1:
-            datasets = datasets * len(seeds)
-        if len(seeds) == 1:
-            seeds = seeds * len(datasets)
-        if len(datasets) != len(seeds):
-            raise ShapeError(f"{len(datasets)} datasets for {len(seeds)} seeds")
+        K = max(len(datasets), len(seeds))
+        if not datasets or not seeds or {len(datasets), len(seeds)} - {1, K}:
+            raise ShapeError(f"{len(datasets)} datasets for {len(seeds)} seeds: Slices takes at "
+                             f"least one of each, and one or as many as the other")
+        datasets, seeds = datasets * (K // len(datasets)), seeds * (K // len(seeds))
         keys = [(id(ds), seed) for ds, seed in zip(datasets, seeds)]
         sources = dict(zip(keys, zip(datasets, seeds)))
         order = {key: j for j, key in enumerate(sources)}

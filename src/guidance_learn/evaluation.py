@@ -156,15 +156,15 @@ def sweep(grid: SweepGrid) -> SweepResult:
     datasets the grid built.
 
     Cells whose datasets share a `layout` train together, on one
-    `Slices(datasets, seeds)` of their cells: one [K, ...] stack of
-    teachers, one per source (a distinct dataset and seed), in the order
-    that `Slices.sources` lists them, each with the base config at its
-    seed; then one stack of students and one of fine-tuned models over the
-    cells, each cell starting from its source's teacher. Every slice is
+    `Slices(datasets, seeds)` of their cells that every stage takes: one
+    [K, ...] stack of teachers on its `per_source()` view, one per source
+    (a distinct dataset and seed), each with the base config at its seed;
+    then the soft targets, one stack of students and one of fine-tuned
+    models over the cells, each from its source's teacher. Every slice is
     bit-identical to its cell trained alone. The stratified split gives
     every seed and noise rate the same split sizes, so only clean_fraction
-    values train apart. Each cell's teacher accuracy is its source's in the
-    teacher report. Only the final accuracies are read, so every stage
+    values train apart. Each cell's teacher accuracy is its source's in
+    the teacher report. Only the final accuracies are read, so every stage
     trains with `record_epochs=False`: its report holds no epochs.
     """
     groups: dict[tuple, list[tuple[float, int, TrainConfig, Dataset]]] = {}
@@ -176,17 +176,14 @@ def sweep(grid: SweepGrid) -> SweepResult:
         _, seeds, configs, datasets = zip(*group)
         data = Slices(datasets, seeds)
         teachers, teacher_report = train_teacher(
-            [dataset for dataset, _ in data.sources],
-            [replace(grid.base_config, seed=seed) for _, seed in data.sources],
+            data.per_source(), [replace(grid.base_config, seed=seed) for _, seed in data.sources],
             record_epochs=False)
         cache = guidance.compute_teacher_soft_targets(teachers, data,
                                                       [c.temperature for c in configs])
         acc_teacher = [teacher_report.final_test_accuracy[s] for s in data.source]
-        # the stages below build their own Slices: holding this one too raises the peak
-        del data
-        students, student_report = train_student(teachers, datasets, configs, cache,
+        students, student_report = train_student(teachers, data, configs, cache,
                                                  record_epochs=False)
-        _, finetune_report = finetune_clean(students, datasets, configs, record_epochs=False)
+        _, finetune_report = finetune_clean(students, data, configs, record_epochs=False)
         for (value, seed, _, _), *accs in zip(group, acc_teacher,
                                               student_report.final_test_accuracy,
                                               finetune_report.final_test_accuracy):

@@ -4,14 +4,14 @@ and mixed train from scratch as the teacher does, on their own subsets.
 
 All runs are driven by a TrainConfig and are bit-reproducible from
 (dataset, config): every shuffle and init draws from seed-derived streams.
-The slice axis follows the inputs (see `nn` and `data.Slices`). Given K
-configs, which may differ in alpha, beta, temperature and seed, and one
-dataset or K, a stage trains a [K, ...] stack, slice k on its own dataset
-and seed, and every loss and accuracy in its report is a list of K
-per-slice values. One config and one dataset have no slice axis: the stage
-trains one model, by the same code, and its report holds numbers and the
-model's fingerprint. A stage that starts from given models picks each
-slice's with `nn.take`.
+The slice axis follows the inputs (see `nn` and `data.Slices`). K configs,
+which may differ in alpha, beta, temperature and seed, train a [K, ...]
+stack on one dataset or on the `data.Slices` their caller built, slice k
+on its own dataset and seed, and every loss and accuracy in the stage's
+report is a list of K per-slice values. One config and one dataset have
+no slice axis: the stage trains one model, by the same code, and its
+report holds numbers and the model's fingerprint. A stage that starts
+from given models picks each slice's with `nn.take`.
 """
 from __future__ import annotations
 
@@ -171,8 +171,8 @@ _PER_SLICE = ("alpha", "beta", "temperature", "seed")
 @dataclass(frozen=True)
 class _Stack:
     """What a stage trains on: the data and config of each of its slices,
-    which share `config` but for `_PER_SLICE`. One config and one dataset
-    are data without a slice axis (`data.source` 0-d), for one model."""
+    which share `config` but for `_PER_SLICE`. One config trains one model
+    on data without a slice axis (`data.source` 0-d)."""
 
     data: Slices
     config: TrainConfig
@@ -184,26 +184,30 @@ class _Stack:
         return np.arange(len(self.configs)).reshape(self.data.source.shape)
 
 
-def _stack(dataset: Dataset | Sequence[Dataset],
-           config: TrainConfig | Sequence[TrainConfig]) -> _Stack:
-    """K configs that differ only in `_PER_SLICE`, with one dataset or K; or
-    one config and one dataset. Any other count is a ConfigurationError."""
-    if isinstance(config, TrainConfig):
-        if not isinstance(dataset, Dataset):
-            raise ConfigurationError("per-slice datasets need per-slice configs")
-        return _Stack(Slices(dataset, config.seed), config, [config])
-    configs = list(config)
+def _stack(dataset: Dataset | Slices, config: TrainConfig | Sequence[TrainConfig]) -> _Stack:
+    """K configs that differ only in `_PER_SLICE`, or one config, and their
+    data: one dataset, or the `Slices` a caller built, slice k at config k's
+    seed (no slice axis for one config); else a ConfigurationError."""
+    one = isinstance(config, TrainConfig)
+    configs = [config] if one else list(config)
     if not configs:
         raise ConfigurationError("a stack needs at least one config")
-    if not isinstance(dataset, Dataset) and len(dataset) not in (1, len(configs)):
-        raise ConfigurationError(f"{len(dataset)} datasets for {len(configs)} configs: a stack "
-                                 f"takes one dataset, or one per config")
     shared = [replace(c, **{name: getattr(configs[0], name) for name in _PER_SLICE})
               for c in configs]
     if any(c != configs[0] for c in shared):
         raise ConfigurationError(
             f"the configs of a stack may differ only in {', '.join(_PER_SLICE)}")
-    return _Stack(Slices(dataset, [c.seed for c in configs]), configs[0], configs)
+    seeds = configs[0].seed if one else [c.seed for c in configs]
+    if isinstance(dataset, Dataset):
+        dataset = Slices(dataset, seeds)
+    elif not isinstance(dataset, Slices):
+        raise ConfigurationError(f"a stack trains on a Dataset or a data.Slices, "
+                                 f"not a {type(dataset).__name__}")
+    slice_seeds = np.array([seed for _, seed in dataset.sources])[dataset.source].tolist()
+    if slice_seeds != seeds:
+        raise ConfigurationError(f"slices at seeds {slice_seeds} for configs at seeds {seeds}: "
+                                 f"a stack takes slice k at config k's seed")
+    return _Stack(dataset, configs[0], configs)
 
 
 def check_fits(model: nn.ModelParams, dataset: Dataset | Slices, name: str) -> None:
@@ -384,8 +388,7 @@ def _train_cross_entropy(
                   lambda epoch: (data.order(tags, B, epoch),), block, record_epochs)
 
 
-def _from_scratch(dataset: Dataset | Sequence[Dataset],
-                  config: TrainConfig | Sequence[TrainConfig],
+def _from_scratch(dataset: Dataset | Slices, config: TrainConfig | Sequence[TrainConfig],
                   name: str, record_epochs: bool = True) -> tuple[nn.ModelParams, RunReport]:
     """Cross-entropy over the subset that stage `name` trains on
     (`TRAINS_ON`) on the teacher schedule, slice k initialised and batched
@@ -400,13 +403,13 @@ def _from_scratch(dataset: Dataset | Sequence[Dataset],
 
 
 def train_teacher(
-    dataset: Dataset | Sequence[Dataset], config: TrainConfig | Sequence[TrainConfig],
+    dataset: Dataset | Slices, config: TrainConfig | Sequence[TrainConfig],
     *, record_epochs: bool = True,
 ) -> tuple[nn.ModelParams, RunReport]:
     """Stage 1: plain cross-entropy over all training samples, clean + noisy.
-    One config and one dataset train one teacher; K configs (and one
-    dataset or K) train a [K, ...] stack of teachers, slice k initialised
-    and batched from its own seed. With `record_epochs` False the report
+    One config and one dataset train one teacher; K configs and their data
+    (`_stack`) train a [K, ...] stack of teachers, slice k initialised and
+    batched from its own seed. With `record_epochs` False the report
     holds no epochs, only the final test accuracy, and no per-epoch loss or
     test pass is computed (`_train`); the model is the same."""
     return _from_scratch(dataset, config, "teacher", record_epochs)
@@ -414,7 +417,7 @@ def train_teacher(
 
 def train_student(
     teacher: nn.ModelParams,
-    dataset: Dataset | Sequence[Dataset],
+    dataset: Dataset | Slices,
     config: TrainConfig | Sequence[TrainConfig],
     cache: guidance.GuidanceCache,
     *,
@@ -428,16 +431,14 @@ def train_student(
     temperature is a ConsistencyError (`guidance.check_cache`). The
     teacher's fingerprint goes into the report. One config and one dataset
     train one student from the teacher, with the cache the command line
-    writes (no slice axis), and the report holds its fingerprint. Given K
-    configs that differ only in alpha, beta, temperature and seed, one
-    dataset or K, and a cache built at their K temperatures on that data,
-    the K students train as one [K, ...] stack. The teacher is a stack of
-    one model per source of the data, in the order that `data.Slices.sources`
-    lists them, a single model standing for one source, and slice k starts
-    from teacher `source[k]`.
-    Slice k equals the student of config k trained alone, and the report
-    holds per-slice values and no student fingerprint. `record_epochs` is
-    `train_teacher`'s.
+    writes (no slice axis), and the report holds its fingerprint. K configs
+    that differ only in alpha, beta, temperature and seed, their data
+    (`_stack`) and a cache at their K temperatures train K students as one
+    [K, ...] stack, slice k from teacher `source[k]` of a stack of one per
+    source (`train_teacher` on `data.per_source()`; one model stands for
+    one source). Slice k equals the student of config k trained alone, and
+    the report holds per-slice values and no student fingerprint.
+    `record_epochs` is `train_teacher`'s.
     """
     stack = _stack(dataset, config)
     data, config = stack.data, stack.config
@@ -481,14 +482,14 @@ def train_student(
 
 def finetune_clean(
     model: nn.ModelParams,
-    dataset: Dataset | Sequence[Dataset],
+    dataset: Dataset | Slices,
     config: TrainConfig | Sequence[TrainConfig],
     *,
     record_epochs: bool = True,
 ) -> tuple[nn.ModelParams, RunReport]:
     """Cross-entropy pass over the clean subset only, at a reduced LR, on a
-    copy of `model`. One config fine-tunes one model; K configs (and one
-    dataset or K) fine-tune slice k of a stack of K on its own data and
+    copy of `model`. One config fine-tunes one model; K configs and their
+    data (`_stack`) fine-tune slice k of a stack of K on its own data and
     seed. A model that does not fit the data (`check_fits`) or the configs
     is a ShapeError. `record_epochs` is `train_teacher`'s."""
     stack = _stack(dataset, config)

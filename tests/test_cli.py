@@ -696,6 +696,9 @@ def test_forced_rerun_with_a_bad_teacher_leaves_the_finished_run_as_it_was(tmp_p
      "{config}: class 0 has 3 samples, fewer than the requested stratified split"),
     (["train-teacher"], {"data_kind": "csv", "data_csv": "{missing}"},
      "{config}: data_csv: [Errno 2] No such file or directory: '{missing}'"),
+    (["sweep", "--axis", "beta", "--values", "0.1,0.2"],
+     {"data_per_class": 3, "data_clean_fraction": 0.1},
+     "{config}: class 0 has 3 samples, fewer than the requested stratified split"),
     (["sweep", "--axis", "noise_rate", "--values", "0.1"],
      {"noise_model": "none", "noise_rate": 0.0},
      "noise_rate sweep needs a noise model (noise_model is 'none')"),
@@ -724,8 +727,8 @@ def test_forced_rerun_with_a_bad_teacher_leaves_the_finished_run_as_it_was(tmp_p
      "split 'test' is empty"),
     (["eval", "--checkpoint", "{missing}", "--split", "test"], {"data_test_fraction": 0.0},
      "{config}: data_clean_fraction 0.1, data_test_fraction 0.0: split 'test' is empty"),
-], ids=["class-too-small", "missing-data-csv", "sweep-noise-model", "sweep-missing-data-csv",
-        "student-no-clean", "sweep-beta-no-clean", "sweep-clean-fraction-0", "guidance-no-clean",
+], ids=["class-too-small", "missing-data-csv", "sweep-class-too-small", "sweep-noise-model",
+        "sweep-missing-data-csv", "student-no-clean", "sweep-beta-no-clean", "sweep-clean-fraction-0", "guidance-no-clean",
         "clean-only-no-clean", "finetune-no-clean", "sweep-no-test", "eval-no-test"])
 def test_dataset_build_error_names_the_config_file_or_key(tmp_path, capsys, argv, doc,
                                                           message):

@@ -9,6 +9,7 @@ from guidance_learn.errors import (
     DataError,
     FormatError,
     ParameterError,
+    ShapeError,
 )
 from guidance_learn.serialize import from_document, to_document
 
@@ -275,6 +276,27 @@ def test_slices_list_their_sources_in_source_order():
     shared = data.Slices([first, first], [1, 1])
     assert [(id(ds), seed) for ds, seed in shared.sources] == [(id(first), 1)]
     assert shared.source.tolist() == [0, 0]
+
+
+@pytest.mark.parametrize("datasets, seeds, counts", [
+    ([], 0, "0 datasets for 1 seeds"), ([], [], "0 datasets for 0 seeds"),
+    (["one"], [], "1 datasets for 0 seeds"), ("one", [], "1 datasets for 0 seeds"),
+    (["one", "one"], [1, 2, 3], "2 datasets for 3 seeds"),
+], ids=["no-datasets", "neither", "no-seeds-listed", "no-seeds", "two-for-three"])
+def test_slices_without_a_dataset_or_seed_for_every_slice_are_a_shape_error(
+        monkeypatch, datasets, seeds, counts):
+    """No dataset, no seed, or counts of which neither is one and that
+    differ: a ShapeError naming both counts, before any array is joined."""
+    dataset = _mixed_dataset(100, 8, seed=16)
+    datasets = dataset if datasets == "one" else [dataset for _ in datasets]
+
+    def no_join(*args):
+        raise AssertionError("joined arrays before checking the counts")
+
+    monkeypatch.setattr(data.Slices, "_joined", no_join)
+    with pytest.raises(ShapeError, match=counts):
+        data.Slices(datasets, seeds)
+
 
 def test_manifest_roundtrip(tmp_path):
     dataset = data.make_blobs(3, 30, 3, sigma=0.2, seed=18)

@@ -302,44 +302,46 @@ def test_sweep_cells_match_standalone_runs(monkeypatch, axis, values):
     ("clean_fraction", (0.1, 0.2), [{"clean_fraction": 0.1}, {"clean_fraction": 0.2}]),
 ])
 def test_sweep_trains_one_teacher_per_source(monkeypatch, axis, values, stack_recipes):
-    """Each layout group of a sweep trains one stack of teachers, one per
-    source of its cells' `Slices` (a distinct dataset and seed), in the order
-    `sources` lists them, with the base config at the source's seed; the
-    soft targets come from that same `Slices`."""
+    """Each layout group of a sweep builds one `Slices` of its cells and
+    trains one stack of teachers on its `per_source` view, one teacher per
+    source (a distinct dataset and seed), in the order `sources` lists
+    them, with the base config at the source's seed; the soft targets, the
+    students and the fine-tuned models train on that same `Slices`."""
     from dataclasses import replace
 
     recipe, config = _sweep_inputs()
-    teacher_calls, slices = [], []
-    real_train_teacher = evaluation.train_teacher
-    real_soft_targets = evaluation.guidance.compute_teacher_soft_targets
+    calls = {}
 
-    def recording_train_teacher(datasets, configs, **kwargs):
-        teacher_calls.append((list(datasets), list(configs)))
-        return real_train_teacher(datasets, configs, **kwargs)
+    def recording(name, real):
+        def record(*args, **kwargs):
+            calls.setdefault(name, []).append(args)
+            return real(*args, **kwargs)
+        return record
 
-    def recording_soft_targets(teacher, data_slices, temperature):
-        slices.append(data_slices)
-        return real_soft_targets(teacher, data_slices, temperature)
-
-    monkeypatch.setattr(evaluation, "train_teacher", recording_train_teacher)
-    monkeypatch.setattr(evaluation.guidance, "compute_teacher_soft_targets",
-                        recording_soft_targets)
+    for module, name in ((evaluation, "train_teacher"),
+                         (evaluation.guidance, "compute_teacher_soft_targets"),
+                         (evaluation, "train_student"), (evaluation, "finetune_clean")):
+        monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
     seeds = (1, 2)
     grid = evaluation.SweepGrid(axis=axis, values=values, base_config=config, seeds=seeds,
                                 recipe=recipe)
     evaluation.sweep(grid)
     monkeypatch.undo()
 
-    assert len(teacher_calls) == len(slices) == len(stack_recipes)
+    assert [len(group) for group in calls.values()] == [len(stack_recipes)] * 4
     cells_per_stack = len(values) // len(stack_recipes)
-    for (datasets, configs), data_slices, overrides in zip(teacher_calls, slices,
-                                                           stack_recipes):
+    for (teacher_data, configs), soft, student, finetune, overrides in zip(
+            *calls.values(), stack_recipes):
+        data_slices, student_data, finetune_data = soft[1], student[1], finetune[1]
+        assert student_data is data_slices and finetune_data is data_slices
         assert len(data_slices.sources) == len(seeds)
         assert data_slices.source.tolist() == list(range(len(seeds))) * cells_per_stack
-        assert [id(ds) for ds in datasets] == [id(ds) for ds, _ in data_slices.sources]
+        assert teacher_data.source.tolist() == list(range(len(seeds)))
+        assert teacher_data.sources == data_slices.sources
+        assert teacher_data.features is data_slices.features
         assert configs == [replace(config, seed=seed) for _, seed in data_slices.sources]
         assert [seed for _, seed in data_slices.sources] == list(seeds)
-        for dataset, seed in zip(datasets, seeds):
+        for (dataset, _), seed in zip(data_slices.sources, seeds):
             built, _ = replace(recipe, **overrides).build(seed)
             assert dataset.features.tobytes() == built.features.tobytes()
             assert np.array_equal(dataset.labels, built.labels)

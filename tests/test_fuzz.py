@@ -2,6 +2,9 @@
 bytes fed to every file loader, fail, if at all, only with a package error
 (GuidanceLearnError subclass)."""
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -98,3 +101,20 @@ def test_byte_loaders_fail_only_with_package_errors(tmp_path, load, example):
         load(tmp_path, example)
     except GuidanceLearnError:
         pass
+
+
+def test_a_failing_property_reports_its_falsifying_example(tmp_path):
+    """Under this repository's pytest settings, a failing `@given` test
+    fails with its falsifying example, not with an INTERNALERROR raised
+    while hypothesis builds its report."""
+    (tmp_path / "test_toy.py").write_text(
+        "from hypothesis import given, settings, strategies as st\n\n\n"
+        "@settings(database=None)\n@given(st.integers())\n"
+        "def test_toy(x):\n    assert x < 5\n", encoding="utf-8")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    run = subprocess.run([sys.executable, "-m", "pytest", "-c", str(pyproject),
+                          "-p", "no:cacheprovider", str(tmp_path / "test_toy.py")],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    output = run.stdout + run.stderr
+    assert run.returncode == 1, output
+    assert "Falsifying example" in output and "INTERNALERROR" not in output, output

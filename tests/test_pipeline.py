@@ -1,3 +1,4 @@
+import re
 import warnings
 from dataclasses import replace
 
@@ -503,10 +504,13 @@ def test_the_slice_axis_follows_the_configs(monkeypatch, listed):
 
 @pytest.mark.parametrize("stage", ["teacher", "student", "finetune"])
 def test_dataset_count_must_be_one_or_the_config_count(monkeypatch, stage):
-    """A list of datasets of neither one nor as many as the configs is a
-    ConfigurationError naming both counts, raised before any training."""
+    """A stage trains on one dataset or on a `Slices` of one slice per
+    config (no slice axis for one config), slice k at config k's seed.
+    Slices of another shape or at other seeds, or a list of datasets, are a
+    ConfigurationError naming both, raised before any training."""
     datasets = [small_dataset(seed=s) for s in (18, 19, 20)]
     config = small_config(seed=18)
+    pair = [config, replace(config, seed=19)]
     teacher = nn.init_params([4, 8, 3], seed=18)
     cache = guidance.compute_teacher_soft_targets(teacher, datasets[0], config.temperature)
     run = {"teacher": lambda ds, cs: pipeline.train_teacher(ds, cs),
@@ -514,13 +518,37 @@ def test_dataset_count_must_be_one_or_the_config_count(monkeypatch, stage):
            "finetune": lambda ds, cs: pipeline.finetune_clean(teacher, ds, cs)}[stage]
 
     def no_training(*args, **kwargs):
-        raise AssertionError("trained before checking the dataset count")
+        raise AssertionError("trained before checking the data")
 
     monkeypatch.setattr(nn, "backward", no_training)
-    for count, configs in ((2, [config]), (3, [config, replace(config, seed=19)])):
-        with pytest.raises(ConfigurationError,
-                           match=f"{count} datasets for {len(configs)} configs"):
-            run(datasets[:count], configs)
+    for given, configs, message in (
+            (data.Slices(datasets[:2], 18), [config], "seeds [18, 18] for configs at seeds [18]"),
+            (data.Slices(datasets, 18), pair, "seeds [18, 18, 18] for configs at seeds [18, 19]"),
+            (data.Slices(datasets[0], 18), [config], "at seeds 18 for configs at seeds [18]"),
+            (data.Slices([datasets[0]], [18]), config, "at seeds [18] for configs at seeds 18"),
+            (data.Slices(datasets[:2], [18, 20]), pair,
+             "at seeds [18, 20] for configs at seeds [18, 19]"),
+            (data.Slices(datasets[0], 19), config, "at seeds 19 for configs at seeds 18"),
+            (datasets[:2], pair, "a Dataset or a data.Slices, not a list")):
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            run(given, configs)
+
+
+def test_a_stage_given_slices_trains_what_it_builds_from_the_dataset():
+    """Slices at the configs' seeds, with or without a slice axis, train
+    the bits that the dataset itself trains."""
+    dataset, config = small_dataset(seed=21), small_config(seed=21)
+    configs = [config, replace(config, seed=22, beta=0.5)]
+    for given, cs in ((data.Slices(dataset, 21), config),
+                      (data.Slices(dataset, [21, 22]), configs)):
+        teacher, _ = pipeline.train_teacher(given, cs)
+        assert same_bits(teacher, pipeline.train_teacher(dataset, cs)[0])
+        cache = guidance.compute_teacher_soft_targets(
+            teacher, given, config.temperature if cs is config else [c.temperature for c in cs])
+        student, _ = pipeline.train_student(teacher, given, cs, cache)
+        assert same_bits(student, pipeline.train_student(teacher, dataset, cs, cache)[0])
+        tuned, _ = pipeline.finetune_clean(student, given, cs)
+        assert same_bits(tuned, pipeline.finetune_clean(student, dataset, cs)[0])
 
 
 @pytest.mark.parametrize("batches_per_block", [None, 4], ids=["default", "4-batch-blocks"])
