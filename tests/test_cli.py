@@ -728,8 +728,9 @@ def test_forced_rerun_with_a_bad_teacher_leaves_the_finished_run_as_it_was(tmp_p
     (["eval", "--checkpoint", "{missing}", "--split", "test"], {"data_test_fraction": 0.0},
      "{config}: data_clean_fraction 0.1, data_test_fraction 0.0: split 'test' is empty"),
 ], ids=["class-too-small", "missing-data-csv", "sweep-class-too-small", "sweep-noise-model",
-        "sweep-missing-data-csv", "student-no-clean", "sweep-beta-no-clean", "sweep-clean-fraction-0", "guidance-no-clean",
-        "clean-only-no-clean", "finetune-no-clean", "sweep-no-test", "eval-no-test"])
+        "sweep-missing-data-csv", "student-no-clean", "sweep-beta-no-clean",
+        "sweep-clean-fraction-0", "guidance-no-clean", "clean-only-no-clean", "finetune-no-clean",
+        "sweep-no-test", "eval-no-test"])
 def test_dataset_build_error_names_the_config_file_or_key(tmp_path, capsys, argv, doc,
                                                           message):
     names = {"config": tmp_path / "c.json", "missing": tmp_path / "missing.csv"}
