@@ -253,10 +253,11 @@ def _load_model(path: str, dataset: Dataset) -> nn.ModelParams:
 
 
 def _write_run(out: Path, snapshot: dict, report, models: dict) -> str:
-    """Write `models` as `<name>.ckpt` and the report, which embeds the full
-    flat snapshot so it alone suffices to replay the run; the summary line."""
+    """Write `models` as `<name>.ckpt`, each file's sha256 recorded in the
+    report under `<name>`, and the report, which embeds the full flat
+    snapshot so it alone suffices to replay the run; the summary line."""
     for name, params in models.items():
-        nn.save_checkpoint(params, out / f"{name}.ckpt")
+        report.checkpoint_fingerprints[name] = nn.save_checkpoint(params, out / f"{name}.ckpt")
     write_canonical_json(out / "report.json", {**to_document(report), "config": snapshot})
     acc = report.final_test_accuracy
     shown = "n/a" if acc is None else f"{acc:.4f}"

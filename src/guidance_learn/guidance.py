@@ -33,8 +33,8 @@ class GuidanceCache:
 
     Row k of `targets` [N, C] is the soft target of dataset sample
     `indices[k]`; `indices` [N] ascends. A cache for a stack holds [K, N]
-    indices and [K, N, C] targets, row k slice k's, at one temperature or
-    at K, one per slice.
+    indices and [K, N, C] targets, row k slice k's, and [K] temperatures,
+    one per slice.
     """
 
     indices: np.ndarray
@@ -64,16 +64,16 @@ class GuidanceCache:
 def compute_teacher_soft_targets(
     teacher: nn.ModelParams, dataset: Dataset | Slices, temperature
 ) -> GuidanceCache:
-    """softmax_t(forward(teacher, x_i), T) for every noisy-train sample, at
-    one temperature or at each of [K], from one teacher forward pass. The
-    teacher is a stack of one model per source of the data (`data.Slices`),
-    a single model standing for one source, and slice k's targets are those
-    of its source's teacher on its own noisy samples; the cache has a slice axis
-    when the data or the temperatures have one (InputError when empty). The
-    pass runs in row blocks of at most 2^18 // widest layer rows per slice
-    (`data.Slices.logits`), so it holds the teacher's logits and one
-    block's activations, however many noisy samples there are; the targets
-    are those logits taken per slice, softened in place."""
+    """softmax_t(forward(teacher, x_i), T) for every noisy-train sample, from
+    one teacher forward pass. The teacher is a stack of one model per
+    source of the data (`data.Slices`), a single model standing for one
+    source, and slice k's targets are those of its source's teacher on its
+    own noisy samples at T or T[k]; the cache has a slice axis, and a
+    temperature per slice, when the data or T have one (InputError when
+    empty). The pass runs in row blocks of at most 2^18 // widest layer
+    rows per slice (`data.Slices.logits`), so it holds the teacher's logits
+    and one block's activations, however many noisy samples there are; the
+    targets are those logits taken per slice, softened in place."""
     data = dataset if isinstance(dataset, Slices) else Slices(dataset)
     noisy_idx = data.indices(NOISY_TRAIN)
     sources = data.per_source()
@@ -86,7 +86,7 @@ def compute_teacher_soft_targets(
     return GuidanceCache(
         indices=np.broadcast_to(noisy_idx, slices + noisy_idx.shape[-1:]).copy(),
         targets=nn.softmax_t(targets, temperature, out=targets),
-        temperature=np.asarray(temperature, dtype=np.float64).tolist(),
+        temperature=np.broadcast_to(temperature, slices).astype(np.float64).tolist(),
         teacher_fingerprint=nn.fingerprint(teacher),
     )
 
@@ -132,7 +132,11 @@ def check_cache(cache: GuidanceCache, teacher_fingerprint: str, indices: np.ndar
                 temperature, num_classes: int) -> None:
     """ConsistencyError unless `cache` holds the soft targets of the teacher
     with `teacher_fingerprint` on the noisy samples `indices` at
-    `temperature` ([K] per slice for a stack), over `num_classes` classes."""
+    `temperature` ([K] per slice for a stack), over `num_classes` classes;
+    a cache and data of different slice shapes are named first."""
+    if cache.indices.shape[:-1] != indices.shape[:-1]:
+        raise ConsistencyError(f"guidance cache of slice shape {cache.indices.shape[:-1]} "
+                               f"for data of slice shape {indices.shape[:-1]}")
     if cache.teacher_fingerprint != teacher_fingerprint:
         raise ConsistencyError(
             f"guidance cache was built from teacher {cache.teacher_fingerprint[:12]}..., "

@@ -35,6 +35,7 @@ them stacked [..., S, B, C], each with the bits of a call on its own batch.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,14 +66,12 @@ class ModelParams:
     class count.
 
     The arrays are copied into one buffer, `flat`, and the lists hold
-    views of it (see `Gradients`). The checkpoint encoding that
-    `fingerprint` and `save_checkpoint` share is kept on the instance, keyed
-    by a digest of the parameter state, so a model changed in place is
-    encoded anew. It is a list of byte pieces: the canonical compact
-    encoding, one piece per block that `serialize._compact_pieces` makes,
-    which a save drops, or for a model loaded from a compact checkpoint the
-    bytes of that file as one piece (`load_checkpoint`), which every save
-    of the unchanged model writes as read.
+    views of it (see `Gradients`). The sha256 of the model's checkpoint
+    bytes, once `fingerprint`, `save_checkpoint` or `load_checkpoint` has
+    made it, is kept on the instance, keyed by a digest of the parameter
+    state, so a model changed in place is encoded anew. Beside it a model
+    loaded from a compact checkpoint keeps that file's bytes, which every
+    save of the unchanged model writes as read; no other encoding is kept.
     """
 
     weights: list[np.ndarray]
@@ -80,9 +79,8 @@ class ModelParams:
     rng_seed: int = 0
     flat: np.ndarray = field(init=False, repr=False, compare=False)
     layout: tuple = field(init=False, repr=False, compare=False)
-    # (state digest, sha256 hex, checkpoint pieces or None once saved,
-    #  whether the pieces are a file's bytes, kept across saves)
-    _encoding: tuple[bytes, str, list[bytes] | None, bool] | None = field(
+    # (state digest, sha256 hex, the loaded file's bytes or None)
+    _encoding: tuple[bytes, str, bytes | None] | None = field(
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -428,43 +426,41 @@ def _state_digest(params: ModelParams) -> bytes:
     return digest.digest()
 
 
-def _encoded(params: ModelParams,
-             need_bytes: bool) -> tuple[bytes, str, list[bytes] | None, bool]:
-    """`params._encoding` (see `ModelParams`), encoded canonically only when
-    the state changed since the last encoding (or loading) or the pieces
-    are needed but were dropped by a save. Each piece is hashed as it is
-    made, so the bytes are never joined."""
-    state = _state_digest(params)
-    cached = params._encoding
-    if cached is None or cached[0] != state or (need_bytes and cached[2] is None):
-        digest, pieces = hashlib.sha256(), []
-        for piece in _compact_pieces(checkpoint_dict(params)):
-            digest.update(piece)
-            pieces.append(piece)
-        cached = params._encoding = (state, digest.hexdigest(), pieces, False)
-    return cached
+def _canonical(params: ModelParams, state: bytes) -> Iterator[bytes]:
+    """The canonical encoding of `params` in blocks (`serialize._compact_pieces`),
+    hashed as they are made; after the last, only its sha256 is kept, keyed
+    by the parameter `state`."""
+    digest = hashlib.sha256()
+    for piece in _compact_pieces(checkpoint_dict(params)):
+        digest.update(piece)
+        yield piece
+    params._encoding = (state, digest.hexdigest(), None)
 
 
 def fingerprint(params: ModelParams) -> str:
-    """sha256 of the checkpoint bytes `save_checkpoint` writes. The encoding's
-    pieces are kept on `params` for its next save (see `ModelParams`)."""
-    return _encoded(params, need_bytes=False)[1]
+    """sha256 of the checkpoint bytes `save_checkpoint` writes: the kept one
+    while the state is unchanged (see `ModelParams`), else made anew."""
+    state = _state_digest(params)
+    if params._encoding is None or params._encoding[0] != state:
+        for _ in _canonical(params, state):
+            pass
+    return params._encoding[1]
 
 
-def save_checkpoint(params: ModelParams, path) -> None:
-    """Write the checkpoint encoding of `params` (see `ModelParams`)
-    atomically, piece by piece: the same bytes as one compact `json.dumps`
-    of `checkpoint_dict(params)`. Afterwards only its sha256 stays on
-    `params`, not the pieces, unless they are the bytes of the file it was
-    loaded from. A checkpoint holds one model: a stack is a ShapeError, and
-    nothing is written."""
+def save_checkpoint(params: ModelParams, path) -> str:
+    """Write the checkpoint of `params` atomically; its sha256, kept on
+    `params` (see `ModelParams`). An unchanged model loaded from a compact
+    checkpoint writes that file's bytes, any other its canonical encoding
+    (one compact `json.dumps` of `checkpoint_dict(params)`), streamed to the
+    file and the hash together. A checkpoint holds one model: a stack is a
+    ShapeError, and nothing is written."""
     if params.weights[0].ndim != 2:
         raise ShapeError(f"a checkpoint holds one model, not a stack of "
                          f"{params.weights[0].shape[0]}")
-    state, sha, pieces, from_file = _encoded(params, need_bytes=True)
-    _write_atomic(path, pieces)
-    if not from_file:
-        params._encoding = (state, sha, None, False)
+    state, kept = _state_digest(params), params._encoding
+    as_read = kept is not None and kept[0] == state and kept[2] is not None
+    _write_atomic(path, [kept[2]] if as_read else _canonical(params, state))
+    return params._encoding[1]
 
 
 def _checkpoint_arrays(doc: dict, key: str, path) -> list[np.ndarray]:
@@ -495,10 +491,10 @@ def _savable_as_read(text: str, keys: list[str], version) -> bool:
 def load_checkpoint(path) -> ModelParams:
     """The model of the checkpoint file at `path`, read once; a bad file is a
     FormatError naming it. A compact file of the schema's fields
-    (`_savable_as_read`) is kept as the model's encoding, so that
+    (`_savable_as_read`) is kept on the model with its sha256, so that
     `fingerprint` and every `save_checkpoint` of the unchanged model use its
     bytes as read, canonical or not; any other file (indented, say) is
-    encoded anew, canonically, when first fingerprinted or saved."""
+    encoded anew, canonically, when fingerprinted or saved."""
     keys: list[str] = []
 
     def pairs(items):  # the top-level object is the last one parsed
@@ -529,6 +525,5 @@ def load_checkpoint(path) -> ModelParams:
         )
     if _savable_as_read(text, keys, version):
         data = text.encode("utf-8")  # the file's bytes, made after its document is freed
-        params._encoding = (_state_digest(params), hashlib.sha256(data).hexdigest(), [data],
-                            True)
+        params._encoding = (_state_digest(params), hashlib.sha256(data).hexdigest(), data)
     return params

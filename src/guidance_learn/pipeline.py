@@ -10,8 +10,8 @@ stack on one dataset or on the `data.Slices` their caller built, slice k
 on its own dataset and seed, and every loss and accuracy in the stage's
 report is a list of K per-slice values. One config and one dataset have
 no slice axis: the stage trains one model, by the same code, and its
-report holds numbers and the model's fingerprint. A stage that starts
-from given models picks each slice's with `nn.take`.
+report holds numbers. A stage that starts from given models picks each
+slice's with `nn.take`. No stage fingerprints the model it returns.
 """
 from __future__ import annotations
 
@@ -154,7 +154,8 @@ class RunReport:
     a list of per-slice values for a stack. A stage trained with
     `record_epochs=False` has no epochs, only the final test accuracy.
     It holds no config: the CLI writes the run's config snapshot beside
-    these fields in report.json.
+    these fields in report.json. `checkpoint_fingerprints` holds a
+    student's teacher's; the CLI adds the sha256 of each `<name>.ckpt`.
     """
 
     stage: str
@@ -345,15 +346,6 @@ def _train(
     return params, report
 
 
-def _returned(params: nn.ModelParams, report: RunReport,
-              role: str = "model") -> tuple[nn.ModelParams, RunReport]:
-    """The trained model and its report, which holds a single model's
-    fingerprint under `role`; a stack has no checkpoint."""
-    if params.weights[0].ndim == 2:
-        report.checkpoint_fingerprints[role] = nn.fingerprint(params)
-    return params, report
-
-
 def _train_cross_entropy(
     stack: _Stack,
     name: str,
@@ -397,9 +389,9 @@ def _from_scratch(dataset: Dataset | Slices, config: TrainConfig | Sequence[Trai
     dims = [stack.data.features.shape[-1], *stack.config.hidden_dims, stack.data.num_classes]
     init = nn.take(nn.stack([nn.init_params(dims, c.seed) for c in stack.configs]),
                    stack.slices)
-    return _returned(*_train_cross_entropy(
+    return _train_cross_entropy(
         stack, name, init, stack.config.teacher_lr_schedule, stack.config.teacher_epochs,
-        stage="teacher", record_epochs=record_epochs))
+        stage="teacher", record_epochs=record_epochs)
 
 
 def train_teacher(
@@ -429,16 +421,15 @@ def train_student(
     temperature (`guidance.compute_teacher_soft_targets`) on this data; a
     cache built from another model, on other samples or at another
     temperature is a ConsistencyError (`guidance.check_cache`). The
-    teacher's fingerprint goes into the report. One config and one dataset
-    train one student from the teacher, with the cache the command line
-    writes (no slice axis), and the report holds its fingerprint. K configs
-    that differ only in alpha, beta, temperature and seed, their data
-    (`_stack`) and a cache at their K temperatures train K students as one
-    [K, ...] stack, slice k from teacher `source[k]` of a stack of one per
-    source (`train_teacher` on `data.per_source()`; one model stands for
-    one source). Slice k equals the student of config k trained alone, and
-    the report holds per-slice values and no student fingerprint.
-    `record_epochs` is `train_teacher`'s.
+    teacher's fingerprint, which that check reads, goes into the report.
+    One config and one dataset train one student from the teacher, with
+    the cache the command line writes (no slice axis). K configs that
+    differ only in alpha, beta, temperature and seed, their data (`_stack`)
+    and a cache of their K slices train K students as one [K, ...] stack,
+    slice k from teacher `source[k]` of a stack of one per source
+    (`train_teacher` on `data.per_source()`; one model stands for one
+    source). Slice k equals the student of config k trained alone, and the
+    report holds per-slice values. `record_epochs` is `train_teacher`'s.
     """
     stack = _stack(dataset, config)
     data, config = stack.data, stack.config
@@ -477,7 +468,7 @@ def train_student(
         lambda epoch: data.mixed_orders(B, epoch), block, record_epochs,
     )
     report.checkpoint_fingerprints["teacher"] = teacher_fingerprint
-    return _returned(student, report, "student")
+    return student, report
 
 
 def finetune_clean(
@@ -497,10 +488,10 @@ def finetune_clean(
     if model.weights[0].shape[:-2] not in ((), (len(stack.configs),)):
         raise ShapeError(f"a stack of {len(model.weights[0])} models for "
                          f"{len(stack.configs)} configs")
-    return _returned(*_train_cross_entropy(
+    return _train_cross_entropy(
         stack, "finetune", nn.take(model, stack.slices),
         stack.config.effective_finetune_schedule(), stack.config.finetune_epochs,
-        stage="finetune", record_epochs=record_epochs))
+        stage="finetune", record_epochs=record_epochs)
 
 
 def run_baseline(
@@ -527,13 +518,7 @@ def run_baseline(
                                         record_epochs=variant == "guidance")
         models = {"teacher": teacher, "student": student}
         if variant == "guidance_finetuned":
-            student_report = report
-            finetuned, report = finetune_clean(student, dataset, config)
-            models["finetuned"] = finetuned
-            report.checkpoint_fingerprints = {
-                **student_report.checkpoint_fingerprints,
-                "finetuned": report.checkpoint_fingerprints["model"],
-            }
+            models["finetuned"], report = finetune_clean(student, dataset, config)
     report.variant = variant
     return models, report
 

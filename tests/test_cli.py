@@ -406,6 +406,30 @@ def test_train_student_encodes_each_checkpoint_once(tmp_path, config_file, monke
         assert report["checkpoint_fingerprints"][role] == digest
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["train-teacher"], id="train-teacher"),
+    pytest.param(["train-student"], id="train-student"),
+    pytest.param(["train-student", "--teacher", "{teacher}"], id="train-student-from-teacher"),
+    pytest.param(["finetune", "--checkpoint", "{teacher}"], id="finetune"),
+    *(pytest.param(["baseline", "--variant", variant], id=f"baseline-{variant}")
+      for variant in pipeline.BASELINE_VARIANTS),
+])
+def test_report_fingerprints_are_the_run_checkpoints(tmp_path, config_file, argv):
+    """Every command that writes checkpoints records, in report.json, the
+    sha256 of each `<name>.ckpt` it wrote under `<name>`, and no other."""
+    teacher = tmp_path / "teacher"
+    if "{teacher}" in argv:
+        assert cli.main(["train-teacher", "--config", str(config_file),
+                         "--out", str(teacher)]) == 0
+    argv = [a.replace("{teacher}", str(teacher / "teacher.ckpt")) for a in argv]
+    out = tmp_path / "run"
+    assert cli.main([argv[0], "--config", str(config_file), "--out", str(out),
+                     *argv[1:]]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["checkpoint_fingerprints"] == {
+        path.stem: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.glob("*.ckpt")}
+
+
 def test_train_student_saves_a_compact_teacher_as_it_was_read(tmp_path, config_file):
     """A compact teacher checkpoint that is not canonical (keys out of order,
     a weight written 1e-5) is saved byte for byte, and the report and the

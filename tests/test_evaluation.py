@@ -117,7 +117,7 @@ def test_whole_split_passes_hold_one_block_not_the_split():
     holds about 40 MB of activations."""
     dataset = data.make_blobs(10, 2000, 32, sigma=0.5, seed=0)
     teacher = nn.init_params([32, 256, 10], seed=1)
-    nn.fingerprint(teacher)  # the pass fingerprints the teacher; its encoding is kept
+    nn.fingerprint(teacher)  # the pass fingerprints the teacher; its sha256 is kept
     limit = 8 * 2**20
     tracemalloc.start()
     try:

@@ -1,6 +1,7 @@
 import re
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -256,6 +257,54 @@ def test_student_rejects_cache_of_another_teacher():
         pipeline.train_student(teacher, dataset, config, cache)
     assert cache.teacher_fingerprint[:12] in str(exc.value)
     assert nn.fingerprint(teacher)[:12] in str(exc.value)
+
+
+def test_stacked_cache_at_one_temperature_trains_a_stack_at_that_temperature():
+    """A cache of two slices at one T records T for each slice, so two
+    configs at that T train from it, each slice as its config alone."""
+    dataset = small_dataset(seed=9)
+    configs = [small_config(seed=9), small_config(seed=9, beta=1.0)]
+    teacher, _ = pipeline.train_teacher(dataset, configs[0])
+    cache = guidance.compute_teacher_soft_targets(teacher, data.Slices(dataset, [9, 9]), 5.0)
+    assert cache.temperature == [5.0, 5.0]
+    students, _ = pipeline.train_student(teacher, dataset, configs, cache)
+    for k, config in enumerate(configs):
+        assert same_bits(nn.take(students, k), train_student(teacher, dataset, config)[0])
+
+
+def test_student_names_the_slice_shapes_of_a_cache_without_a_slice_axis():
+    dataset = small_dataset(seed=9)
+    configs = [small_config(seed=9), small_config(seed=9, beta=1.0)]
+    teacher, _ = pipeline.train_teacher(dataset, configs[0])
+    cache = guidance.compute_teacher_soft_targets(teacher, dataset, 5.0)
+    with pytest.raises(ConsistencyError, match=re.escape(
+            "guidance cache of slice shape () for data of slice shape (2,)")):
+        pipeline.train_student(teacher, dataset, configs, cache)
+
+
+def _readme_python_block(marker: str) -> str:
+    """The one fenced Python block of README.md that contains `marker`."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = [b for b in re.findall(r"```python\n(.*?)```", text, re.S) if marker in b]
+    return block
+
+
+def test_readme_library_form_runs_and_matches_single_runs():
+    """The README's library form (Slices, teachers, cache, students,
+    fine-tune) runs as written on two datasets and three configs, and slice
+    k of its fine-tuned stack is config k's model trained alone."""
+    one, two = small_dataset(seed=21), small_dataset(seed=22)
+    configs = [small_config(seed=21), small_config(seed=22, beta=1.0),
+               small_config(seed=22, alpha=0.0, temperature=2.0)]
+    namespace = {"datasets": [one, two, two], "configs": configs}
+    exec(_readme_python_block("Slices(datasets"), namespace)
+    assert namespace["teachers"].weights[0].shape[0] == 2  # (one, 21) and (two, 22)
+    assert len(namespace["finetune_report"].final_test_accuracy) == 3
+    for k, (dataset, config) in enumerate(zip(namespace["datasets"], configs)):
+        teacher, _ = pipeline.train_teacher(dataset, config)
+        student, _ = train_student(teacher, dataset, config)
+        finetuned, _ = pipeline.finetune_clean(student, dataset, config)
+        assert same_bits(nn.take(namespace["finetuned"], k), finetuned)
 
 
 def test_finetune_zero_epochs_and_zero_lr():

@@ -247,10 +247,24 @@ def test_saving_a_desk_cache_holds_one_block_not_the_document(tmp_path):
 
 
 def test_fingerprint_holds_the_pieces_and_one_block():
-    """Fingerprinting a [256, 256, 256, 10] model (2.6 MB of text) keeps its
-    pieces and makes one block's floats and strings at a time: the traced
-    peak stays under 6 MiB; encoded as one document and one string it read
-    10.1 MiB."""
+    """Fingerprinting a [256, 256, 256, 10] model (2.6 MB of text) hashes
+    its pieces as they are made, one block's floats and strings at a time,
+    and keeps only the sha256: the traced peak stays under 6 MiB; encoded as
+    one document and one string it read 10.1 MiB."""
     params = nn.init_params([256, 256, 256, 10], seed=13)
     peak = _traced_peak(lambda: nn.fingerprint(params))
     assert peak < 6 * 2**20, peak
+
+
+def test_saving_a_model_streams_its_encoding_to_the_file_and_the_hash(tmp_path):
+    """Saving a never-fingerprinted [256, 256, 256, 10] model writes and
+    hashes its 2.6 MB of text one block at a time and keeps only the
+    sha256: the traced peak stays under 2 MiB; collecting the pieces before
+    writing them read 3.36 MiB."""
+    params = nn.init_params([256, 256, 256, 10], seed=13)
+    path = tmp_path / "model.ckpt"
+    peak = _traced_peak(lambda: nn.save_checkpoint(params, path))
+    assert peak < 2 * 2**20, peak
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert params._encoding[1:] == (digest, None)
+    assert nn.save_checkpoint(params, tmp_path / "again.ckpt") == digest
