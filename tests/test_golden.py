@@ -131,7 +131,7 @@ GOLDEN = {
         "finetuned.ckpt":
             "6bf1b7600074c5d6c65e3c014277f5a09a4f3275b8ce7e68cedd97e8733f0ad0",
         "report.json":
-            "1180aa9acb7ea84e0586d00efdbb9f436abc3be19b8c66e79604b4b29835f300",
+            "03155011dcfaf0a823051dd3c6e9c1ae420085afb150d7e59abb87d95d586a36",
     },
     "student": {
         "config.json":
@@ -223,7 +223,7 @@ GOLDEN = {
         "config.json":
             "852e0d96b107d05884f13e04b4ec6cb2eec84a63c72225309599d3f3326e44f0",
         "report.json":
-            "f47bc6f4a2cfe6734ead554e507ecf11e0e037051a0c2aff0a804026e51925c2",
+            "55ebe6448c47d635f22bb2b6af1af3a172e32478c7ec0810b6f67c70907084f7",
         "teacher.ckpt":
             "bf1aab8339a8973ab259dde240b715eb48670629c9ae3d6680f064993c72d800",
     },
@@ -287,7 +287,7 @@ GOLDEN_NON_FMA = {
         "finetuned.ckpt":
             "8287e7184a3273ee81cd2e899bcf01732c6306093daff3ca535b0911284e7345",
         "report.json":
-            "ee7cee80d81cbc77329b259d83591d50dd2a4738a155ee5f7df282b71b6525d3",
+            "1fedc4860caf10b9dff6f41d484bf82005b8041b761212664530cbbde0878935",
     },
     "student": {
         "config.json":
@@ -329,7 +329,7 @@ GOLDEN_NON_FMA = {
         "config.json":
             "852e0d96b107d05884f13e04b4ec6cb2eec84a63c72225309599d3f3326e44f0",
         "report.json":
-            "434910c88860c37efe49b5f6472a0fd15e8149f1879be068bf334629f3e5750b",
+            "568ec95b511da3b695ed6e89524cbbb1c2be8c43c10c2738d38543943e680723",
         "teacher.ckpt":
             "18d15997aa87115084de300aa6534447f4f755eb9034de468873b4549d1e2d01",
     },
